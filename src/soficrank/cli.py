@@ -70,7 +70,7 @@ from .invariants import (
     SeriesPoint,
     betti_approximants,
     euler_characteristic,
-    euler_identity_check,
+    euler_residual_series,
     finite_group_exact_betti,
     juzvinskii_defect,
     literal_mean_rank,
@@ -484,16 +484,12 @@ def run(config, out_dir=".", strict=False):
     elif pipeline == "euler":
         chi = euler_characteristic(C)
         summary.append("chi = %d" % chi)
-        for j in range(C.top_degree + 1):
-            series.append(betti_approximants(C, Q, j, policy, cap))
-        residuals = euler_identity_check(C, Q, policy, cap)
-        series.append(
-            ApproximantSeries(
-                "euler_residual",
-                tuple(SeriesPoint(d, v, True) for d, v in residuals),
-                Q.chain,
-            )
-        )
+        betti = [
+            betti_approximants(C, Q, j, policy, cap)
+            for j in range(C.top_degree + 1)
+        ]
+        series.extend(betti)
+        series.append(euler_residual_series(C, betti))
     elif pipeline == "defect":
         series.append(juzvinskii_defect(C, Q, config.kernel, policy, cap))
     elif pipeline == "meanrank":

@@ -30,6 +30,7 @@ __all__ = [
     "relative_vrk_approximants",
     "mrk_j_approximants",
     "euler_characteristic",
+    "euler_residual_series",
     "euler_identity_check",
     "juzvinskii_defect",
     "finite_group_exact_betti",
@@ -296,25 +297,33 @@ def euler_characteristic(C):
     return sum((-1) ** j * C.rank_of(j) for j in range(C.top_degree + 1))
 
 
-def euler_identity_check(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
+def euler_residual_series(C, betti_series):
     """Per-stage residual of the alternating Betti sum against chi.
+
+    ``betti_series`` holds the Betti series of every degree 0..top of C,
+    in order, along one quotient sequence.  A residual is certified only
+    when every Betti value it sums is.
+    """
+    chi = euler_characteristic(C)
+    points = []
+    for stage in zip(*(s.points for s in betti_series)):
+        total = sum((-1) ** j * p.value for j, p in enumerate(stage))
+        certified = all(p.certified for p in stage)
+        points.append(SeriesPoint(stage[0].degree, total - chi, certified))
+    return ApproximantSeries("euler_residual", tuple(points), betti_series[0].chain)
+
+
+def euler_identity_check(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
+    """Per-stage (degree, residual) of the alternating Betti sum against chi.
 
     Telescoping of rank-nullity makes the residual exactly 0 at every
     finite stage for every valid bounded complex.
     """
-    chi = euler_characteristic(C)
     all_series = [
         betti_approximants(C, Q, j, policy, size_cap)
         for j in range(C.top_degree + 1)
     ]
-    residuals = []
-    for i, q in enumerate(Q):
-        total = sum(
-            (-1) ** j * all_series[j].points[i].value
-            for j in range(C.top_degree + 1)
-        )
-        residuals.append((q.degree, total - chi))
-    return residuals
+    return [(p.degree, p.value) for p in euler_residual_series(C, all_series)]
 
 
 def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE_CAP):

@@ -8,10 +8,17 @@ fewest nonzeros (ties broken by lowest row index), which minimizes the
 Markowitz fill bound (r-1)(c-1) for that column.  Deterministic given the
 prime.
 
-rank_over_rationals runs rank_mod_p for k random large primes and certifies
-on agreement; on disagreement it escalates with fresh primes (the maximum
-observed value is always a valid lower bound) and finally falls back to
-exact fraction-free (Bareiss) elimination when the matrix is small enough.
+Given a tuple of distinct primes p_1..p_k, rank_mod_p eliminates once
+modulo their product N.  While every pivot is a unit mod N, the run reduces
+mod each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
+number of pivots; a pivot that is not a unit mod N abandons the pass.
+
+rank_over_rationals draws k random large primes and ranks each batch in one
+such joint pass, falling back to one elimination per prime when the joint
+pass is abandoned.  It certifies on agreement; on disagreement it escalates
+with fresh primes (the maximum observed value is always a valid lower
+bound) and finally falls back to exact fraction-free (Bareiss) elimination
+when the matrix is small enough.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappush, heappop
+from math import prod
 
 from sympy import isprime, nextprime
 
@@ -35,17 +43,36 @@ __all__ = [
 _MACHINE_WORD = 1 << 63
 
 
-def rank_mod_p(M, p, stats=None):
-    """Rank of M over F_p; always a lower bound for the rank over Q.
-
-    ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
-    ``pivots`` (fill-in is peak minus initial).
-    """
+def _check_prime(p):
     p = int(p)
     if p >= _MACHINE_WORD:
         raise ValueError("prime must fit in a machine word")
     if not isprime(p):
         raise ValueError("%d is not prime" % p)
+    return p
+
+
+def rank_mod_p(M, p, stats=None):
+    """Rank of M over F_p; always a lower bound for the rank over Q.
+
+    ``p`` may also be a tuple of distinct machine-word primes.  The matrix
+    is then eliminated once modulo their product, and the common rank over
+    every F_{p_i} is returned, or None when a pivot turns out not to be a
+    unit modulo the product (the ranks may then differ between the primes).
+
+    ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
+    ``pivots`` (fill-in is peak minus initial); an abandoned joint pass
+    reports the pivots made before it stopped.
+    """
+    if isinstance(p, tuple):
+        primes = [_check_prime(q) for q in p]
+        if not primes:
+            raise ValueError("need at least one prime")
+        if len(set(primes)) != len(primes):
+            raise ValueError("primes must be distinct")
+        p = prod(primes)
+    else:
+        p = _check_prime(p)
     rows = {}
     for r, c, v in M.triplets:
         v %= p
@@ -62,6 +89,7 @@ def rank_mod_p(M, p, stats=None):
     for c, s in cols.items():
         heappush(heap, (len(s), c))
     rank = 0
+    abandoned = False
     while heap:
         cnt, c = heappop(heap)
         colset = cols.get(c)
@@ -70,8 +98,11 @@ def rank_mod_p(M, p, stats=None):
         # pivot row: fewest nonzeros, then lowest index
         pr = min(colset, key=lambda r: (len(rows[r]), r))
         prow = rows.pop(pr)
-        a = prow[c]
-        inv = pow(a, -1, p)
+        try:
+            inv = pow(prow[c], -1, p)
+        except ValueError:  # not a unit modulo a product of primes
+            abandoned = True
+            break
         # detach the pivot row from the column index
         touched = set()
         for cc in prow:
@@ -119,7 +150,7 @@ def rank_mod_p(M, p, stats=None):
         stats["initial_nnz"] = initial_nnz
         stats["peak_nnz"] = peak_nnz
         stats["pivots"] = rank
-    return rank
+    return None if abandoned else rank
 
 
 def rank_dense_bareiss(dense_rows):
@@ -199,8 +230,11 @@ def rank_over_rationals(M, policy=None):
     Certification condition: the maximum observed mod-p rank is attained by
     at least ``primes_count`` distinct random large primes (any smaller
     value is a bad-reduction artifact, since rank mod p never exceeds the
-    rational rank).  Falls back to Bareiss for small matrices; policy
-    exhaustion returns the best lower bound uncertified.
+    rational rank).  Each batch of distinct primes is ranked by one joint
+    rank_mod_p pass modulo their product; a batch of one prime, a batch
+    with a repeated prime, or a joint pass that meets a non-unit pivot is
+    ranked one prime at a time.  Falls back to Bareiss for small matrices;
+    policy exhaustion returns the best lower bound uncertified.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -222,9 +256,12 @@ def rank_over_rationals(M, policy=None):
             batch = _draw_primes(rng, policy.prime_bits, k, used)
         if not batch:
             break
+        joint = None
+        if len(set(batch)) == len(batch) > 1:
+            joint = rank_mod_p(M, tuple(batch))
         for p in batch:
             used.append(p)
-            ranks[p] = rank_mod_p(M, p)
+            ranks[p] = rank_mod_p(M, p) if joint is None else joint
         best = max(ranks.values())
         if attained(best) >= k:
             return RankResult(best, "sparse_mod_p", tuple(used), True)

@@ -96,6 +96,55 @@ def test_euler_pipeline(tmp_path):
     assert all(r.split(",")[2] == "0" for r in residuals)
 
 
+def test_euler_builds_each_betti_series_once(tmp_path, monkeypatch):
+    from soficrank import cli, invariants
+
+    calls = []
+    betti = invariants.betti_approximants
+
+    def counted(C, Q, j, *args):
+        calls.append(j)
+        return betti(C, Q, j, *args)
+
+    for module in (cli, invariants):
+        monkeypatch.setattr(module, "betti_approximants", counted)
+    cfg = write(tmp_path, "job.cfg", KOSZUL_EULER_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [0, 1, 2]
+
+
+def test_euler_residual_inherits_uncertified_betti(tmp_path):
+    # 2I has rank 0 mod 2 and 3 mod 3; the window holds no other prime
+    cfg_text = """\
+[group]
+family = free_abelian
+rank = 1
+
+[complex]
+ranks = 1 1
+d1 = 2
+
+[quotients]
+provider = grid
+moduli = 3
+
+[run]
+pipeline = euler
+primes = 2
+prime_bits = 1 2
+dense_threshold = 0
+"""
+    cfg = write(tmp_path, "job.cfg", cfg_text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--strict"]) == 1
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[1:] == [
+        "betti[j=0],3,0,1,false",
+        "betti[j=1],3,0,1,false",
+        "euler_residual,3,0,1,false",
+    ]
+
+
 def test_soficity_pipeline_deterministic(tmp_path):
     cfg = write(tmp_path, "job.cfg", SOFICITY_CONFIG)
     out1 = tmp_path / "o1"

@@ -4,6 +4,7 @@ import pytest
 
 from soficrank import (
     RankPolicy,
+    RankResult,
     SparseIntMatrix,
     grid_quotient,
     linearize,
@@ -69,6 +70,91 @@ def test_stats_reporting():
     assert stats["pivots"] == 2
     assert stats["initial_nnz"] == 3
     assert stats["peak_nnz"] >= 3
+
+
+# ---------------------------------------------------------------------------
+# joint elimination modulo a product of primes
+
+JOINT_PRIMES = ((1 << 61) - 1, 2305843009213693921, 1152921504606846883)
+
+
+def joint_corpus(rng):
+    """Fill-free bidiagonal matrices (like the linearized a - 1) and
+    fill-heavy dense-ish ones, some rank-deficient."""
+    out = []
+    for _ in range(15):
+        n = rng.randrange(2, 40)
+        trips = [(i, i, rng.choice((1, -1, 2))) for i in range(n)]
+        trips += [(i, i + 1, -1) for i in range(n - 1)]
+        out.append(SparseIntMatrix(n, n, trips))
+    for _ in range(15):
+        n = rng.randrange(30, 60)
+        out.append(random_sparse(rng, n + rng.randrange(-5, 6), n, per_row=rng.randrange(6, 11)))
+    for _ in range(5):
+        r = rng.randrange(1, 5)
+        a = random_sparse(rng, 12, r, per_row=1)
+        out.append(a * random_sparse(rng, r, 12, per_row=6))
+    return out
+
+
+def test_joint_pass_matches_each_prime():
+    rng = random.Random(101)
+    for m in joint_corpus(rng):
+        joint = rank_mod_p(m, JOINT_PRIMES)
+        assert joint is not None
+        assert all(joint == rank_mod_p(m, p) for p in JOINT_PRIMES)
+
+
+def test_joint_pass_gives_up_on_a_non_unit_pivot():
+    # column 0 holds only the 3, which is not a unit modulo 6
+    m = SparseIntMatrix.from_dense([[3, 1], [0, 1]])
+    assert rank_mod_p(m, (2, 3)) is None
+    assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 1)
+    policy = RankPolicy(primes_count=2, explicit_primes=(2, 3), dense_threshold=0, max_rounds=1)
+    assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (2, 3), False)
+
+
+def test_joint_pass_gives_the_per_prime_results(monkeypatch):
+    from soficrank import rank
+
+    rng = random.Random(103)
+    policies = [RankPolicy(seed=s) for s in range(10)]
+    policies += [
+        RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, seed=0),
+        RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, dense_threshold=0),
+        RankPolicy(primes_count=2, prime_bits=(2, 4), max_rounds=3, dense_threshold=0),
+        RankPolicy(primes_count=2, explicit_primes=(2, 3), dense_threshold=0, max_rounds=1),
+        RankPolicy(primes_count=2, explicit_primes=(5, 5, 7), dense_threshold=0),
+    ]
+    mats = joint_corpus(rng)[::3] + [
+        SparseIntMatrix.from_dense([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        SparseIntMatrix.from_dense([[3, 1], [0, 1]]),
+        SparseIntMatrix.from_dense([[6]]),
+    ]
+    joint = [[rank_over_rationals(m, pol) for pol in policies] for m in mats]
+    single = rank.rank_mod_p
+    monkeypatch.setattr(
+        rank, "rank_mod_p",
+        lambda M, p, stats=None: None if isinstance(p, tuple) else single(M, p, stats))
+    per_prime = [[rank_over_rationals(m, pol) for pol in policies] for m in mats]
+    assert joint == per_prime
+
+
+def test_joint_pass_validates_every_prime():
+    m = SparseIntMatrix.from_dense([[1]])
+    for bad in ((5, 6), (5, 1 << 63), (5, 7, 5), ()):
+        with pytest.raises(ValueError):
+            rank_mod_p(m, bad)
+
+
+def test_joint_pass_stats():
+    m = SparseIntMatrix.from_dense([[1, 1], [1, 0]])
+    stats = {}
+    assert rank_mod_p(m, JOINT_PRIMES, stats) == 2
+    assert stats == {"initial_nnz": 3, "peak_nnz": 3, "pivots": 2}
+    stats = {}
+    assert rank_mod_p(SparseIntMatrix.from_dense([[3, 1], [0, 1]]), (2, 3), stats) is None
+    assert stats["pivots"] == 0 and stats["initial_nnz"] == 3
 
 
 # ---------------------------------------------------------------------------
