@@ -54,6 +54,7 @@ from .invariants import (
     finite_group_exact_betti,
     juzvinskii_defect,
     literal_mean_rank,
+    literal_mean_rank_point,
     model_diagnostics,
     mrk_j_approximants,
     relative_vrk_approximants,

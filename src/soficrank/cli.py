@@ -73,7 +73,7 @@ from .invariants import (
     euler_residual_series,
     finite_group_exact_betti,
     juzvinskii_defect,
-    literal_mean_rank,
+    literal_mean_rank_point,
     mrk_j_approximants,
     relative_vrk_approximants,
     series_to_csv,
@@ -497,14 +497,8 @@ def run(config, out_dir=".", strict=False):
         b = need("b_gens", "[module] b_gens")
         fset = need("f_set", "[module] f_set")
         q = Q.quotients[0]
-        value = literal_mean_rank(M, a, b, fset, q, config.window, policy)
-        series.append(
-            ApproximantSeries(
-                "literal_mean_rank",
-                (SeriesPoint(q.degree, value, True),),
-                Q.chain,
-            )
-        )
+        point = literal_mean_rank_point(M, a, b, fset, q, config.window, policy)
+        series.append(ApproximantSeries("literal_mean_rank", (point,), Q.chain))
     elif pipeline == "soficity":
         pairs = o.get("pairs")
         if not pairs:

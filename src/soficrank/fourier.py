@@ -1,0 +1,149 @@
+"""Ranks at grid models of Z^k by splitting over characters.
+
+At the translation model of (Z/n)^k (grid_quotient), linearize(f) is
+block-circulant: every block is a combination of commuting translations.
+Over a field holding the n-th roots of unity the characters
+chi_a(x^s) = zeta^(a.s), a in (Z/n)^k, diagonalize all translations at once,
+so rank L(f) = sum_a rank f(chi_a), where f(chi_a) is the small m x n matrix
+of entries sum_s c_s zeta^(a.s).
+
+The units u of Z/n act on characters by a -> u.a, and f(chi_(u.a)) is the
+Galois conjugate zeta -> zeta^u of f(chi_a), so every character of one orbit
+O has the same rank over Q(zeta_n).  For a prime p = 1 (mod n) and w a
+primitive n-th root of unity mod p, evaluating f(chi_a) at zeta = w reduces
+it modulo a prime of Z[zeta_n] above p, which can only lower its rank.
+Hence, with one representative a_O per orbit,
+
+    sum_O |O| * rank_p f(chi_(a_O))  <=  sum_a rank_Q(zeta) f(chi_a)
+                                     =  rank_Q L(f),
+
+and equality holds for all but finitely many p.  Each prime's value is thus
+a lower bound for the rational rank, just as a mod-p rank of L(f) is, and
+rank.multimodular_rank certifies it by the same agreement rule.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import gcd, prod
+
+from sympy import factorint
+
+from .rank import DEFAULT_POLICY, multimodular_rank
+
+__all__ = ["character_orbits", "fourier_rank"]
+
+
+@lru_cache(maxsize=16)
+def character_orbits(k, n):
+    """One (representative, orbit size) pair per orbit of (Z/n)^k under
+    a -> u.a for the units u of Z/n; the sizes add up to n^k.
+
+    A point a of order m = n / gcd(a, n) has u.a depending on u mod m only,
+    and the units of Z/n reach every unit of Z/m, so its orbit is
+    {u.a : u a unit of Z/m}, of size phi(m).  Points are indexed as
+    sum_i a_i n^i; representatives come out in increasing index order.
+    Memoized: every differential ranked at one grid shares the orbits.
+    """
+    weights = [n ** i for i in range(k)]
+    units = {}
+    seen = bytearray(n ** k)
+    out = []
+    i = seen.find(0)
+    while i >= 0:
+        a = tuple(i // w % n for w in weights)
+        m = n // gcd(n, *a)
+        us = units.get(m)
+        if us is None:
+            us = units[m] = [u for u in range(m) if gcd(u, m) == 1]
+        cols = [[u * c % n * w for u in us] for c, w in zip(a, weights)]
+        for j in map(sum, zip(*cols)):
+            seen[j] = 1
+        out.append((a, len(us)))
+        i = seen.find(0, i + 1)
+    return tuple(out)
+
+
+def _root_of_unity(n, p):
+    """A primitive n-th root of unity mod a prime p = 1 (mod n)."""
+    e = (p - 1) // n
+    factors = list(factorint(n))
+    for x in range(2, p):
+        w = pow(x, e, p)
+        if all(pow(w, n // l, p) != 1 for l in factors):
+            return w
+    return 1  # p = 2, n = 1
+
+
+def _rank_mod(rows, N):
+    """Rank of a small dense matrix modulo a squarefree N, or None when a
+    pivot is not a unit mod N (a composite N then has no common elimination).
+
+    Fraction-free: a row is scaled by the pivot, a unit, before the pivot
+    row is subtracted, which keeps the rank modulo every prime factor.
+    """
+    A = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(A[0])):
+        pr = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[rank], A[pr] = A[pr], A[rank]
+        prow = A[rank]
+        piv = prow[c]
+        if gcd(piv, N) != 1:
+            return None
+        for i in range(rank + 1, len(A)):
+            f = A[i][c]
+            if f:
+                A[i] = [(x * piv - f * y) % N for x, y in zip(A[i], prow)]
+        rank += 1
+    return rank
+
+
+def _orbit_values(f, n, orbits, primes):
+    """sum_O |O| rank_p f(chi_(a_O)) for each of the distinct primes, all
+    evaluated in one pass modulo their product (roots joined by CRT); an
+    orbit whose matrix meets a non-unit pivot is ranked prime by prime."""
+    N = prod(primes)
+    w = sum(_root_of_unity(n, p) * (N // p) * pow(N // p, -1, p) for p in primes) % N
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * w % N)
+    entries = [
+        [[(c, g.payload) for g, c in x.terms.items()] for x in row]
+        for row in f.entries
+    ]
+    totals = [0] * len(primes)
+    for a, size in orbits:
+        mat = [
+            [sum(c * powers[sum(ai * si for ai, si in zip(a, s)) % n] for c, s in x) % N
+             for x in row]
+            for row in entries
+        ]
+        r = _rank_mod(mat, N)
+        for i, p in enumerate(primes):
+            ri = r if r is not None else _rank_mod([[v % p for v in row] for row in mat], p)
+            totals[i] += size * ri
+    return totals
+
+
+def fourier_rank(f, n, policy=None):
+    """Rank over Q of linearize(f) at the grid model of (Z/n)^k, certified by
+    the agreement rule over primes p = 1 (mod n), without linearizing.
+
+    Returns a RankResult with method ``fourier_mod_p``; it is uncertified
+    when the policy's window holds too few such primes.  The caller must
+    know that the model is that grid (groups.grid_modulus).
+    """
+    policy = policy or DEFAULT_POLICY
+    if any((p - 1) % n for p in policy.explicit_primes or ()):
+        raise ValueError("explicit primes must be 1 mod %d" % n)
+    orbits = character_orbits(f.family.rank, n)
+
+    def rank_batch(batch):
+        distinct = sorted(set(batch))
+        values = dict(zip(distinct, _orbit_values(f, n, orbits, distinct)))
+        return [values[p] for p in batch]
+
+    return multimodular_rank(rank_batch, policy, "fourier_mod_p", modulus=n)

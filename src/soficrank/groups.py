@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from sympy import factorint
 
@@ -27,6 +28,7 @@ __all__ = [
     "extend_to_word",
     "soficity_defect",
     "grid_quotient",
+    "grid_modulus",
     "sanov_quotient",
     "regular_quotient",
     "random_quotient",
@@ -537,9 +539,6 @@ class FiniteQuotient:
                         )
         # Free families: any generator assignment extends to a homomorphism.
 
-    def permutation_of(self, w):
-        return extend_to_word(self, w)
-
 
 def extend_to_word(q, w):
     """Compose the quotient's gen_images along the normal form of w.
@@ -559,12 +558,12 @@ def extend_to_word(q, w):
             if e:
                 result = perm_compose(result, perm_power(q.gen_images[i], e))
         return result
-    # Free: compose letter images left to right (apply the last letter first)
+    # Free: compose run images left to right (apply the last run first);
+    # a run of e equal letters costs one perm_power, not e compositions
     result = None
-    for l in w.payload:
-        p = q.gen_images[abs(l) - 1]
-        if l < 0:
-            p = perm_inverse(p)
+    for l, run in groupby(w.payload):
+        e = len(list(run))
+        p = perm_power(q.gen_images[abs(l) - 1], e if l > 0 else -e)
         result = p if result is None else perm_compose(result, p)
     return result if result is not None else identity_perm(q.degree)
 
@@ -614,17 +613,45 @@ def grid_quotient(rank, modulus, family=None):
         family = FreeAbelian(rank)
     elif not isinstance(family, FreeAbelian) or family.rank != rank:
         raise ValueError("family does not match grid parameters")
+    images = _grid_images(rank, n)
+    return FiniteQuotient(family, n ** rank, images, True, "grid mod %d" % n)
+
+
+def _grid_images(rank, n):
+    """Unit translations of (Z/n)^rank, point v = sum_i c_i n^i.
+
+    Translation i adds 1 to coordinate c_i mod n: inside each block of n^(i+1)
+    consecutive points it sends the first n^(i+1) - n^i points n^i ahead and
+    wraps the last n^i back to the start of the block.
+    """
     d = n ** rank
     images = []
     for i in range(rank):
-        stride = n ** i
-        block = n ** (i + 1)
-        img = [0] * d
-        for v in range(d):
-            coord = (v // stride) % n
-            img[v] = v + stride if coord != n - 1 else v + stride - block
+        stride, block = n ** i, n ** (i + 1)
+        img = []
+        for b in range(0, d, block):
+            img.extend(range(b + stride, b + block))
+            img.extend(range(b, b + stride))
         images.append(tuple(img))
-    return FiniteQuotient(family, d, tuple(images), True, "grid mod %d" % n)
+    return tuple(images)
+
+
+def grid_modulus(q):
+    """n when q is the translation model of (Z/n)^k of a Z^k family, else None.
+
+    Decided from the model alone: the degree must be a k-th power n^k and
+    the generator images must be exactly the unit translations that
+    grid_quotient builds.
+    """
+    fam = q.family
+    if not isinstance(fam, FreeAbelian):
+        return None
+    k = fam.rank
+    n = round(q.degree ** (1.0 / k))
+    n = next((c for c in (n - 1, n, n + 1) if c >= 1 and c ** k == q.degree), None)
+    if n is None or q.gen_images != _grid_images(k, n):
+        return None
+    return n
 
 
 def _sl2_size(m):

@@ -7,6 +7,21 @@ degree j is n_j*d - rank L(d_j) - rank L(d_{j+1}), so the emitted value
 models are rejected by the homology pipelines, because the image need not
 sit inside the kernel there; model_diagnostics exposes the raw ranks and
 the composite check for such models instead.
+
+Ranks of differentials and relation matrices come from _model_rank.  At the
+translation model of (Z/n)^k it splits the rank over characters without
+linearizing (fourier.fourier_rank).  Characters in one orbit of a -> u.a,
+u a unit mod n, are Galois conjugates and have equal rank over Q(zeta_n);
+evaluating one representative per orbit at a root of unity mod a prime
+p = 1 (mod n) can only lower that rank, so each prime's weighted sum is a
+lower bound on rank_Q L(f) = sum_chi rank f(chi), certified by the same
+agreement rule as a sparse mod-p rank.  Every other model, a policy with
+explicit primes, and any uncertified split take linearize and the sparse
+engine, with its Bareiss fallback.
+
+A literal mean rank is certified only over a finite family, and only when
+both of its ranks are; window-truncated values over infinite families are
+heuristics and never certified.
 """
 
 from __future__ import annotations
@@ -15,8 +30,16 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteQuotient, FiniteTable, QuotientSequence, extend_to_word, regular_quotient
-from .linearize import DEFAULT_SIZE_CAP, SparseIntMatrix, linearize
+from .fourier import fourier_rank
+from .groups import (
+    FiniteQuotient,
+    FiniteTable,
+    QuotientSequence,
+    extend_to_word,
+    grid_modulus,
+    regular_quotient,
+)
+from .linearize import DEFAULT_SIZE_CAP, SparseIntMatrix, check_size_cap, linearize
 from .rank import DEFAULT_POLICY, rank_dense_bareiss, rank_over_rationals
 from .ring import RingElement, RingMatrix
 
@@ -35,6 +58,7 @@ __all__ = [
     "juzvinskii_defect",
     "finite_group_exact_betti",
     "literal_mean_rank",
+    "literal_mean_rank_point",
     "model_diagnostics",
     "series_to_csv",
     "clear_rank_cache",
@@ -181,11 +205,27 @@ def _require_genuine(Q):
             )
 
 
+def _model_rank(f, q, policy, size_cap):
+    """(rank, certified) of linearize(f, q) over Q.
+
+    At the translation model of (Z/n)^k the rank is split over characters
+    (fourier.fourier_rank) without linearizing; any other model, a policy
+    with explicit primes, or an uncertified split takes the sparse engine.
+    """
+    n = grid_modulus(q)
+    if n is not None and not policy.explicit_primes:
+        check_size_cap(f, q, size_cap)
+        result = fourier_rank(f, n, policy)
+        if result.certified:
+            return result.rank, True
+    return _certified_rank(linearize(f, q, size_cap), policy)
+
+
 def _differential_rank(C, j, q, policy, size_cap):
     d = C.differential(j)
     if d is None:
         return 0, True
-    return _certified_rank(linearize(d, q, size_cap), policy)
+    return _model_rank(d, q, policy, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +269,7 @@ def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP, label="vrk"):
         if M.relations is None:
             r, cert = 0, True
         else:
-            r, cert = _certified_rank(linearize(M.relations, q, size_cap), policy)
+            r, cert = _model_rank(M.relations, q, policy, size_cap)
         points.append(SeriesPoint(d, Fraction(M.free_rank * d - r, d), cert))
     return ApproximantSeries(label, tuple(points), Q.chain)
 
@@ -427,6 +467,13 @@ def _window_order(window):
 
 
 def literal_mean_rank(M, A, B, F, q, window=None, policy=None):
+    """Literal rank density of the measured subgroup at one finite model, as
+    an exact rational; literal_mean_rank_point also says whether it is
+    certified."""
+    return literal_mean_rank_point(M, A, B, F, q, window, policy).value
+
+
+def literal_mean_rank_point(M, A, B, F, q, window=None, policy=None):
     """Literal rank density of the measured subgroup at one finite model.
 
     Constructs the integer presentation of the d-fold sum of the module
@@ -438,6 +485,10 @@ def literal_mean_rank(M, A, B, F, q, window=None, policy=None):
     supplied; module elements are truncated to supports inside the window
     and relation instances leaving it are skipped.  The windowed value is a
     documented heuristic, not a certified bound.
+
+    Returns a SeriesPoint at the model's degree.  It is certified only over
+    a finite family and only when both ranks behind it are; a windowed
+    value is never certified.
     """
     policy = policy or DEFAULT_POLICY
     fam = M.family
@@ -547,14 +598,15 @@ def literal_mean_rank(M, A, B, F, q, window=None, policy=None):
         return SparseIntMatrix(len(row_dicts), big_cols, trips)
 
     if rel_count:
-        rank_rel, _ = _certified_rank(matrix_of(rows[:rel_count]), policy)
+        rank_rel, cert_rel = _certified_rank(matrix_of(rows[:rel_count]), policy)
     else:
-        rank_rel = 0
+        rank_rel, cert_rel = 0, True
     if len(rows) > rel_count:
-        rank_full, _ = _certified_rank(matrix_of(rows), policy)
+        rank_full, cert_full = _certified_rank(matrix_of(rows), policy)
     else:
-        rank_full = rank_rel
-    return Fraction(rank_full - rank_rel, d)
+        rank_full, cert_full = rank_rel, cert_rel
+    certified = isinstance(fam, FiniteTable) and cert_rel and cert_full
+    return SeriesPoint(d, Fraction(rank_full - rank_rel, d), certified)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .ring import RingMatrix
 __all__ = [
     "SparseIntMatrix",
     "SizeCapExceeded",
+    "check_size_cap",
     "linearize",
     "quotient_complex",
     "write_matrix_market",
@@ -110,11 +111,6 @@ class SparseIntMatrix:
             rows[r][c] = v
         return rows
 
-    def transpose(self):
-        return SparseIntMatrix(
-            self.cols, self.rows, [(c, r, v) for r, c, v in self.triplets]
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseIntMatrix)
@@ -155,21 +151,28 @@ class SparseIntMatrix:
         return "SparseIntMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz)
 
 
-def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
-    """Linearize an m x n ring matrix at a finite model into (m*d) x (n*d) ints.
-
-    Raises SizeCapExceeded when (m+n)*d exceeds the cap (a resource guard,
-    not a mathematical failure).
-    """
+def check_size_cap(f, q, size_cap):
+    """Raise SizeCapExceeded when the linearization of f at q would have total
+    dimension (m+n)*d above the cap (a resource guard, not a mathematical
+    failure); None means no cap."""
     if not isinstance(f, RingMatrix):
         raise TypeError("expected a RingMatrix")
     if f.family != q.family:
         raise ValueError("ring matrix and quotient families differ")
-    m, n, d = f.rows, f.cols, q.degree
-    if size_cap is not None and (m + n) * d > size_cap:
+    total = (f.rows + f.cols) * q.degree
+    if size_cap is not None and total > size_cap:
         raise SizeCapExceeded(
-            "linearized total dimension %d exceeds cap %d" % ((m + n) * d, size_cap)
+            "linearized total dimension %d exceeds cap %d" % (total, size_cap)
         )
+
+
+def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
+    """Linearize an m x n ring matrix at a finite model into (m*d) x (n*d) ints.
+
+    Raises SizeCapExceeded when (m+n)*d exceeds the cap.
+    """
+    check_size_cap(f, q, size_cap)
+    m, n, d = f.rows, f.cols, q.degree
     perms = {}
     trips = []
     for j in range(m):

@@ -13,12 +13,17 @@ modulo their product N.  While every pivot is a unit mod N, the run reduces
 mod each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
 number of pivots; a pivot that is not a unit mod N abandons the pass.
 
-rank_over_rationals draws k random large primes and ranks each batch in one
-such joint pass, falling back to one elimination per prime when the joint
-pass is abandoned.  It certifies on agreement; on disagreement it escalates
-with fresh primes (the maximum observed value is always a valid lower
-bound) and finally falls back to exact fraction-free (Bareiss) elimination
-when the matrix is small enough.
+multimodular_rank holds the rounds, the prime draws and the agreement rule
+once, for every engine whose value at a prime is a lower bound on the
+rational rank.  It certifies the maximum value once k primes attain it; on
+disagreement it escalates with fresh primes (the maximum observed value is
+always a valid lower bound).  rank_over_rationals runs it with the sparse
+engine, ranking each batch of k random large primes in one joint pass and
+falling back to one elimination per prime when the joint pass is
+abandoned, and finally to exact fraction-free (Bareiss) elimination when
+the matrix is small enough.  fourier.fourier_rank runs it with primes
+p = 1 (mod n) and the character split of a grid model of (Z/n)^k, whose
+value at each prime is also a lower bound (see that module).
 """
 
 from __future__ import annotations
@@ -28,13 +33,14 @@ from dataclasses import dataclass
 from heapq import heappush, heappop
 from math import prod
 
-from sympy import isprime, nextprime
+from sympy import isprime
 
 __all__ = [
     "RankPolicy",
     "RankResult",
     "rank_mod_p",
     "rank_over_rationals",
+    "multimodular_rank",
     "rank_dense_bareiss",
     "smith_normal_form",
     "DEFAULT_POLICY",
@@ -204,33 +210,85 @@ DEFAULT_POLICY = RankPolicy()
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    method: str  # sparse_mod_p | dense_fraction_free | snf
+    method: str  # sparse_mod_p | fourier_mod_p | dense_fraction_free
     primes_used: tuple
     certified: bool
 
 
-def _draw_primes(rng, bits, count, used):
+def _prime_in_class(x, hi, modulus):
+    """Smallest prime p >= x with p < hi and p = 1 (mod modulus), or None."""
+    x += (1 - x) % modulus
+    while x < hi:
+        if isprime(x):
+            return x
+        x += modulus
+    return None
+
+
+def _draw_primes(rng, bits, count, used, modulus=1):
+    """Up to ``count`` fresh random primes p = 1 (mod modulus) in the window
+    [2^bits[0], 2^bits[1]); fewer when the window holds fewer."""
     lo, hi = 1 << bits[0], 1 << bits[1]
     out = []
     attempts = 0
     while len(out) < count and attempts < 64 * count:
         attempts += 1
-        p = int(nextprime(rng.randrange(lo, hi) - 1))
-        if p >= hi:
-            p = int(nextprime(lo))
+        p = _prime_in_class(rng.randrange(lo, hi), hi, modulus)
+        if p is None:
+            p = _prime_in_class(lo + 1, hi, modulus)
+            if p is None:
+                break
         if p in used or p in out:
             continue
         out.append(p)
     return out
 
 
+def multimodular_rank(rank_batch, policy, method, modulus=1):
+    """The agreement rule, shared by every engine that ranks modulo primes.
+
+    ``rank_batch(primes)`` returns one value per prime, each a lower bound
+    for the rank over Q.  Rounds draw batches of ``primes_count`` fresh
+    primes p = 1 (mod ``modulus``) from the policy's window (or take the
+    policy's explicit primes) until the maximum value so far is attained by
+    ``primes_count`` of the primes used; that value is then certified.  Any
+    smaller value is a bad-reduction artifact.  When the rounds or the
+    window run out, the best lower bound is returned uncertified.
+    """
+    rng = random.Random(policy.seed)
+    used = []
+    ranks = {}
+    k = max(1, policy.primes_count)
+    explicit = list(policy.explicit_primes or ())
+    for _ in range(max(1, policy.max_rounds)):
+        if explicit:
+            batch, explicit = explicit[:k], explicit[k:]
+        else:
+            batch = _draw_primes(rng, policy.prime_bits, k, used, modulus)
+        if not batch:
+            break
+        for p, r in zip(batch, rank_batch(batch)):
+            used.append(p)
+            ranks[p] = r
+        best = max(ranks.values())
+        if sum(1 for p in used if ranks[p] == best) >= k:
+            return RankResult(best, method, tuple(used), True)
+    best = max(ranks.values()) if ranks else 0
+    return RankResult(best, method, tuple(used), False)
+
+
+def _sparse_ranks(M, batch):
+    joint = None
+    if len(set(batch)) == len(batch) > 1:
+        joint = rank_mod_p(M, tuple(batch))
+    return [rank_mod_p(M, p) if joint is None else joint for p in batch]
+
+
 def rank_over_rationals(M, policy=None):
     """Certified rank over Q of a sparse integer matrix.
 
-    Certification condition: the maximum observed mod-p rank is attained by
-    at least ``primes_count`` distinct random large primes (any smaller
-    value is a bad-reduction artifact, since rank mod p never exceeds the
-    rational rank).  Each batch of distinct primes is ranked by one joint
+    Certification is the agreement rule of multimodular_rank over random
+    large primes.  Each batch of distinct primes is ranked by one joint
     rank_mod_p pass modulo their product; a batch of one prime, a batch
     with a repeated prime, or a joint pass that meets a non-unit pivot is
     ranked one prime at a time.  Falls back to Bareiss for small matrices;
@@ -240,36 +298,13 @@ def rank_over_rationals(M, policy=None):
         policy = DEFAULT_POLICY
     if min(M.rows, M.cols) == 0 or M.is_zero():
         return RankResult(0, "dense_fraction_free", (), True)
-    rng = random.Random(policy.seed)
-    used = []
-    ranks = {}
-    k = max(1, policy.primes_count)
-
-    def attained(value):
-        return sum(1 for p in used if ranks[p] == value)
-
-    explicit = list(policy.explicit_primes or ())
-    for _ in range(max(1, policy.max_rounds)):
-        if explicit:
-            batch, explicit = explicit[:k], explicit[k:]
-        else:
-            batch = _draw_primes(rng, policy.prime_bits, k, used)
-        if not batch:
-            break
-        joint = None
-        if len(set(batch)) == len(batch) > 1:
-            joint = rank_mod_p(M, tuple(batch))
-        for p in batch:
-            used.append(p)
-            ranks[p] = rank_mod_p(M, p) if joint is None else joint
-        best = max(ranks.values())
-        if attained(best) >= k:
-            return RankResult(best, "sparse_mod_p", tuple(used), True)
-    best = max(ranks.values()) if ranks else 0
-    if M.total_dimension <= policy.dense_threshold:
-        exact = rank_dense_bareiss(M.to_dense())
-        return RankResult(exact, "dense_fraction_free", tuple(used), True)
-    return RankResult(best, "sparse_mod_p", tuple(used), False)
+    result = multimodular_rank(
+        lambda batch: _sparse_ranks(M, batch), policy, "sparse_mod_p"
+    )
+    if result.certified or M.total_dimension > policy.dense_threshold:
+        return result
+    exact = rank_dense_bareiss(M.to_dense())
+    return RankResult(exact, "dense_fraction_free", result.primes_used, True)
 
 
 def _xgcd(a, b):

@@ -230,6 +230,36 @@ pipeline = meanrank
     assert rows[1] == "literal_mean_rank,2,1,1,true"
 
 
+def test_meanrank_windowed_is_uncertified(tmp_path):
+    # over Z the value is a window-truncated heuristic, never certified
+    cfg_text = """\
+[group]
+family = free_abelian
+rank = 1
+
+[module]
+free_rank = 1
+a_gens = 1
+b_gens = 1
+f_set = t
+window = t^-2 ; t^-1 ; e ; t ; t^2
+
+[quotients]
+provider = grid
+moduli = 3
+
+[run]
+pipeline = meanrank
+"""
+    cfg = write(tmp_path, "mr.cfg", cfg_text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--strict"]) == 1
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[1].startswith("literal_mean_rank,3,")
+    assert rows[1].endswith(",false")
+    assert "UNCERTIFIED" in (out / "summary.txt").read_text()
+
+
 def test_oracle_pipeline(tmp_path):
     table = write(tmp_path, "z2.txt", "2\n1 2\n2 1\n1 2\n")
     cfg_text = """\

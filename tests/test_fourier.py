@@ -1,0 +1,158 @@
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from soficrank import (
+    FiniteQuotient,
+    FreeAbelian,
+    ModulePresentation,
+    RingElement,
+    RingMatrix,
+    SizeCapExceeded,
+    build_complex,
+    grid_quotient,
+    grid_sequence,
+    linearize,
+    parse_ring_matrix,
+    rank_over_rationals,
+    vrk_approximants,
+)
+from soficrank import invariants
+from soficrank.fourier import character_orbits, fourier_rank
+from soficrank.groups import grid_modulus, perm_compose, perm_inverse
+from soficrank.rank import RankPolicy
+
+# largest grid modulus per rank, so that the sparse reference stays small
+MAX_MODULUS = {1: 15, 2: 8, 3: 4}
+
+
+def laurent(fam, terms):
+    return RingElement(fam, [(fam._wrap(tuple(s)), c) for s, c in terms])
+
+
+@st.composite
+def grid_cases(draw):
+    """(f, n): a random small Laurent matrix over Z^k and a grid modulus,
+    often made rank-deficient by a factor 1 - x_i^e with e | n or by a
+    repeated row."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, MAX_MODULUS[k]))
+    fam = FreeAbelian(k)
+    m, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(-3, 3)] * k)
+    term = st.tuples(exponent, st.integers(-3, 3))
+    rows = [
+        [laurent(fam, draw(st.lists(term, max_size=3))) for _ in range(c)]
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        e = draw(st.sampled_from([e for e in range(1, n + 1) if n % e == 0]))
+        shift = [0] * k
+        shift[i] = e
+        factor = laurent(fam, [((0,) * k, 1), (shift, -1)])
+        r = draw(st.integers(0, m - 1))
+        rows[r] = [factor * x for x in rows[r]]
+    if draw(st.booleans()):
+        rows.append(list(rows[0]))
+    return RingMatrix(fam, rows), n
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_cases())
+def test_fourier_matches_sparse_engine(case):
+    f, n = case
+    k = f.family.rank
+    split = fourier_rank(f, n)
+    sparse = rank_over_rationals(linearize(f, grid_quotient(k, n, f.family)))
+    assert (split.rank, split.certified) == (sparse.rank, sparse.certified)
+    assert split.method == "fourier_mod_p"
+    assert all((p - 1) % n == 0 for p in split.primes_used)
+
+
+def test_fourier_known_rank_deficiency(z1):
+    # 1 - t^3 at Z/6 vanishes exactly at the characters a with 3a = 0 mod 6
+    f = parse_ring_matrix("1 - t^3", z1)
+    assert fourier_rank(f, 6).rank == 6 - 3
+
+
+def test_character_orbits_partition_the_group():
+    for k, n in ((1, 1), (1, 12), (2, 6), (2, 9), (3, 4)):
+        units = [u for u in range(n) if gcd(u, n) == 1]
+        seen = set()
+        for a, size in character_orbits(k, n):
+            orbit = {tuple(u * x % n for x in a) for u in units}
+            assert len(orbit) == size
+            assert not orbit & seen
+            seen |= orbit
+        assert len(seen) == n ** k
+
+
+def test_grid_modulus_reads_the_model(z2grid):
+    assert grid_modulus(grid_quotient(2, 5, z2grid)) == 5
+    assert grid_modulus(grid_quotient(3, 1)) == 1
+    x, y = grid_quotient(2, 5, z2grid).gen_images
+    swapped = FiniteQuotient(z2grid, 25, (y, x), True, "swapped axes")
+    assert grid_modulus(swapped) is None
+
+
+def relabelled_grid(fam, n):
+    """The grid model of (Z/n)^k conjugated by a fixed relabelling of points:
+    genuine and isomorphic to the grid, but not the canonical translations."""
+    q = grid_quotient(fam.rank, n, fam)
+    sigma = tuple((7 * v + 3) % q.degree for v in range(q.degree))
+    images = tuple(
+        perm_compose(sigma, perm_compose(p, perm_inverse(sigma))) for p in q.gen_images
+    )
+    return q, FiniteQuotient(fam, q.degree, images, True, "relabelled grid")
+
+
+def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, monkeypatch):
+    calls = []
+
+    def counted(f, n, policy=None):
+        calls.append(n)
+        return fourier_rank(f, n, policy)
+
+    monkeypatch.setattr(invariants, "fourier_rank", counted)
+    M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1 ; y^2 - 1", z2grid))
+    canonical, relabelled = relabelled_grid(z2grid, 4)
+    assert grid_modulus(relabelled) is None
+    (sparse,) = vrk_approximants(M, [relabelled]).points
+    assert calls == []
+    (split,) = vrk_approximants(M, [canonical]).points
+    assert calls == [4]
+    # the cokernel is Z[(Z/4)^2] / (x - 1, y^2 - 1) = Z[Z/2], of rank 2
+    assert sparse == split
+    assert sparse.value == Fraction(2, 16) and sparse.certified
+
+
+def test_grid_differentials_skip_linearization(z2grid, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linearized a grid differential")
+
+    monkeypatch.setattr(invariants, "linearize", refuse)
+    d2 = parse_ring_matrix("y - 1, 1 - x", z2grid)
+    d1 = parse_ring_matrix("x - 1 ; y - 1", z2grid)
+    C = build_complex(z2grid, (1, 2, 1), [d2, d1])
+    series = invariants.betti_approximants(C, grid_sequence(2, [3, 6]), 1)
+    assert [p.value for p in series] == [Fraction(2, 9), Fraction(2, 36)]
+    assert all(p.certified for p in series)
+
+
+def test_explicit_primes_take_sparse_path(z1, monkeypatch):
+    monkeypatch.setattr(invariants, "fourier_rank", None)
+    M = ModulePresentation(z1, 1, parse_ring_matrix("t - 1", z1))
+    policy = RankPolicy(explicit_primes=(101, 103, 107))
+    (point,) = vrk_approximants(M, grid_sequence(1, [5]), policy).points
+    assert point.value == Fraction(1, 5) and point.certified
+
+
+def test_grid_path_keeps_the_size_cap(z2grid):
+    M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1", z2grid))
+    with pytest.raises(SizeCapExceeded):
+        vrk_approximants(M, grid_sequence(2, [10]), size_cap=199)
+    assert vrk_approximants(M, grid_sequence(2, [10]), size_cap=200).points[0].certified

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,21 @@ def test_extend_is_homomorphism_on_genuine(f2, s3):
             lhs = extend_to_word(q, w1 * w2)
             rhs = perm_compose(extend_to_word(q, w1), extend_to_word(q, w2))
             assert lhs == rhs
+
+
+def test_extend_long_free_power_is_one_perm_power(f2):
+    q = sanov_quotient(5, f2)
+    a, b = f2.generators()
+    word = a ** (2 ** 20)
+    start = time.perf_counter()
+    p = extend_to_word(q, word)
+    elapsed = time.perf_counter() - start
+    assert p == perm_power(q.gen_images[0], 2 ** 20)
+    assert elapsed < 0.5
+    img_b_inv = perm_inverse(q.gen_images[1])
+    assert extend_to_word(q, a ** 3 * b ** -2) == perm_compose(
+        perm_power(q.gen_images[0], 3), perm_compose(img_b_inv, img_b_inv)
+    )
 
 
 def test_perm_power_matches_repeated_composition():

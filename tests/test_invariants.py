@@ -6,6 +6,7 @@ from soficrank import (
     FiniteSubgroupSpec,
     FiniteTable,
     ModulePresentation,
+    RankPolicy,
     RingElement,
     RingMatrix,
     betti_approximants,
@@ -17,6 +18,7 @@ from soficrank import (
     juzvinskii_defect,
     linearize,
     literal_mean_rank,
+    literal_mean_rank_point,
     model_diagnostics,
     mrk_j_approximants,
     parse_ring_element,
@@ -423,6 +425,33 @@ def test_literal_window_over_infinite_family(z1):
     assert value == literal_mean_rank(M, A, B, [t], q, window=window)
     with pytest.raises(ValueError):
         literal_mean_rank(M, A, B, [t], q)  # no window
+
+
+def test_literal_point_carries_both_rank_flags():
+    z2 = FiniteTable.cyclic(2)
+    q = regular_quotient(z2)
+    M = ModulePresentation(z2, 1, RingMatrix(z2, [[2]]))
+    A = one_spec(z2)
+    point = literal_mean_rank_point(M, A, A, z2.elements(), q)
+    assert point.certified and point.degree == 2
+    assert point.value == literal_mean_rank(M, A, A, z2.elements(), q)
+    # the relation rows 2*e have rank 0 mod 2 and full rank mod 3, and the
+    # window holds no other prime: the relation rank stays uncertified
+    tiny = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
+    assert not literal_mean_rank_point(M, A, A, z2.elements(), q, policy=tiny).certified
+
+
+def test_literal_windowed_point_is_uncertified(z1):
+    t = z1.generators()[0]
+    window = [t ** k for k in range(-2, 3)]
+    M = ModulePresentation(z1, 1, None)
+    A = one_spec(z1)
+    from soficrank import grid_quotient
+
+    q = grid_quotient(1, 3, z1)
+    point = literal_mean_rank_point(M, A, A, [t], q, window=window)
+    assert not point.certified
+    assert point.value == literal_mean_rank(M, A, A, [t], q, window=window)
 
 
 def test_literal_window_rejects_outside_generators(z1):
