@@ -49,6 +49,7 @@ from .invariants import (
     ModulePresentation,
     SeriesPoint,
     betti_approximants,
+    euler_approximants,
     euler_characteristic,
     euler_identity_check,
     finite_group_exact_betti,

@@ -69,8 +69,8 @@ from .invariants import (
     ModulePresentation,
     SeriesPoint,
     betti_approximants,
+    euler_approximants,
     euler_characteristic,
-    euler_residual_series,
     finite_group_exact_betti,
     juzvinskii_defect,
     literal_mean_rank_point,
@@ -484,21 +484,18 @@ def run(config, out_dir=".", strict=False):
     elif pipeline == "euler":
         chi = euler_characteristic(C)
         summary.append("chi = %d" % chi)
-        betti = [
-            betti_approximants(C, Q, j, policy, cap)
-            for j in range(C.top_degree + 1)
-        ]
-        series.extend(betti)
-        series.append(euler_residual_series(C, betti))
+        series.extend(euler_approximants(C, Q, policy, cap))
     elif pipeline == "defect":
         series.append(juzvinskii_defect(C, Q, config.kernel, policy, cap))
     elif pipeline == "meanrank":
         a = need("a_gens", "[module] a_gens")
         b = need("b_gens", "[module] b_gens")
         fset = need("f_set", "[module] f_set")
-        q = Q.quotients[0]
-        point = literal_mean_rank_point(M, a, b, fset, q, config.window, policy)
-        series.append(ApproximantSeries("literal_mean_rank", (point,), Q.chain))
+        points = tuple(
+            literal_mean_rank_point(M, a, b, fset, q, config.window, policy, cap)
+            for q in Q
+        )
+        series.append(ApproximantSeries("literal_mean_rank", points, Q.chain))
     elif pipeline == "soficity":
         pairs = o.get("pairs")
         if not pairs:

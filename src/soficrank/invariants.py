@@ -3,7 +3,10 @@
 Every pipeline reduces to exact ranks of linearized differentials at finite
 permutation models: at a genuine stage of degree d the homology rank in
 degree j is n_j*d - rank L(d_j) - rank L(d_{j+1}), so the emitted value
-(that quantity over d) is an exact rational.  Heuristic (non-genuine)
+(that quantity over d) is an exact rational.  The complex pipelines (betti,
+euler, mrk_j) rank each differential they need once per stage
+(_stage_ranks) and read every value of that stage from the one table; no
+rank outlives the call that computed it.  Heuristic (non-genuine)
 models are rejected by the homology pipelines, because the image need not
 sit inside the kernel there; model_diagnostics exposes the raw ranks and
 the composite check for such models instead.
@@ -39,7 +42,9 @@ from .groups import (
     grid_modulus,
     regular_quotient,
 )
-from .linearize import DEFAULT_SIZE_CAP, SparseIntMatrix, check_size_cap, linearize
+from .linearize import (
+    DEFAULT_SIZE_CAP, SizeCapExceeded, SparseIntMatrix, check_size_cap, linearize,
+)
 from .rank import DEFAULT_POLICY, rank_dense_bareiss, rank_over_rationals
 from .ring import RingElement, RingMatrix
 
@@ -53,7 +58,7 @@ __all__ = [
     "relative_vrk_approximants",
     "mrk_j_approximants",
     "euler_characteristic",
-    "euler_residual_series",
+    "euler_approximants",
     "euler_identity_check",
     "juzvinskii_defect",
     "finite_group_exact_betti",
@@ -61,7 +66,6 @@ __all__ = [
     "literal_mean_rank_point",
     "model_diagnostics",
     "series_to_csv",
-    "clear_rank_cache",
 ]
 
 
@@ -175,26 +179,7 @@ class FiniteSubgroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# certified ranks with a small content-addressed cache
-
-_rank_cache = {}
-_RANK_CACHE_MAX = 128
-
-
-def clear_rank_cache():
-    _rank_cache.clear()
-
-
-def _certified_rank(M, policy):
-    key = (M.rows, M.cols, M.triplets, policy)
-    hit = _rank_cache.get(key)
-    if hit is None:
-        hit = rank_over_rationals(M, policy)
-        if len(_rank_cache) >= _RANK_CACHE_MAX:
-            _rank_cache.clear()
-        _rank_cache[key] = hit
-    return hit.rank, hit.certified
-
+# certified ranks, one per differential per stage
 
 def _require_genuine(Q):
     for q in Q:
@@ -218,14 +203,36 @@ def _model_rank(f, q, policy, size_cap):
         result = fourier_rank(f, n, policy)
         if result.certified:
             return result.rank, True
-    return _certified_rank(linearize(f, q, size_cap), policy)
+    result = rank_over_rationals(linearize(f, q, size_cap), policy)
+    return result.rank, result.certified
 
 
-def _differential_rank(C, j, q, policy, size_cap):
-    d = C.differential(j)
-    if d is None:
-        return 0, True
-    return _model_rank(d, q, policy, size_cap)
+def _stage_ranks(C, q, indices, policy, size_cap):
+    """{i: (rank, certified)} of L(d_i) at q, one _model_rank call per index;
+    d_0 and d_{k+1} are zero maps, (0, True)."""
+    ranks = {}
+    for i in indices:
+        d = C.differential(i)
+        ranks[i] = (0, True) if d is None else _model_rank(d, q, policy, size_cap)
+    return ranks
+
+
+def _complex_sequence(C, Q, j=0):
+    """Q as a genuine QuotientSequence of C's family, with 0 <= j <= top."""
+    if not isinstance(Q, QuotientSequence):
+        Q = QuotientSequence(tuple(Q))
+    _require_genuine(Q)
+    if not 0 <= j <= C.top_degree:
+        raise ValueError("degree index %d outside the complex" % j)
+    if C.family != Q.family:
+        raise ValueError("complex and quotient families differ")
+    return Q
+
+
+def _betti_point(C, j, d, ranks):
+    (r_low, cert_low), (r_high, cert_high) = ranks[j], ranks[j + 1]
+    value = Fraction(C.rank_of(j) * d - r_low - r_high, d)
+    return SeriesPoint(d, value, cert_low and cert_high)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +244,12 @@ def betti_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
     Stage value at degree d: (n_j*d - rank L(d_j) - rank L(d_{j+1})) / d.
     """
     policy = policy or DEFAULT_POLICY
-    if not isinstance(Q, QuotientSequence):
-        Q = QuotientSequence(tuple(Q))
-    _require_genuine(Q)
-    if not 0 <= j <= C.top_degree:
-        raise ValueError("degree index %d outside the complex" % j)
-    if C.family != Q.family:
-        raise ValueError("complex and quotient families differ")
-    nj = C.rank_of(j)
-    points = []
-    for q in Q:
-        d = q.degree
-        r_low, cert1 = _differential_rank(C, j, q, policy, size_cap)
-        r_high, cert2 = _differential_rank(C, j + 1, q, policy, size_cap)
-        value = Fraction(nj * d - r_low - r_high, d)
-        points.append(SeriesPoint(d, value, cert1 and cert2))
-    return ApproximantSeries("betti[j=%d]" % j, tuple(points), Q.chain)
+    Q = _complex_sequence(C, Q, j)
+    points = tuple(
+        _betti_point(C, j, q.degree, _stage_ranks(C, q, (j, j + 1), policy, size_cap))
+        for q in Q
+    )
+    return ApproximantSeries("betti[j=%d]" % j, points, Q.chain)
 
 
 def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP, label="vrk"):
@@ -302,34 +299,26 @@ def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CA
 
 
 def mrk_j_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
-    """Mean-rank route to the degree-j series, via the two cokernel
-    presentations; cross-checked pointwise against betti_approximants."""
+    """Mean-rank route to the degree-j series: vrk(coker d_{j+1}) minus the
+    rank density n_{j-1} - vrk(coker d_j) of the image of d_j, cross-checked
+    stage by stage against the Betti value from the same ranks."""
     policy = policy or DEFAULT_POLICY
-    if not isinstance(Q, QuotientSequence):
-        Q = QuotientSequence(tuple(Q))
-    if not 0 <= j <= C.top_degree:
-        raise ValueError("degree index %d outside the complex" % j)
-    coker_high = ModulePresentation(C.family, C.rank_of(j), C.differential(j + 1))
-    term1 = vrk_approximants(coker_high, Q, policy, size_cap)
-    if j >= 1:
-        coker_low = ModulePresentation(C.family, C.rank_of(j - 1), C.differential(j))
-        term2 = vrk_approximants(coker_low, Q, policy, size_cap)
-        n_low = C.rank_of(j - 1)
-        points = tuple(
-            SeriesPoint(a.degree, a.value - (n_low - b.value), a.certified and b.certified)
-            for a, b in zip(term1.points, term2.points)
-        )
-    else:
-        points = term1.points
-    series = ApproximantSeries("mrk[j=%d]" % j, points, Q.chain)
-    check = betti_approximants(C, Q, j, policy, size_cap)
-    for a, b in zip(series.points, check.points):
-        if a.value != b.value:
+    Q = _complex_sequence(C, Q, j)
+    n_j, n_low = C.rank_of(j), C.rank_of(j - 1)
+    points = []
+    for q in Q:
+        d = q.degree
+        ranks = _stage_ranks(C, q, (j, j + 1), policy, size_cap)
+        (r_low, cert_low), (r_high, cert_high) = ranks[j], ranks[j + 1]
+        value = Fraction(n_j * d - r_high, d) - (n_low - Fraction(n_low * d - r_low, d))
+        check = _betti_point(C, j, d, ranks)
+        if value != check.value:
             raise RuntimeError(
                 "mean-rank/betti cross-check failed at degree %d: %s vs %s"
-                % (a.degree, a.value, b.value)
+                % (d, value, check.value)
             )
-    return series
+        points.append(SeriesPoint(d, value, cert_low and cert_high))
+    return ApproximantSeries("mrk[j=%d]" % j, tuple(points), Q.chain)
 
 
 def euler_characteristic(C):
@@ -337,33 +326,41 @@ def euler_characteristic(C):
     return sum((-1) ** j * C.rank_of(j) for j in range(C.top_degree + 1))
 
 
-def euler_residual_series(C, betti_series):
-    """Per-stage residual of the alternating Betti sum against chi.
+def euler_approximants(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
+    """Betti series of every degree of C, then the per-stage residual of
+    their alternating sum against chi, from one rank table per stage.
 
-    ``betti_series`` holds the Betti series of every degree 0..top of C,
-    in order, along one quotient sequence.  A residual is certified only
-    when every Betti value it sums is.
+    Telescoping of rank-nullity makes the residual exactly 0 at every
+    finite stage for every valid bounded complex.  A residual is certified
+    only when every Betti value it sums is.
     """
+    policy = policy or DEFAULT_POLICY
+    Q = _complex_sequence(C, Q)
+    degrees = range(C.top_degree + 1)
     chi = euler_characteristic(C)
-    points = []
-    for stage in zip(*(s.points for s in betti_series)):
-        total = sum((-1) ** j * p.value for j, p in enumerate(stage))
-        certified = all(p.certified for p in stage)
-        points.append(SeriesPoint(stage[0].degree, total - chi, certified))
-    return ApproximantSeries("euler_residual", tuple(points), betti_series[0].chain)
+    stages = []
+    for q in Q:
+        ranks = _stage_ranks(C, q, range(C.top_degree + 2), policy, size_cap)
+        stages.append([_betti_point(C, j, q.degree, ranks) for j in degrees])
+    series = [
+        ApproximantSeries("betti[j=%d]" % j, tuple(s[j] for s in stages), Q.chain)
+        for j in degrees
+    ]
+    residuals = tuple(
+        SeriesPoint(
+            s[0].degree,
+            sum((-1) ** j * p.value for j, p in enumerate(s)) - chi,
+            all(p.certified for p in s),
+        )
+        for s in stages
+    )
+    return series + [ApproximantSeries("euler_residual", residuals, Q.chain)]
 
 
 def euler_identity_check(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
-    """Per-stage (degree, residual) of the alternating Betti sum against chi.
-
-    Telescoping of rank-nullity makes the residual exactly 0 at every
-    finite stage for every valid bounded complex.
-    """
-    all_series = [
-        betti_approximants(C, Q, j, policy, size_cap)
-        for j in range(C.top_degree + 1)
-    ]
-    return [(p.degree, p.value) for p in euler_residual_series(C, all_series)]
+    """Per-stage (degree, residual) of the alternating Betti sum against chi."""
+    residuals = euler_approximants(C, Q, policy, size_cap)[-1]
+    return [(p.degree, p.value) for p in residuals]
 
 
 def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE_CAP):
@@ -466,14 +463,16 @@ def _window_order(window):
     return sorted(window, key=lambda w: fam.sort_key(w.payload))
 
 
-def literal_mean_rank(M, A, B, F, q, window=None, policy=None):
+def literal_mean_rank(M, A, B, F, q, window=None, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Literal rank density of the measured subgroup at one finite model, as
     an exact rational; literal_mean_rank_point also says whether it is
     certified."""
-    return literal_mean_rank_point(M, A, B, F, q, window, policy).value
+    return literal_mean_rank_point(M, A, B, F, q, window, policy, size_cap).value
 
 
-def literal_mean_rank_point(M, A, B, F, q, window=None, policy=None):
+def literal_mean_rank_point(
+    M, A, B, F, q, window=None, policy=None, size_cap=DEFAULT_SIZE_CAP
+):
     """Literal rank density of the measured subgroup at one finite model.
 
     Constructs the integer presentation of the d-fold sum of the module
@@ -488,7 +487,9 @@ def literal_mean_rank_point(M, A, B, F, q, window=None, policy=None):
 
     Returns a SeriesPoint at the model's degree.  It is certified only over
     a finite family and only when both ranks behind it are; a windowed
-    value is never certified.
+    value is never certified.  Raises SizeCapExceeded before building the
+    d-fold rows when their most possible count plus the d*N columns exceeds
+    size_cap (None means no cap).
     """
     policy = policy or DEFAULT_POLICY
     fam = M.family
@@ -545,6 +546,13 @@ def literal_mean_rank_point(M, A, B, F, q, window=None, policy=None):
 
     N = n * slot
     big_cols = d * N
+    # d rows per relation row, per (b, s) pair and per A generator, at most
+    max_rows = d * (len(rel_rows) + len(B.generators) * len(F) + len(A.generators))
+    if size_cap is not None and max_rows + big_cols > size_cap:
+        raise SizeCapExceeded(
+            "literal mean-rank matrix of %d rows and %d columns exceeds cap %d"
+            % (max_rows, big_cols, size_cap)
+        )
 
     def place(v, small):
         return {v * N + pos: c for pos, c in small.items()}
@@ -589,20 +597,14 @@ def literal_mean_rank_point(M, A, B, F, q, window=None, policy=None):
         for v in range(d):
             rows.append(place(v, avec))
 
-    def matrix_of(row_dicts):
-        trips = [
-            (i, pos, c)
-            for i, row in enumerate(row_dicts)
-            for pos, c in row.items()
-        ]
-        return SparseIntMatrix(len(row_dicts), big_cols, trips)
+    def certified_rank(row_dicts):
+        trips = [(i, pos, c) for i, row in enumerate(row_dicts) for pos, c in row.items()]
+        result = rank_over_rationals(SparseIntMatrix(len(row_dicts), big_cols, trips), policy)
+        return result.rank, result.certified
 
-    if rel_count:
-        rank_rel, cert_rel = _certified_rank(matrix_of(rows[:rel_count]), policy)
-    else:
-        rank_rel, cert_rel = 0, True
+    rank_rel, cert_rel = certified_rank(rows[:rel_count]) if rel_count else (0, True)
     if len(rows) > rel_count:
-        rank_full, cert_full = _certified_rank(matrix_of(rows), policy)
+        rank_full, cert_full = certified_rank(rows)
     else:
         rank_full, cert_full = rank_rel, cert_rel
     certified = isinstance(fam, FiniteTable) and cert_rel and cert_full
@@ -628,8 +630,8 @@ def model_diagnostics(C, q, policy=None, size_cap=DEFAULT_SIZE_CAP):
     ranks = []
     k = C.top_degree
     for i, m in enumerate(mats):
-        r, cert = _certified_rank(m, policy)
-        ranks.append((k - i, r, cert))
+        result = rank_over_rationals(m, policy)
+        ranks.append((k - i, result.rank, result.certified))
     composites = tuple(
         (upper * lower).is_zero() for upper, lower in zip(mats, mats[1:])
     )

@@ -51,3 +51,22 @@ def z1():
 @pytest.fixture(scope="session")
 def z2grid():
     return FreeAbelian(2)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) replaces module.name for the test with a
+    wrapper and returns the list of the positional args of each call."""
+
+    def install(module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install

@@ -96,21 +96,13 @@ def test_euler_pipeline(tmp_path):
     assert all(r.split(",")[2] == "0" for r in residuals)
 
 
-def test_euler_builds_each_betti_series_once(tmp_path, monkeypatch):
-    from soficrank import cli, invariants
+def test_euler_ranks_each_differential_once_per_stage(tmp_path, count_calls):
+    from soficrank import invariants
 
-    calls = []
-    betti = invariants.betti_approximants
-
-    def counted(C, Q, j, *args):
-        calls.append(j)
-        return betti(C, Q, j, *args)
-
-    for module in (cli, invariants):
-        monkeypatch.setattr(module, "betti_approximants", counted)
+    calls = count_calls(invariants, "fourier_rank")
     cfg = write(tmp_path, "job.cfg", KOSZUL_EULER_CONFIG)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert calls == [0, 1, 2]
+    assert len(calls) == 6  # d_1 and d_2 at grids 2, 3 and 5
 
 
 def test_euler_residual_inherits_uncertified_betti(tmp_path):
@@ -230,9 +222,7 @@ pipeline = meanrank
     assert rows[1] == "literal_mean_rank,2,1,1,true"
 
 
-def test_meanrank_windowed_is_uncertified(tmp_path):
-    # over Z the value is a window-truncated heuristic, never certified
-    cfg_text = """\
+MEANRANK_WINDOWED_CONFIG = """\
 [group]
 family = free_abelian
 rank = 1
@@ -251,13 +241,36 @@ moduli = 3
 [run]
 pipeline = meanrank
 """
-    cfg = write(tmp_path, "mr.cfg", cfg_text)
+
+
+def test_meanrank_windowed_is_uncertified(tmp_path):
+    # over Z the value is a window-truncated heuristic, never certified
+    cfg = write(tmp_path, "mr.cfg", MEANRANK_WINDOWED_CONFIG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--strict"]) == 1
     rows = (out / "series.csv").read_text().splitlines()
     assert rows[1].startswith("literal_mean_rank,3,")
     assert rows[1].endswith(",false")
     assert "UNCERTIFIED" in (out / "summary.txt").read_text()
+
+
+def test_meanrank_emits_one_point_per_stage(tmp_path):
+    cfg_text = MEANRANK_WINDOWED_CONFIG.replace("moduli = 3", "moduli = 3 6")
+    cfg = write(tmp_path, "mr.cfg", cfg_text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "series.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        ("literal_mean_rank", "3", "false"),
+        ("literal_mean_rank", "6", "false"),
+    ]
+
+
+def test_meanrank_size_cap(tmp_path, capsys):
+    cfg_text = MEANRANK_WINDOWED_CONFIG + "size_cap = 10\n"
+    cfg = write(tmp_path, "mr.cfg", cfg_text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_oracle_pipeline(tmp_path):

@@ -9,6 +9,7 @@ from soficrank import (
     RankPolicy,
     RingElement,
     RingMatrix,
+    SizeCapExceeded,
     betti_approximants,
     build_complex,
     euler_characteristic,
@@ -31,6 +32,7 @@ from soficrank import (
     series_to_csv,
     vrk_approximants,
 )
+from soficrank import invariants
 from test_linearize import rational_rank
 
 
@@ -193,6 +195,17 @@ def test_mrk_equals_betti_pointwise(f2, f2_complex, koszul, z2grid):
         assert [p.value for p in a.points] == [p.value for p in b.points]
 
 
+def test_mrk_ranks_each_differential_once_per_stage(
+    f2, f2_complex, koszul, z2grid, count_calls
+):
+    linearized = count_calls(invariants, "linearize")
+    mrk_j_approximants(f2_complex, sanov_sequence([3, 5], f2), 1)
+    assert len(linearized) == 2  # d_1 at both stages; d_2 is zero
+    split = count_calls(invariants, "fourier_rank")
+    mrk_j_approximants(koszul, grid_sequence(2, [2, 3], z2grid), 1)
+    assert len(split) == 4  # d_1 and d_2 at both stages
+
+
 def test_mrk_zero_complex(f2):
     z = RingMatrix.zero(f2, 2, 2)
     C = build_complex(f2, (2, 2), [z])
@@ -226,6 +239,16 @@ def test_euler_residual_exactly_zero(f2, f2_complex, koszul, z2grid):
     assert all(v == 0 for _, v in euler_identity_check(f2_complex, Qf))
     Qk = grid_sequence(2, [2, 3, 5], z2grid)
     assert all(v == 0 for _, v in euler_identity_check(koszul, Qk))
+
+
+def test_euler_check_ranks_each_differential_once(f2, f2_complex, count_calls):
+    Q = sanov_sequence([3, 5], f2)
+    # an earlier pipeline on the same matrices leaves nothing behind to reuse
+    mrk_j_approximants(f2_complex, Q, 1)
+    linearized = count_calls(invariants, "linearize")
+    certified = count_calls(invariants, "rank_over_rationals")
+    assert all(v == 0 for _, v in euler_identity_check(f2_complex, Q))
+    assert len(linearized) == len(certified) == 2  # d_1 at both stages
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +475,21 @@ def test_literal_windowed_point_is_uncertified(z1):
     point = literal_mean_rank_point(M, A, A, [t], q, window=window)
     assert not point.certified
     assert point.value == literal_mean_rank(M, A, A, [t], q, window=window)
+
+
+def test_literal_size_cap_counts_rows_and_columns(count_calls):
+    z2 = FiniteTable.cyclic(2)
+    q = regular_quotient(z2)
+    M = ModulePresentation(z2, 1, RingMatrix(z2, [[2]]))
+    A = one_spec(z2)
+    F = z2.elements()
+    # d = 2 rows for each of 2 relation rows, 2 (b, s) pairs and 1 A
+    # generator, plus d*N = 4 columns: 14
+    assert literal_mean_rank(M, A, A, F, q, size_cap=14) == literal_mean_rank(M, A, A, F, q)
+    ranked = count_calls(invariants, "rank_over_rationals")
+    with pytest.raises(SizeCapExceeded, match="exceeds cap 13"):
+        literal_mean_rank_point(M, A, A, F, q, size_cap=13)
+    assert ranked == []
 
 
 def test_literal_window_rejects_outside_generators(z1):

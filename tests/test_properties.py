@@ -1,0 +1,79 @@
+"""Property tests: the complex pipelines against the finite-group oracle on
+random small complexes over Z/n (n <= 6) and S_3 at their regular models."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soficrank import (
+    FiniteTable,
+    RingElement,
+    RingMatrix,
+    build_complex,
+    euler_approximants,
+    finite_group_exact_betti,
+    mrk_j_approximants,
+    regular_sequence,
+)
+from conftest import build_s3_table
+
+GROUPS = [FiniteTable.cyclic(n) for n in range(1, 7)] + [
+    FiniteTable(build_s3_table(), identity_index=0)
+]
+
+
+def orbit_sum(h):
+    """N_h = 1 + h + ... + h^(o-1) for h of order o, so (1 - h) N_h = 0."""
+    terms, p = [(h, 1)], h
+    while not p.is_identity():
+        p = p * h
+        terms.append((p, 1))
+    return RingElement(h.family, terms)
+
+
+@st.composite
+def complexes(draw):
+    """A random two- or three-term complex; a three-term one has
+    d_2[i][k] = a_ik u_k and d_1[k][j] = v_k b_kj with u_k v_k = 0."""
+    fam = draw(st.sampled_from(GROUPS))
+    elems = fam.elements()
+    term = st.tuples(st.sampled_from(elems), st.integers(-2, 2))
+
+    def element():
+        return RingElement(fam, draw(st.lists(term, max_size=3)))
+
+    ranks = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))  # n_k..n_0
+    if len(ranks) == 2:
+        d1 = RingMatrix(fam, [[element() for _ in range(ranks[1])] for _ in range(ranks[0])])
+        return build_complex(fam, ranks, [d1])
+    pairs = []
+    for _ in range(ranks[1]):
+        kind = draw(st.sampled_from(["1 - h, N_h", "N_h, 1 - h", "0, v", "u, 0"]))
+        if kind == "0, v":
+            pairs.append((RingElement.zero(fam), element()))
+        elif kind == "u, 0":
+            pairs.append((element(), RingElement.zero(fam)))
+        else:
+            h = draw(st.sampled_from(elems))
+            one_minus_h = RingElement.one(fam) - RingElement.monomial(h)
+            pair = (one_minus_h, orbit_sum(h))
+            pairs.append(pair if kind == "1 - h, N_h" else pair[::-1])
+    d2 = RingMatrix(fam, [[element() * u for u, _ in pairs] for _ in range(ranks[0])])
+    d1 = RingMatrix(fam, [[v * element() for _ in range(ranks[2])] for _, v in pairs])
+    return build_complex(fam, ranks, [d2, d1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes())
+def test_pipelines_match_the_oracle(C):
+    Q = regular_sequence(C.family)
+    oracle = finite_group_exact_betti(C)
+    *betti, residual = euler_approximants(C, Q)
+    assert [s.invariant_label for s in betti] == [
+        "betti[j=%d]" % j for j in range(C.top_degree + 1)
+    ]
+    for j, s in enumerate(betti):
+        (point,) = s.points
+        assert point.value == oracle[j] and point.certified
+    assert [(p.value, p.certified) for p in residual.points] == [(0, True)]
+    for j in range(C.top_degree + 1):
+        assert mrk_j_approximants(C, Q, j).values() == [oracle[j]]
