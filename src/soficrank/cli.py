@@ -432,10 +432,14 @@ def _matrix_text(m):
 
 
 def load_config(path):
+    return JobConfig(*_read_sections(path))
+
+
+def _read_sections(path):
+    """JobConfig's (sections, path, base_dir, lines) for the file at path."""
     with open(path) as fh:
-        text = fh.read()
-    sections, lines = _parse_sections(text, path)
-    return JobConfig(sections, path, os.path.dirname(os.path.abspath(path)), lines)
+        sections, lines = _parse_sections(fh.read(), path)
+    return sections, path, os.path.dirname(os.path.abspath(path)), lines
 
 
 def _render_value(value):
@@ -596,25 +600,23 @@ def main(argv=None):
         "--dump-matrices", action="store_true", help="write matrix_*.mtx dumps"
     )
     args = parser.parse_args(argv)
+    run_keys = {
+        "pipeline": args.pipeline,
+        "j": args.j,
+        "primes": args.primes,
+        "seed": args.seed,
+        "size_cap": args.size_cap,
+        "dump_matrices": "true" if args.dump_matrices else None,
+    }
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
+        sections, path, base_dir, lines = _read_sections(args.config)
+        for key, value in run_keys.items():
+            if value is not None:
+                sections.setdefault("run", {})[key] = str(value)
+        if args.seed is not None and sections.get("quotients", {}).get("provider") == "random":
             # the seed drives both the rank policy and any random models
-            sections = config.sections
-            sections.setdefault("run", {})["seed"] = str(args.seed)
-            if sections.get("quotients", {}).get("provider") == "random":
-                sections["quotients"]["seed"] = str(args.seed)
-            config = JobConfig(sections, config.path, config.base_dir, config.lines)
-        if args.pipeline:
-            config.options["pipeline"] = args.pipeline
-        if args.j is not None:
-            config.options["j"] = args.j
-        if args.primes is not None:
-            config.options["primes"] = args.primes
-        if args.size_cap is not None:
-            config.options["size_cap"] = args.size_cap
-        if args.dump_matrices:
-            config.options["dump_matrices"] = True
+            sections["quotients"]["seed"] = str(args.seed)
+        config = JobConfig(sections, path, base_dir, lines)
         if args.dump_normalized:
             sys.stdout.write(config.normalized_text())
             return 0

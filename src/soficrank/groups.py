@@ -365,6 +365,8 @@ class FiniteTable(GroupFamily):
         inverse = tuple(int(x) for x in inverse)
         if len(inverse) != g:
             raise ValueError("inverse table has wrong length")
+        if not all(0 <= x < g for x in inverse):
+            raise ValueError("inverse table entry out of range")
         for i in range(g):
             if table[i][inverse[i]] != e or table[inverse[i]][i] != e:
                 raise ValueError("inverse table wrong at element %d" % i)
@@ -388,6 +390,8 @@ class FiniteTable(GroupFamily):
         self.identity_index = e
         self.order = g
         self.gen_names = names
+        # every GroupElement hash hashes its family; the table is O(g^2)
+        self._hash = hash(("FiniteTable", table, e, names))
 
     @classmethod
     def cyclic(cls, n, names=None):
@@ -442,7 +446,7 @@ class FiniteTable(GroupFamily):
         )
 
     def __hash__(self):
-        return hash(("FiniteTable", self.table, self.identity_index, self.gen_names))
+        return self._hash
 
     def __repr__(self):
         return "FiniteTable(order=%d)" % self.order
@@ -527,7 +531,9 @@ class FiniteQuotient:
                         raise ValueError(
                             "genuine FreeAbelian model requires commuting images"
                         )
-        elif isinstance(fam, FiniteTable):
+        elif isinstance(fam, FiniteTable) and images != fam.table:
+            # the table's own rows (the regular model) respect the table by
+            # the associativity FiniteTable.__init__ verified
             if images[fam.identity_index] != identity_perm(self.degree):
                 raise ValueError("genuine model must send the identity to id")
             for a in range(fam.order):

@@ -22,7 +22,9 @@ agreement rule as a sparse mod-p rank.  Every other model, a policy with
 explicit primes, and any uncertified split take linearize and the sparse
 engine, with its Bareiss fallback.
 
-A literal mean rank is certified only over a finite family, and only when
+A literal mean rank is built on one path for every family: module elements
+are truncated to a finite window of group elements, and a finite family is
+its own window.  It is certified only over a finite family, and only when
 both of its ranks are; window-truncated values over infinite families are
 heuristics and never certified.
 """
@@ -181,15 +183,6 @@ class FiniteSubgroupSpec:
 # ---------------------------------------------------------------------------
 # certified ranks, one per differential per stage
 
-def _require_genuine(Q):
-    for q in Q:
-        if not q.genuine:
-            raise ValueError(
-                "homology pipelines require genuine quotients; "
-                "got heuristic model %r" % q.label
-            )
-
-
 def _model_rank(f, q, policy, size_cap):
     """(rank, certified) of linearize(f, q) over Q.
 
@@ -217,16 +210,27 @@ def _stage_ranks(C, q, indices, policy, size_cap):
     return ranks
 
 
-def _complex_sequence(C, Q, j=0):
-    """Q as a genuine QuotientSequence of C's family, with 0 <= j <= top."""
+def _genuine_sequence(X, Q, what):
+    """Q as a QuotientSequence of genuine models over the family of X, a
+    complex or module named ``what`` in the error."""
     if not isinstance(Q, QuotientSequence):
         Q = QuotientSequence(tuple(Q))
-    _require_genuine(Q)
+    for q in Q:
+        if not q.genuine:
+            raise ValueError(
+                "homology pipelines require genuine quotients; "
+                "got heuristic model %r" % q.label
+            )
+    if X.family != Q.family:
+        raise ValueError("%s and quotient families differ" % what)
+    return Q
+
+
+def _complex_sequence(C, Q, j=0):
+    """Q as a genuine QuotientSequence of C's family, with 0 <= j <= top."""
     if not 0 <= j <= C.top_degree:
         raise ValueError("degree index %d outside the complex" % j)
-    if C.family != Q.family:
-        raise ValueError("complex and quotient families differ")
-    return Q
+    return _genuine_sequence(C, Q, "complex")
 
 
 def _betti_point(C, j, d, ranks):
@@ -255,11 +259,7 @@ def betti_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
 def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP, label="vrk"):
     """Rank density of a presented module: (n*d - rank L(relations)) / d."""
     policy = policy or DEFAULT_POLICY
-    if not isinstance(Q, QuotientSequence):
-        Q = QuotientSequence(tuple(Q))
-    _require_genuine(Q)
-    if M.family != Q.family:
-        raise ValueError("module and quotient families differ")
+    Q = _genuine_sequence(M, Q, "module")
     points = []
     for q in Q:
         d = q.degree
@@ -427,42 +427,6 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
 # ---------------------------------------------------------------------------
 # literal mean rank on finite (or windowed) integer presentations
 
-def _module_basis_finite(M):
-    fam = M.family
-    g = fam.order
-    elems = list(range(g))
-    index = {t: i for i, t in enumerate(elems)}
-    return elems, index, M.free_rank * g
-
-
-def _int_vector_finite(vec, M, index):
-    g = M.family.order
-    out = {}
-    for comp, x in enumerate(vec):
-        for el, c in x.terms.items():
-            out[comp * g + index[el.payload]] = out.get(comp * g + index[el.payload], 0) + c
-    return out
-
-
-def _module_relation_rows_finite(M):
-    """Integer rows spanning the relation submodule as an abelian group."""
-    fam = M.family
-    if M.relations is None:
-        return []
-    elems, index, _ = _module_basis_finite(M)
-    rows = []
-    for rel_row in M.relations.entries:
-        for s in fam.elements():
-            translated = tuple(RingElement.monomial(s) * x for x in rel_row)
-            rows.append(_int_vector_finite(translated, M, index))
-    return rows
-
-
-def _window_order(window):
-    fam = window[0].family
-    return sorted(window, key=lambda w: fam.sort_key(w.payload))
-
-
 def literal_mean_rank(M, A, B, F, q, window=None, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Literal rank density of the measured subgroup at one finite model, as
     an exact rational; literal_mean_rank_point also says whether it is
@@ -480,10 +444,11 @@ def literal_mean_rank_point(
     for b in B, s in F, v in [d], stacks the images of the A generators as
     extra rows, and returns (rank[A | relations] - rank[relations]) / d.
 
-    Over an infinite family a finite ``window`` of group elements must be
-    supplied; module elements are truncated to supports inside the window
-    and relation instances leaving it are skipped.  The windowed value is a
-    documented heuristic, not a certified bound.
+    Module elements are truncated to supports inside a finite ``window`` of
+    group elements and relation instances leaving it are skipped.  A finite
+    family is its own window: the whole group, whatever ``window`` says, so
+    nothing is truncated.  Over an infinite family the window must be
+    supplied, and the value is a documented heuristic, not a certified bound.
 
     Returns a SeriesPoint at the model's degree.  It is certified only over
     a finite family and only when both ranks behind it are; a windowed
@@ -497,54 +462,45 @@ def literal_mean_rank_point(
         raise ValueError("model family mismatch")
     if A.family != fam or B.family != fam or A.length != M.free_rank or B.length != M.free_rank:
         raise ValueError("subgroup specs must live in the presented module")
+    finite = isinstance(fam, FiniteTable)
+    if finite:
+        window = fam.elements()
+    elif window is None:
+        raise ValueError("literal_mean_rank over an infinite family needs a window")
+    for s in F:
+        fam.check_member(s)
     d = q.degree
-    n = M.free_rank
+    worder = sorted(set(window), key=lambda w: fam.sort_key(w.payload))
+    windex = {w: i for i, w in enumerate(worder)}
+    slot = len(worder)
 
-    if isinstance(fam, FiniteTable):
-        g = fam.order
-        index = {i: i for i in range(g)}
-        slot = g
-        rel_rows = _module_relation_rows_finite(M)
+    def vecify(vec):
+        return {
+            comp * slot + windex[el]: c
+            for comp, x in enumerate(vec)
+            for el, c in x.terms.items()
+        }
 
-        def vecify(vec):
-            return _int_vector_finite(vec, M, index)
+    def in_window(vec):
+        return all(el in windex for x in vec for el in x.terms)
 
-        def in_window(x):
-            return True
-    else:
-        if window is None:
-            raise ValueError(
-                "literal_mean_rank over an infinite family needs a window"
-            )
-        worder = _window_order(list(window))
-        windex = {w: i for i, w in enumerate(worder)}
-        slot = len(worder)
-        wset = set(worder)
+    def translate(s, vec):
+        return tuple(RingElement.monomial(s) * x for x in vec)
 
-        def vecify(vec):
-            out = {}
-            for comp, x in enumerate(vec):
-                for el, c in x.terms.items():
-                    out[comp * slot + windex[el]] = c
-            return out
+    # each relation row translated so that its first support element runs
+    # over the window, keeping the translates that stay inside it
+    rel_rows = []
+    for rel_row in M.relations.entries if M.relations is not None else ():
+        supports = [el for x in rel_row for el in x.terms]
+        if not supports:
+            continue
+        u0_inv = ~supports[0]
+        for w in worder:
+            translated = translate(w * u0_inv, rel_row)
+            if in_window(translated):
+                rel_rows.append(vecify(translated))
 
-        def in_window(vec):
-            return all(set(x.terms) <= wset for x in vec)
-
-        rel_rows = []
-        if M.relations is not None:
-            for rel_row in M.relations.entries:
-                supports = [el for x in rel_row for el in x.terms]
-                if not supports:
-                    continue
-                u0 = supports[0]
-                candidates = {w * ~u0 for w in worder}
-                for s in candidates:
-                    translated = tuple(RingElement.monomial(s) * x for x in rel_row)
-                    if in_window(translated):
-                        rel_rows.append(vecify(translated))
-
-    N = n * slot
+    N = M.free_rank * slot
     big_cols = d * N
     # d rows per relation row, per (b, s) pair and per A generator, at most
     max_rows = d * (len(rel_rows) + len(B.generators) * len(F) + len(A.generators))
@@ -564,13 +520,12 @@ def literal_mean_rank_point(
             rows.append(place(v, small))
     # translation relations from B and F
     for b in B.generators:
-        if not isinstance(fam, FiniteTable) and not in_window(b):
+        if not in_window(b):
             continue
         bvec = vecify(b)
         for s in F:
-            fam.check_member(s)
-            sb = tuple(RingElement.monomial(s) * x for x in b)
-            if not isinstance(fam, FiniteTable) and not in_window(sb):
+            sb = translate(s, b)
+            if not in_window(sb):
                 continue
             sbvec = vecify(sb)
             perm = extend_to_word(q, s)
@@ -589,7 +544,7 @@ def literal_mean_rank_point(
     rel_count = len(rows)
     # measured generators from A
     for a in A.generators:
-        if not isinstance(fam, FiniteTable) and not in_window(a):
+        if not in_window(a):
             raise ValueError("A generator has support outside the window")
         avec = vecify(a)
         if not avec:
@@ -607,7 +562,7 @@ def literal_mean_rank_point(
         rank_full, cert_full = certified_rank(rows)
     else:
         rank_full, cert_full = rank_rel, cert_rel
-    certified = isinstance(fam, FiniteTable) and cert_rel and cert_full
+    certified = finite and cert_rel and cert_full
     return SeriesPoint(d, Fraction(rank_full - rank_rel, d), certified)
 
 

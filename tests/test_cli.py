@@ -394,6 +394,42 @@ def test_seed_flag_drives_random_models(tmp_path):
     assert outs[0] != outs[2]
 
 
+ORACLE_Z2_CONFIG = """\
+[group]
+family = finite_table
+table = z2.txt
+
+[complex]
+ranks = 1 1
+d1 = 1 + g2
+
+[run]
+pipeline = oracle
+"""
+
+
+def test_bad_inverse_table_is_a_config_error(tmp_path, capsys):
+    write(tmp_path, "z2.txt", "2\n1 2\n2 1\n1 0\n")
+    cfg = write(tmp_path, "oracle.cfg", ORACLE_Z2_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "inverse table entry out of range" in err
+
+
+def test_overrides_build_the_job_once(tmp_path, capsys, count_calls):
+    from soficrank.groups import FiniteTable
+
+    write(tmp_path, "z2.txt", "2\n1 2\n2 1\n1 2\n")
+    cfg = write(tmp_path, "oracle.cfg", ORACLE_Z2_CONFIG)
+    calls = count_calls(FiniteTable, "__init__")
+    argv = ["--config", cfg, "--out", str(tmp_path / "out"), "--seed", "5", "--primes", "2"]
+    assert main(argv + ["--dump-normalized"]) == 0
+    assert len(calls) == 1
+    normalized = capsys.readouterr().out.splitlines()
+    assert "seed = 5" in normalized and "primes = 2" in normalized
+    assert main(argv) == 0
+
+
 def test_bench_harness_csv(tmp_path):
     from soficrank.bench import main as bench_main
 

@@ -85,12 +85,23 @@ def test_finite_table_validation():
     # non-associative "table"
     with pytest.raises(ValueError):
         FiniteTable([[0, 1], [1, 1]])
+    # a loop with two-sided inverses that only the associativity check rejects
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError, match=r"not associative at \(1,1,2\)"):
+        FiniteTable(loop)
     # no identity at declared index
     with pytest.raises(ValueError):
         FiniteTable([[1, 0], [0, 1]], identity_index=0)
     # valid Z/2
     fam = FiniteTable([[0, 1], [1, 0]])
     assert fam.order == 2
+
+
+@pytest.mark.parametrize("inverse_line", ["1 0", "1 3"])
+def test_inverse_table_range_checked(inverse_line):
+    # 1-based 0 would become the Python index -1, and 3 is past the end
+    with pytest.raises(ValueError, match="inverse table entry out of range"):
+        FiniteTable.from_text("2\n1 2\n2 1\n%s\n" % inverse_line)
 
 
 def test_table_text_round_trip(tmp_path, s3):
@@ -331,6 +342,12 @@ def test_genuine_flag_validated():
     # the same images are fine as a heuristic model
     q = FiniteQuotient(FreeAbelian(2), 3, ((1, 0, 2), (0, 2, 1)), False, "ok")
     assert not q.genuine
+    # images of Z/3 other than its table rows still get the table checked
+    z3 = FiniteTable.cyclic(3)
+    broken = ((0, 1, 2), (1, 2, 0), (1, 2, 0))
+    with pytest.raises(ValueError, match="must respect the table"):
+        FiniteQuotient(z3, 3, broken, True, "bogus")
+    assert not FiniteQuotient(z3, 3, broken, False, "ok").genuine
 
 
 def test_gen_image_must_be_permutation():

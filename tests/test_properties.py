@@ -1,18 +1,27 @@
-"""Property tests: the complex pipelines against the finite-group oracle on
-random small complexes over Z/n (n <= 6) and S_3 at their regular models."""
+"""Property tests on random small inputs over Z/n (n <= 6) and S_3 at their
+regular models: the complex pipelines against the finite-group oracle, and
+the module pipelines against Bareiss ranks."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficrank import (
+    FiniteSubgroupSpec,
     FiniteTable,
+    ModulePresentation,
     RingElement,
     RingMatrix,
     build_complex,
     euler_approximants,
     finite_group_exact_betti,
+    linearize,
+    literal_mean_rank_point,
     mrk_j_approximants,
+    rank_dense_bareiss,
     regular_sequence,
+    vrk_approximants,
 )
 from conftest import build_s3_table
 
@@ -30,16 +39,20 @@ def orbit_sum(h):
     return RingElement(h.family, terms)
 
 
+def ring_elements(fam):
+    term = st.tuples(st.sampled_from(fam.elements()), st.integers(-2, 2))
+    return st.lists(term, max_size=3).map(lambda terms: RingElement(fam, terms))
+
+
 @st.composite
 def complexes(draw):
     """A random two- or three-term complex; a three-term one has
     d_2[i][k] = a_ik u_k and d_1[k][j] = v_k b_kj with u_k v_k = 0."""
     fam = draw(st.sampled_from(GROUPS))
     elems = fam.elements()
-    term = st.tuples(st.sampled_from(elems), st.integers(-2, 2))
 
     def element():
-        return RingElement(fam, draw(st.lists(term, max_size=3)))
+        return draw(ring_elements(fam))
 
     ranks = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))  # n_k..n_0
     if len(ranks) == 2:
@@ -77,3 +90,30 @@ def test_pipelines_match_the_oracle(C):
     assert [(p.value, p.certified) for p in residual.points] == [(0, True)]
     for j in range(C.top_degree + 1):
         assert mrk_j_approximants(C, Q, j).values() == [oracle[j]]
+
+
+@st.composite
+def presentations(draw):
+    """Free rank 1-2 with 0-2 random relation rows (None for none)."""
+    fam = draw(st.sampled_from(GROUPS))
+    n = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(ring_elements(fam), min_size=n, max_size=n), max_size=2))
+    return ModulePresentation(fam, n, RingMatrix(fam, rows) if rows else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_module_ranks_match_bareiss(M):
+    fam, n = M.family, M.free_rank
+    Q = regular_sequence(fam)
+    (q,) = Q
+    g = fam.order
+    r = 0 if M.relations is None else rank_dense_bareiss(linearize(M.relations, q).to_dense())
+    expected = Fraction(n * g - r, g)
+    (point,) = vrk_approximants(M, Q).points
+    assert point.value == expected and point.certified
+    one, zero = RingElement.one(fam), RingElement.zero(fam)
+    basis = [[one if i == k else zero for k in range(n)] for i in range(n)]
+    std = FiniteSubgroupSpec(fam, n, basis)
+    literal = literal_mean_rank_point(M, std, std, fam.elements(), q)
+    assert literal.value == expected and literal.certified
