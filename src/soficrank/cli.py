@@ -4,17 +4,17 @@ Config format: line-oriented sections with ``key = value`` entries.
 
     [group]
     family = free              # free | free_abelian | finite_table
-    rank = 2                   # free / free_abelian
-    names = a b                # optional generator names
+    rank = 2                   # free / free_abelian: >= 1
+    names = a b                # optional generator (or element) names
     table = s3.txt             # finite_table: table file path
 
     [complex]                  # betti / mrk_j / euler / defect / oracle
     ranks = 2 1                # n_k ... n_0, top degree first
-    d1 = a - 1 ; b - 1         # differential matrices: rows ';', entries ','
+    d1 = a - 1 ; b - 1         # d_k ... d_1: rows ';', entries ','
     kernel = ...               # defect only: rows generating ker d_1
 
     [module]                   # vrk / relative / meanrank
-    free_rank = 1
+    free_rank = 1              # >= 1
     relations = ...            # optional relation matrix
     generators = a - 1 ; b - 1 # relative: generating vectors of the submodule
     a_gens = 1                 # meanrank: vectors, rows ';', components ','
@@ -22,22 +22,30 @@ Config format: line-oriented sections with ``key = value`` entries.
     f_set = e ; a ; b          # meanrank: group elements
     window = ...               # meanrank over infinite families
 
-    [quotients]
+    [quotients]                # every pipeline but oracle
     provider = sanov           # grid | sanov | regular | random
     moduli = 3 15              # grid / sanov
     degrees = 100              # random (one stage per degree)
-    seed = 7                   # random
+    seed = 7                   # random: any integer, default 0
 
-    [run]
+    [run]                      # the values shown are the defaults
     pipeline = betti           # betti|vrk|relative|mrk_j|euler|defect|meanrank|soficity|oracle
-    j = 1
+    j = 0                      # degree index, >= 0
     pairs = a, b ; ab, ba      # soficity
-    primes = 3
-    prime_bits = 50 62
-    dense_threshold = 500
-    seed = 0
-    size_cap = 200000
-    dump_matrices = false
+    primes = 3                 # certification primes per round, >= 1
+    prime_bits = 50 62         # primes in [2^lo, 2^hi), 0 <= lo < hi <= 63
+    dense_threshold = 500      # Bareiss fallback up to this dimension, >= 0
+    max_rounds = 3             # prime-drawing rounds, >= 1
+    seed = 0                   # any integer
+    size_cap = 200000          # linearized dimension bound, >= 0
+    dump_matrices = false      # true | false
+
+``pipeline``, ``family``, ``provider`` and the keys without a default are
+required; an empty optional value counts as absent.  A key the job does not
+read is an error: a typo, ``d3`` in a two-term complex, ``moduli`` under
+``provider = regular``.  So is a pipeline whose inputs are missing.  Every
+config error names the file, and the line of its key (of its section when
+the key is missing).
 
 Outputs: ``series.csv`` (invariant_label, degree, value_num, value_den,
 certified), ``summary.txt``, and optional ``matrix_*.mtx`` dumps.  Decimal
@@ -81,20 +89,23 @@ from .invariants import (
 )
 from .linearize import DEFAULT_SIZE_CAP, linearize, write_matrix_market
 from .rank import RankPolicy
+from .ring import build_complex
 
 __all__ = ["ConfigError", "JobConfig", "load_config", "run", "main"]
 
-PIPELINES = (
-    "betti",
-    "vrk",
-    "relative",
-    "mrk_j",
-    "euler",
-    "defect",
-    "meanrank",
-    "soficity",
-    "oracle",
-)
+# pipeline -> the inputs it reads: a section, or a key of a section
+_PIPELINE_INPUTS = {
+    "betti": ("[complex]", "[quotients]"),
+    "vrk": ("[module]", "[quotients]"),
+    "relative": ("[module]", "[quotients]", "[module] generators"),
+    "mrk_j": ("[complex]", "[quotients]"),
+    "euler": ("[complex]", "[quotients]"),
+    "defect": ("[complex]", "[quotients]"),
+    "meanrank": ("[module]", "[quotients]", "[module] a_gens", "[module] b_gens", "[module] f_set"),
+    "soficity": ("[quotients]", "[run] pairs"),
+    "oracle": ("[complex]", "[group] table"),
+}
+PIPELINES = tuple(_PIPELINE_INPUTS)
 
 _SECTION_ORDER = ("group", "complex", "module", "quotients", "run")
 
@@ -105,6 +116,90 @@ class ConfigError(ValueError):
         super().__init__("%s: %s" % (where, message))
         self.path = path
         self.line = line
+
+
+# ---- value parsers: (text, family) -> value, ValueError on bad text ----
+
+def _integer(text, family=None):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%r is not an integer" % text) from None
+
+
+def _integers(text, family=None):
+    return [_integer(x) for x in text.split()]
+
+
+def _at_least(lo):
+    def parse(text, family=None):
+        value = _integer(text)
+        if value < lo:
+            raise ValueError("must be >= %d, got %d" % (lo, value))
+        return value
+
+    return parse
+
+
+def _one_of(*choices):
+    def parse(text, family=None):
+        if text not in choices:
+            raise ValueError("%r is not one of %s" % (text, " | ".join(choices)))
+        return text
+
+    return parse
+
+
+def _boolean(text, family=None):
+    if text.lower() not in ("true", "false"):
+        raise ValueError("%r is not true or false" % text)
+    return text.lower() == "true"
+
+
+def _prime_bits(text, family=None):
+    # primes must fit a machine word
+    bits = tuple(_integers(text))
+    if len(bits) != 2 or not 0 <= bits[0] < bits[1] <= 63:
+        raise ValueError("needs two integers lo hi with 0 <= lo < hi <= 63")
+    return bits
+
+
+def _element(text, family):
+    f = parse_ring_element(text, family)
+    if len(f.terms) != 1 or next(iter(f.terms.values())) != 1:
+        raise ValueError("%r is not a single group element" % text)
+    return next(iter(f.terms))
+
+
+def _elements(text, family):
+    return [_element(part, family) for part in text.split(";")]
+
+
+def _pairs(text, family):
+    pairs = []
+    for part in text.split(";"):
+        sides = part.split(",")
+        if len(sides) != 2:
+            raise ValueError("each pair needs two elements")
+        pairs.append((_element(sides[0], family), _element(sides[1], family)))
+    return pairs
+
+
+_REQUIRED = object()
+
+# [run] key -> (parser, default, printer, the RankPolicy field it sets)
+_RUN_KEYS = {
+    "pipeline": (_one_of(*PIPELINES), _REQUIRED, str, None),
+    "j": (_at_least(0), 0, str, None),
+    "pairs": (_pairs, None, lambda ps: " ; ".join("%r, %r" % p for p in ps), None),
+    "primes": (_at_least(1), 3, str, "primes_count"),
+    "prime_bits": (_prime_bits, (50, 62), lambda bits: "%d %d" % bits, "prime_bits"),
+    "dense_threshold": (_at_least(0), 500, str, "dense_threshold"),
+    "max_rounds": (_at_least(1), 3, str, "max_rounds"),
+    "seed": (_integer, 0, str, "seed"),
+    "size_cap": (_at_least(0), DEFAULT_SIZE_CAP, str, None),
+    "dump_matrices": (_boolean, False, lambda flag: "true" if flag else "false", None),
+}
 
 
 def _parse_sections(text, path):
@@ -120,6 +215,7 @@ def _parse_sections(text, path):
             if current not in _SECTION_ORDER:
                 raise ConfigError("unknown section [%s]" % current, path, lineno)
             sections.setdefault(current, {})
+            lines.setdefault((current, None), lineno)
             continue
         if current is None:
             raise ConfigError("key outside any section", path, lineno)
@@ -138,231 +234,158 @@ def _parse_sections(text, path):
 class JobConfig:
     """A validated job: group family, payload objects, quotients, options."""
 
+    # the payloads a job does not give stay None
+    family = complex = kernel = module = quotients = None
+    generators = a_gens = b_gens = f_set = window = None
+
     def __init__(self, sections, path="<config>", base_dir=".", lines=None):
         self.path = path
         self.lines = lines or {}
         self.sections = sections
         self.base_dir = base_dir
-        self.family = None
-        self.complex = None
-        self.kernel = None
-        self.module = None
-        self.generators = None
-        self.a_gens = None
-        self.b_gens = None
-        self.f_set = None
-        self.window = None
-        self.quotients = None
-        self.options = {}
+        self._read = set()
         self._build()
 
     def _fail(self, section, key, message):
         raise ConfigError(
             "[%s] %s: %s" % (section, key, message),
             self.path,
-            self.lines.get((section, key)),
+            self.lines.get((section, key), self.lines.get((section, None))),
         )
 
-    def _get(self, section, key, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
-    def _parse_expr(self, section, key, text):
+    def _value(self, section, key, parse, default=_REQUIRED):
+        """``parse(text, family)`` of [section] key, or ``default`` when it
+        is absent; a bad value is a located ConfigError.  Records the read."""
+        self._read.add((section, key))
+        text = self.sections.get(section, {}).get(key)
+        if text is None or (not text and default is None):
+            if default is _REQUIRED:
+                self._fail(section, key, "missing")
+            return default
         try:
-            return parse_ring_element(text, self.family)
-        except ValueError as exc:
+            return parse(text, self.family)
+        except (OSError, ValueError) as exc:
             self._fail(section, key, str(exc))
 
-    def _parse_matrix(self, section, key, text):
-        try:
-            return parse_ring_matrix(text, self.family)
-        except ValueError as exc:
-            self._fail(section, key, str(exc))
-
-    def _parse_element(self, section, key, text):
-        f = self._parse_expr(section, key, text)
-        if len(f.terms) != 1 or next(iter(f.terms.values())) != 1:
-            self._fail(section, key, "%r is not a single group element" % text)
-        return next(iter(f.terms))
+    def _load_table(self, text, names):
+        resolved = os.path.join(self.base_dir, text)
+        with open(resolved) as fh:
+            family = FiniteTable.from_text(fh.read(), names)
+        self.table_path = os.path.abspath(resolved)
+        return family
 
     def _build(self):
         # ---- group ----
-        grp = self.sections.get("group")
-        if not grp:
-            raise ConfigError("missing [group] section", self.path)
-        kind = grp.get("family")
-        names = tuple(grp["names"].split()) if "names" in grp else None
-        if kind == "free":
-            self.family = Free(int(grp.get("rank", 0)), names)
-        elif kind == "free_abelian":
-            self.family = FreeAbelian(int(grp.get("rank", 0)), names)
-        elif kind == "finite_table":
-            table_path = grp.get("table")
-            if not table_path:
-                self._fail("group", "family", "finite_table needs table = PATH")
-            resolved = os.path.join(self.base_dir, table_path)
-            try:
-                with open(resolved) as fh:
-                    self.family = FiniteTable.from_text(fh.read(), names)
-            except OSError as exc:
-                self._fail("group", "table", str(exc))
-            except ValueError as exc:
-                self._fail("group", "table", str(exc))
-            self.table_path = os.path.abspath(resolved)
+        kind = self._value("group", "family", _one_of("free", "free_abelian", "finite_table"))
+        names = self._value("group", "names", lambda text, _: tuple(text.split()), None)
+        if kind == "finite_table":
+            self.family = self._value(
+                "group", "table", lambda text, _: self._load_table(text, names)
+            )
         else:
-            self._fail("group", "family", "unknown family %r" % kind)
+            rank = self._value("group", "rank", _at_least(1))
+            try:
+                self.family = (Free if kind == "free" else FreeAbelian)(rank, names)
+            except ValueError as exc:
+                self._fail("group", "names", str(exc))
 
         # ---- complex ----
-        cx = self.sections.get("complex")
-        if cx:
-            try:
-                ranks = [int(x) for x in cx["ranks"].split()]
-            except (KeyError, ValueError):
-                self._fail("complex", "ranks", "needs a list of positive integers")
-            k = len(ranks) - 1
-            diffs = []
-            for j in range(k, 0, -1):
-                key = "d%d" % j
-                if key not in cx:
-                    self._fail("complex", key, "missing differential d%d" % j)
-                diffs.append(self._parse_matrix("complex", key, cx[key]))
-            from .ring import build_complex
-
+        if self.sections.get("complex"):
+            ranks = self._value("complex", "ranks", _integers)
+            diffs = [
+                self._value("complex", "d%d" % j, parse_ring_matrix)
+                for j in range(len(ranks) - 1, 0, -1)
+            ]
             try:
                 self.complex = build_complex(self.family, ranks, diffs)
             except ValueError as exc:
                 self._fail("complex", "ranks", str(exc))
-            if "kernel" in cx:
-                self.kernel = self._parse_matrix("complex", "kernel", cx["kernel"])
+            self.kernel = self._value("complex", "kernel", parse_ring_matrix, None)
 
         # ---- module ----
-        mod = self.sections.get("module")
-        if mod:
-            try:
-                n = int(mod["free_rank"])
-            except (KeyError, ValueError):
-                self._fail("module", "free_rank", "needs a positive integer")
-            relations = None
-            if mod.get("relations"):
-                relations = self._parse_matrix("module", "relations", mod["relations"])
+        if self.sections.get("module"):
+            n = self._value("module", "free_rank", _at_least(1))
+            relations = self._value("module", "relations", parse_ring_matrix, None)
             try:
                 self.module = ModulePresentation(self.family, n, relations)
             except ValueError as exc:
                 self._fail("module", "relations", str(exc))
-            for attr, key in (("generators", "generators"), ("a_gens", "a_gens"), ("b_gens", "b_gens")):
-                if mod.get(key):
-                    mat = self._parse_matrix("module", key, mod[key])
-                    if mat.cols != n:
-                        self._fail("module", key, "vectors must have %d components" % n)
-                    setattr(
-                        self,
-                        attr,
-                        FiniteSubgroupSpec(self.family, n, tuple(tuple(r) for r in mat.entries)),
-                    )
-            if mod.get("f_set"):
-                self.f_set = [
-                    self._parse_element("module", "f_set", part)
-                    for part in mod["f_set"].split(";")
-                ]
-            if mod.get("window"):
-                self.window = [
-                    self._parse_element("module", "window", part)
-                    for part in mod["window"].split(";")
-                ]
+
+            def vectors(text, family):
+                mat = parse_ring_matrix(text, family)
+                if mat.cols != n:
+                    raise ValueError("vectors must have %d components" % n)
+                return FiniteSubgroupSpec(family, n, tuple(tuple(r) for r in mat.entries))
+
+            self.generators = self._value("module", "generators", vectors, None)
+            self.a_gens = self._value("module", "a_gens", vectors, None)
+            self.b_gens = self._value("module", "b_gens", vectors, None)
+            self.f_set = self._value("module", "f_set", _elements, None)
+            self.window = self._value("module", "window", _elements, None)
 
         # ---- quotients ----
-        qt = self.sections.get("quotients")
-        if qt:
-            provider = qt.get("provider")
-            if provider in ("grid", "sanov"):
+        if self.sections.get("quotients"):
+            provider = self._value(
+                "quotients", "provider", _one_of("grid", "sanov", "regular", "random")
+            )
+            if provider == "regular":
+                if not isinstance(self.family, FiniteTable):
+                    self._fail("quotients", "provider", "regular needs a finite_table family")
+                self.quotients = regular_sequence(self.family)
+            elif provider == "random":
+                degrees = self._value("quotients", "degrees", _integers)
+                seed = self._value("quotients", "seed", _integer, 0)
                 try:
-                    moduli = [int(x) for x in qt["moduli"].split()]
-                except (KeyError, ValueError):
-                    self._fail("quotients", "moduli", "needs a list of integers")
+                    self.quotients = QuotientSequence(
+                        tuple(
+                            random_quotient(self.family, dd, seed + i)
+                            for i, dd in enumerate(degrees)
+                        ),
+                        chain=False,
+                    )
+                except ValueError as exc:
+                    self._fail("quotients", "degrees", str(exc))
+            else:
+                moduli = self._value("quotients", "moduli", _integers)
+                if provider == "grid" and not isinstance(self.family, FreeAbelian):
+                    self._fail("quotients", "provider", "grid needs a free_abelian family")
                 try:
                     if provider == "grid":
-                        if not isinstance(self.family, FreeAbelian):
-                            self._fail("quotients", "provider", "grid needs a free_abelian family")
                         self.quotients = grid_sequence(self.family.rank, moduli, self.family)
                     else:
                         self.quotients = sanov_sequence(moduli, self.family)
                 except ValueError as exc:
                     self._fail("quotients", "moduli", str(exc))
-            elif provider == "regular":
-                if not isinstance(self.family, FiniteTable):
-                    self._fail("quotients", "provider", "regular needs a finite_table family")
-                self.quotients = regular_sequence(self.family)
-            elif provider == "random":
-                try:
-                    degrees = [int(x) for x in qt["degrees"].split()]
-                except (KeyError, ValueError):
-                    self._fail("quotients", "degrees", "random provider needs degrees")
-                seed = int(qt.get("seed", 0))
-                qs = tuple(
-                    random_quotient(self.family, dd, seed + i)
-                    for i, dd in enumerate(degrees)
-                )
-                try:
-                    self.quotients = QuotientSequence(qs, chain=False)
-                except ValueError as exc:
-                    self._fail("quotients", "degrees", str(exc))
-            else:
-                self._fail("quotients", "provider", "unknown provider %r" % provider)
 
         # ---- run ----
-        rn = self.sections.get("run")
-        if not rn or "pipeline" not in rn:
-            raise ConfigError("missing [run] pipeline", self.path)
-        pipeline = rn["pipeline"]
-        if pipeline not in PIPELINES:
-            self._fail("run", "pipeline", "unknown pipeline %r" % pipeline)
-        opts = {
-            "pipeline": pipeline,
-            "j": int(rn.get("j", 0)),
-            "primes": int(rn.get("primes", 3)),
-            "dense_threshold": int(rn.get("dense_threshold", 500)),
-            "max_rounds": int(rn.get("max_rounds", 3)),
-            "seed": int(rn.get("seed", 0)),
-            "size_cap": int(rn.get("size_cap", DEFAULT_SIZE_CAP)),
-            "dump_matrices": rn.get("dump_matrices", "false").lower() == "true",
+        self.options = {
+            key: self._value("run", key, parse, default)
+            for key, (parse, default, _, _) in _RUN_KEYS.items()
         }
-        bits = rn.get("prime_bits", "50 62").split()
-        if len(bits) != 2:
-            self._fail("run", "prime_bits", "needs two integers")
-        opts["prime_bits"] = (int(bits[0]), int(bits[1]))
-        if rn.get("pairs"):
-            pairs = []
-            for part in rn["pairs"].split(";"):
-                sides = part.split(",")
-                if len(sides) != 2:
-                    self._fail("run", "pairs", "each pair needs two elements")
-                pairs.append(
-                    (
-                        self._parse_element("run", "pairs", sides[0]),
-                        self._parse_element("run", "pairs", sides[1]),
-                    )
-                )
-            opts["pairs"] = pairs
-        self.options = opts
+
+        # ---- every key read, every input of the pipeline given ----
+        for section, values in self.sections.items():
+            for key in values:
+                if (section, key) not in self._read:
+                    self._fail(section, key, "unknown key (this job does not read it)")
+        pipeline = self.options["pipeline"]
+        for need in _PIPELINE_INPUTS[pipeline]:
+            section, key = need[1:].split("]")
+            values = self.sections.get(section, {})
+            if not (values.get(key.strip()) if key else values):
+                self._fail("run", "pipeline", "%s needs %s" % (pipeline, need))
 
     # ---- normalization ----
     def normalized_text(self):
-        out = []
         fam = self.family
-        out.append("[group]")
-        if isinstance(fam, Free):
-            out.append("family = free")
-            out.append("rank = %d" % fam.rank)
-            out.append("names = %s" % " ".join(fam.gen_names))
-        elif isinstance(fam, FreeAbelian):
-            out.append("family = free_abelian")
-            out.append("rank = %d" % fam.rank)
-            out.append("names = %s" % " ".join(fam.gen_names))
+        out = ["[group]"]
+        if isinstance(fam, FiniteTable):
+            out += ["family = finite_table", "table = %s" % self.table_path]
         else:
-            out.append("family = finite_table")
-            out.append("table = %s" % self.table_path)
+            out.append("family = %s" % ("free" if isinstance(fam, Free) else "free_abelian"))
+            out += ["rank = %d" % fam.rank, "names = %s" % " ".join(fam.gen_names)]
         if self.complex is not None:
-            out.append("")
-            out.append("[complex]")
+            out += ["", "[complex]"]
             out.append("ranks = %s" % " ".join(str(n) for n in self.complex.ranks))
             k = self.complex.top_degree
             for j in range(k, 0, -1):
@@ -370,8 +393,7 @@ class JobConfig:
             if self.kernel is not None:
                 out.append("kernel = %s" % _matrix_text(self.kernel))
         if self.module is not None:
-            out.append("")
-            out.append("[module]")
+            out += ["", "[module]"]
             out.append("free_rank = %d" % self.module.free_rank)
             if self.module.relations is not None:
                 out.append("relations = %s" % _matrix_text(self.module.relations))
@@ -390,41 +412,24 @@ class JobConfig:
             if self.window is not None:
                 out.append("window = %s" % " ; ".join(repr(g) for g in self.window))
         if self.quotients is not None:
-            out.append("")
-            out.append("[quotients]")
+            out += ["", "[quotients]"]
             qt = self.sections.get("quotients", {})
             out.append("provider = %s" % qt.get("provider"))
             for key in ("moduli", "degrees", "seed"):
                 if key in qt:
                     out.append("%s = %s" % (key, " ".join(qt[key].split())))
-        out.append("")
-        out.append("[run]")
-        o = self.options
-        out.append("pipeline = %s" % o["pipeline"])
-        out.append("j = %d" % o["j"])
-        if "pairs" in o:
-            out.append(
-                "pairs = %s"
-                % " ; ".join("%r, %r" % (s, t) for s, t in o["pairs"])
-            )
-        out.append("primes = %d" % o["primes"])
-        out.append("prime_bits = %d %d" % o["prime_bits"])
-        out.append("dense_threshold = %d" % o["dense_threshold"])
-        out.append("max_rounds = %d" % o["max_rounds"])
-        out.append("seed = %d" % o["seed"])
-        out.append("size_cap = %d" % o["size_cap"])
-        out.append("dump_matrices = %s" % ("true" if o["dump_matrices"] else "false"))
+        out += ["", "[run]"]
+        for key, (_, _, show, _) in _RUN_KEYS.items():
+            if self.options[key] is not None:
+                out.append("%s = %s" % (key, show(self.options[key])))
         return "\n".join(out) + "\n"
 
     def policy(self):
-        o = self.options
-        return RankPolicy(
-            primes_count=o["primes"],
-            prime_bits=o["prime_bits"],
-            dense_threshold=o["dense_threshold"],
-            max_rounds=o["max_rounds"],
-            seed=o["seed"],
-        )
+        return RankPolicy(**{
+            field: self.options[key]
+            for key, (_, _, _, field) in _RUN_KEYS.items()
+            if field is not None
+        })
 
 
 def _matrix_text(m):
@@ -437,8 +442,12 @@ def load_config(path):
 
 def _read_sections(path):
     """JobConfig's (sections, path, base_dir, lines) for the file at path."""
-    with open(path) as fh:
-        sections, lines = _parse_sections(fh.read(), path)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc), path) from None
+    sections, lines = _parse_sections(text, path)
     return sections, path, os.path.dirname(os.path.abspath(path)), lines
 
 
@@ -461,21 +470,8 @@ def run(config, out_dir=".", strict=False):
     summary.append("pipeline: %s" % pipeline)
     summary.append("family: %r" % config.family)
 
-    def need(attr, what):
-        value = getattr(config, attr)
-        if value is None:
-            raise ConfigError(
-                "pipeline %s needs %s" % (pipeline, what), config.path
-            )
-        return value
-
-    if pipeline in ("betti", "mrk_j", "euler", "defect", "oracle"):
-        C = need("complex", "a [complex] section")
-    if pipeline in ("vrk", "relative", "meanrank"):
-        M = need("module", "a [module] section")
-    if pipeline != "oracle":
-        Q = need("quotients", "a [quotients] section")
-
+    # JobConfig has checked that the pipeline's inputs are present
+    C, M, Q = config.complex, config.module, config.quotients
     if pipeline == "betti":
         series.append(betti_approximants(C, Q, o["j"], policy, cap))
     elif pipeline == "mrk_j":
@@ -483,8 +479,7 @@ def run(config, out_dir=".", strict=False):
     elif pipeline == "vrk":
         series.append(vrk_approximants(M, Q, policy, cap))
     elif pipeline == "relative":
-        gens = need("generators", "[module] generators")
-        series.append(relative_vrk_approximants(M, gens, Q, policy, cap))
+        series.append(relative_vrk_approximants(M, config.generators, Q, policy, cap))
     elif pipeline == "euler":
         chi = euler_characteristic(C)
         summary.append("chi = %d" % chi)
@@ -492,22 +487,18 @@ def run(config, out_dir=".", strict=False):
     elif pipeline == "defect":
         series.append(juzvinskii_defect(C, Q, config.kernel, policy, cap))
     elif pipeline == "meanrank":
-        a = need("a_gens", "[module] a_gens")
-        b = need("b_gens", "[module] b_gens")
-        fset = need("f_set", "[module] f_set")
         points = tuple(
-            literal_mean_rank_point(M, a, b, fset, q, config.window, policy, cap)
+            literal_mean_rank_point(
+                M, config.a_gens, config.b_gens, config.f_set, q, config.window, policy, cap
+            )
             for q in Q
         )
         series.append(ApproximantSeries("literal_mean_rank", points, Q.chain))
     elif pipeline == "soficity":
-        pairs = o.get("pairs")
-        if not pairs:
-            raise ConfigError("soficity pipeline needs [run] pairs", config.path)
         mult_rows = {}
         sep_rows = {}
         for q in Q:
-            for defect in soficity_defect(q, pairs):
+            for defect in soficity_defect(q, o["pairs"]):
                 key = "(%r,%r)" % (defect.s, defect.t)
                 mult_rows.setdefault(key, []).append(
                     SeriesPoint(q.degree, defect.mult_defect, True)
@@ -525,8 +516,6 @@ def run(config, out_dir=".", strict=False):
                 ApproximantSeries("sep_defect%s" % key, tuple(pts), Q.chain)
             )
     elif pipeline == "oracle":
-        if not isinstance(config.family, FiniteTable):
-            raise ConfigError("oracle pipeline needs a finite_table family", config.path)
         values = finite_group_exact_betti(C, cap)
         g = config.family.order
         for j, v in enumerate(values):
@@ -560,10 +549,10 @@ def run(config, out_dir=".", strict=False):
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
 
-    if o["dump_matrices"] and config.complex is not None and config.quotients is not None:
-        for qi, q in enumerate(config.quotients):
-            for j in range(1, config.complex.top_degree + 1):
-                m = linearize(config.complex.differential(j), q, cap)
+    if o["dump_matrices"] and C is not None and Q is not None:
+        for qi, q in enumerate(Q):
+            for j in range(1, C.top_degree + 1):
+                m = linearize(C.differential(j), q, cap)
                 write_matrix_market(
                     m, os.path.join(out_dir, "matrix_stage%d_d%d.mtx" % (qi, j))
                 )

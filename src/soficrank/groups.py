@@ -332,11 +332,34 @@ class Free(GroupFamily):
         return "*".join(parts)
 
 
+def _generating_set(table, e):
+    """Greedy generators of a finite magma with identity e: add the smallest
+    element not yet reached, then close the reached set under right
+    multiplication by the generators; every element is reached in the end."""
+    reached = [False] * len(table)
+    reached[e] = True
+    members = [e]
+    gens = []
+    for c in range(len(table)):
+        if reached[c]:
+            continue
+        gens.append(c)
+        queue = [table[x][c] for x in members]
+        while queue:
+            y = queue.pop()
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+                queue.extend(table[y][s] for s in gens)
+    return gens
+
+
 class FiniteTable(GroupFamily):
     """Finite group from an explicit multiplication table (0-based internally).
 
     ``table[i][j]`` is the index of element i * j.  Associativity, identity
-    and inverses are verified on construction (O(g^3) for associativity).
+    and inverses are verified on construction (associativity by Light's
+    test over a generating set S, O(g^2 |S|) with |S| <= log2 g for a group).
     Every element counts as a generator for permutation models.
     """
 
@@ -370,14 +393,17 @@ class FiniteTable(GroupFamily):
         for i in range(g):
             if table[i][inverse[i]] != e or table[inverse[i]][i] != e:
                 raise ValueError("inverse table wrong at element %d" % i)
-        for a in range(g):
-            for b in range(g):
-                ab = table[a][b]
-                for c in range(g):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise ValueError(
-                            "table is not associative at (%d,%d,%d)" % (a, b, c)
-                        )
+        # Light's test: the s with (x*s)*y == x*(s*y) for all x, y are closed
+        # under products, so checking s over a generating set suffices
+        for s in _generating_set(table, e):
+            for x, row_x in enumerate(table):
+                lhs = table[row_x[s]]
+                rhs = tuple(map(row_x.__getitem__, table[s]))
+                if lhs != rhs:
+                    y = next(y for y in range(g) if lhs[y] != rhs[y])
+                    raise ValueError(
+                        "table is not associative at (%d,%d,%d)" % (x, s, y)
+                    )
         if names is None:
             names = tuple(
                 "e" if i == e else "g%d" % (i + 1) for i in range(g)

@@ -430,6 +430,55 @@ def test_overrides_build_the_job_once(tmp_path, capsys, count_calls):
     assert main(argv) == 0
 
 
+def _replace(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+BAD_CONFIGS = {
+    "run_seed": (F2_BETTI_CONFIG + "seed = x\n", "seed = x"),
+    "run_j": (_replace(F2_BETTI_CONFIG, "j = 1", "j = x"), "j = x"),
+    "group_rank": (_replace(F2_BETTI_CONFIG, "rank = 2", "rank = two"), "rank = two"),
+    "quotients_seed": (_replace(SOFICITY_CONFIG, "seed = 7", "seed = z"), "seed = z"),
+    "prime_bits_reversed": (F2_BETTI_CONFIG + "prime_bits = 62 50\n", "prime_bits = 62 50"),
+    "prime_bits_past_word": (F2_BETTI_CONFIG + "prime_bits = 50 70\n", "prime_bits = 50 70"),
+    "primes_zero": (F2_BETTI_CONFIG + "primes = 0\n", "primes = 0"),
+    "max_rounds_zero": (F2_BETTI_CONFIG + "max_rounds = 0\n", "max_rounds = 0"),
+    "size_cap_negative": (F2_BETTI_CONFIG + "size_cap = -1\n", "size_cap = -1"),
+    "dump_matrices_yes": (F2_BETTI_CONFIG + "dump_matrices = yes\n", "dump_matrices = yes"),
+    "misspelled_key": (F2_BETTI_CONFIG + "primse = 7\n", "primse = 7"),
+    # a missing key is located at its section
+    "missing_rank": (_replace(F2_BETTI_CONFIG, "rank = 2\n", ""), "[group]"),
+    "unread_differential": (_replace(F2_BETTI_CONFIG, "d1 = ", "d3 =\nd1 = "), "d3 ="),
+    "betti_without_complex": (
+        _replace(F2_BETTI_CONFIG, "[complex]\nranks = 2 1\nd1 = a - 1 ; b - 1\n", ""),
+        "pipeline = betti",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_values_are_located_config_errors(tmp_path, capsys, case):
+    text, bad_line = BAD_CONFIGS[case]
+    line = text.splitlines().index(bad_line) + 1
+    cfg = write(tmp_path, "bad.cfg", text)
+    # the incomplete job is caught before anything runs
+    extra = ["--dump-normalized"] if case == "betti_without_complex" else []
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")] + extra) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.cfg:%d" % line in err
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["--config", missing, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        load_config(missing)
+
+
 def test_bench_harness_csv(tmp_path):
     from soficrank.bench import main as bench_main
 

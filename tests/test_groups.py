@@ -1,8 +1,11 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficrank import (
     FiniteQuotient,
@@ -21,7 +24,7 @@ from soficrank import (
 )
 from soficrank.groups import identity_perm, perm_compose, perm_inverse, perm_power
 
-from conftest import s3_elements, then_perms
+from conftest import build_s3_table, s3_elements, then_perms
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,73 @@ def test_finite_table_validation():
     # valid Z/2
     fam = FiniteTable([[0, 1], [1, 0]])
     assert fam.order == 2
+
+
+def random_loop(n, rng):
+    """A random Latin square on 0..n-1 whose row and column 0 are the identity."""
+    t = [[i if j == 0 else j if i == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        options = [v for v in range(n) if v not in t[i][:j] and all(t[r][j] != v for r in range(i))]
+        rng.shuffle(options)
+        for v in options:
+            t[i][j] = v
+            if fill(c + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+GROUP_TABLES = [FiniteTable.cyclic(n).table for n in range(1, 7)] + [build_s3_table()]
+
+
+@st.composite
+def small_tables(draw):
+    """Latin squares with identity 0 (of orders 5 and 6: the smaller ones are
+    all groups), groups relabeled with 0 kept fixed, and Z/m x (a Latin
+    square), whose element 1 = (1, e) reaches only Z/m x {e}."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["loop", "group", "product"]))
+    if kind == "loop":
+        return random_loop(draw(st.integers(5, 6)), rng)
+    if kind == "product":
+        m = draw(st.integers(2, 3))
+        loop = random_loop(5, rng)
+        pairs = [(a, b) for b in range(len(loop)) for a in range(m)]
+        return [[pairs.index(((a + c) % m, loop[b][d])) for c, d in pairs] for a, b in pairs]
+    table = draw(st.sampled_from(GROUP_TABLES))
+    g = len(table)
+    new = [0] + rng.sample(range(1, g), g - 1)
+    old = {v: k for k, v in enumerate(new)}
+    return [[new[table[old[i]][old[j]]] for j in range(g)] for i in range(g)]
+
+
+def is_associative_at(table, x, y, z):
+    return table[table[x][y]][z] == table[x][table[y][z]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables())
+def test_associativity_check_matches_triple_loop(table):
+    g = range(len(table))
+    has_inverses = all(any(table[i][j] == 0 == table[j][i] for j in g) for i in g)
+    associative = all(is_associative_at(table, x, y, z) for x in g for y in g for z in g)
+    try:
+        FiniteTable(table)
+    except ValueError as exc:
+        assert not (has_inverses and associative)
+        if has_inverses:
+            found = re.search(r"not associative at \((\d+),(\d+),(\d+)\)", str(exc))
+            assert not is_associative_at(table, *map(int, found.groups()))
+    else:
+        assert has_inverses and associative
 
 
 @pytest.mark.parametrize("inverse_line", ["1 0", "1 3"])
