@@ -45,7 +45,7 @@ required; an empty optional value counts as absent.  A key the job does not
 read is an error: a typo, ``d3`` in a two-term complex, ``moduli`` under
 ``provider = regular``.  So is a pipeline whose inputs are missing.  Every
 config error names the file, and the line of its key (of its section when
-the key is missing).
+the key is missing), or the command-line flag that set the value.
 
 Outputs: ``series.csv`` (invariant_label, degree, value_num, value_den,
 certified), ``summary.txt``, and optional ``matrix_*.mtx`` dumps.  Decimal
@@ -111,8 +111,16 @@ _SECTION_ORDER = ("group", "complex", "module", "quotients", "run")
 
 
 class ConfigError(ValueError):
+    """A bad config value, located at ``path:line`` or, when a command-line
+    flag set the value, at ``path: --flag``."""
+
     def __init__(self, message, path="<config>", line=None):
-        where = path if line is None else "%s:%d" % (path, line)
+        if line is None:
+            where = path
+        elif isinstance(line, str):
+            where = "%s: %s" % (path, line)
+        else:
+            where = "%s:%d" % (path, line)
         super().__init__("%s: %s" % (where, message))
         self.path = path
         self.line = line
@@ -599,12 +607,15 @@ def main(argv=None):
     }
     try:
         sections, path, base_dir, lines = _read_sections(args.config)
+        # an overridden value is located at its flag, not at the file's line
         for key, value in run_keys.items():
             if value is not None:
                 sections.setdefault("run", {})[key] = str(value)
+                lines[("run", key)] = "--" + key.replace("_", "-")
         if args.seed is not None and sections.get("quotients", {}).get("provider") == "random":
             # the seed drives both the rank policy and any random models
             sections["quotients"]["seed"] = str(args.seed)
+            lines[("quotients", "seed")] = "--seed"
         config = JobConfig(sections, path, base_dir, lines)
         if args.dump_normalized:
             sys.stdout.write(config.normalized_text())

@@ -8,6 +8,19 @@ fewest nonzeros (ties broken by lowest row index), which minimizes the
 Markowitz fill bound (r-1)(c-1) for that column.  Deterministic given the
 prime.
 
+Before that loop, rank_mod_p contracts the edge rows: rows that are
++-(e_i - e_j) over Z, as every row of the linearized d_1 of F_k at a
+permutation model is.  A union-find over the columns takes each edge row;
+a row that joins two components is a pivot, a row whose ends are already
+joined is dependent and dropped.  Every other row has its columns read
+through ``find`` (column j replaced by the root of its component) and
+goes to the Markowitz loop.  This is exact over Z: an edge row is a +-1
+pivot, and eliminating with it substitutes one column by another in the
+other rows, a unimodular step.  The row space of the edge rows is the
+kernel of the map summing coordinates over each component, over any ring,
+so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
+included, and for a product of primes.
+
 Given a tuple of distinct primes p_1..p_k, rank_mod_p eliminates once
 modulo their product N.  While every pivot is a unit mod N, the run reduces
 mod each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
@@ -31,7 +44,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappush, heappop
+from itertools import groupby
 from math import prod
+from operator import itemgetter
 
 from sympy import isprime
 
@@ -58,8 +73,55 @@ def _check_prime(p):
     return p
 
 
+def _rows(triplets):
+    """The rows of triplets sorted by row, each a tuple of its triplets."""
+    for _, row in groupby(triplets, itemgetter(0)):
+        yield tuple(row)
+
+
+def _edge_columns(row):
+    """The two columns of a row that is +-(e_i - e_j) over Z, else None."""
+    if len(row) == 2 and row[0][2] in (1, -1) and row[0][2] + row[1][2] == 0:
+        return row[0][1], row[1][1]
+    return None
+
+
+def _contract_edges(triplets):
+    """Union-find of the columns over the edge rows of the triplets.
+
+    Returns the number of successful unions and ``find``, which maps a
+    column to the root of its component.  A row whose two ends are already
+    joined adds nothing.
+    """
+    parent = {}
+
+    def find(c):
+        root = c
+        while root in parent:
+            root = parent[root]
+        while c != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    unions = 0
+    for row in _rows(triplets):
+        ends = _edge_columns(row)
+        if ends:
+            a, b = find(ends[0]), find(ends[1])
+            if a != b:
+                parent[a] = b
+                unions += 1
+    return unions, find
+
+
 def rank_mod_p(M, p, stats=None):
     """Rank of M over F_p; always a lower bound for the rank over Q.
+
+    The edge rows (+-(e_i - e_j) over Z) are first contracted by a
+    union-find over the columns, each union one pivot.  The other rows, with
+    each column replaced by the root of its component and the merged
+    coefficients summed mod p, go to Markowitz elimination.  This is exact
+    for every prime and for a product of primes (see the module docstring).
 
     ``p`` may also be a tuple of distinct machine-word primes.  The matrix
     is then eliminated once modulo their product, and the common rank over
@@ -67,8 +129,9 @@ def rank_mod_p(M, p, stats=None):
     unit modulo the product (the ranks may then differ between the primes).
 
     ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
-    ``pivots`` (fill-in is peak minus initial); an abandoned joint pass
-    reports the pivots made before it stopped.
+    ``pivots`` (fill-in is peak minus initial); contracted edge rows count
+    in the nonzeros and their unions in the pivots.  An abandoned joint
+    pass reports the pivots made before it stopped.
     """
     if isinstance(p, tuple):
         primes = [_check_prime(q) for q in p]
@@ -79,22 +142,42 @@ def rank_mod_p(M, p, stats=None):
         p = prod(primes)
     else:
         p = _check_prime(p)
+    unions, find = _contract_edges(M.triplets)
     rows = {}
-    for r, c, v in M.triplets:
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
+    initial_nnz = 0
+    if unions:
+        # the residual: every other row, its columns read through find
+        for row in _rows(M.triplets):
+            if _edge_columns(row):
+                initial_nnz += 2
+                continue
+            merged = {}
+            for _, c, v in row:
+                v %= p
+                if v:
+                    initial_nnz += 1
+                    c = find(c)
+                    merged[c] = (merged.get(c, 0) + v) % p
+            merged = {c: v for c, v in merged.items() if v}
+            if merged:
+                rows[row[0][0]] = merged
+    else:
+        for r, c, v in M.triplets:
+            v %= p
+            if v:
+                rows.setdefault(r, {})[c] = v
     cols = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
     nnz = sum(len(row) for row in rows.values())
-    initial_nnz = nnz
-    peak_nnz = nnz
+    if not unions:
+        initial_nnz = nnz
+    peak_nnz = initial_nnz
     heap = []
     for c, s in cols.items():
         heappush(heap, (len(s), c))
-    rank = 0
+    rank = unions
     abandoned = False
     while heap:
         cnt, c = heappop(heap)

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -469,6 +470,23 @@ def test_bad_values_are_located_config_errors(tmp_path, capsys, case):
     assert "config error" in err and "bad.cfg:%d" % line in err
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--size-cap", "-5", "[run] size_cap: must be >= 0, got -5"),
+        ("--primes", "0", "[run] primes: must be >= 1, got 0"),
+    ],
+    ids=["size_cap", "primes"],
+)
+def test_bad_override_is_located_at_its_flag(tmp_path, capsys, flag, value, message):
+    text = F2_BETTI_CONFIG + "primes = 3\nsize_cap = 100000\n"
+    cfg = write(tmp_path, "o.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: %s: %s: %s\n" % (cfg, flag, message)
+    assert not re.search(r"o\.cfg:\d", err)  # no line of the file is blamed
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

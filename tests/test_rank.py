@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficrank import (
     RankPolicy,
@@ -12,6 +14,7 @@ from soficrank import (
     rank_dense_bareiss,
     rank_mod_p,
     rank_over_rationals,
+    sanov_quotient,
     smith_normal_form,
 )
 
@@ -155,6 +158,97 @@ def test_joint_pass_stats():
     stats = {}
     assert rank_mod_p(SparseIntMatrix.from_dense([[3, 1], [0, 1]]), (2, 3), stats) is None
     assert stats["pivots"] == 0 and stats["initial_nnz"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the edge phase: rows +-(e_i - e_j) contracted by union-find
+
+P50 = 1125899906842597  # the largest prime below 2^50
+
+
+def dense_rank_mod(dense_rows, p):
+    """Rank over F_p by plain Gauss-Jordan elimination on a dense copy."""
+    A = [[v % p for v in row] for row in dense_rows]
+    rank = 0
+    for c in range(len(A[0]) if A else 0):
+        pivot = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][c], -1, p)
+        for i, row in enumerate(A):
+            if i != rank and row[c]:
+                f = row[c] * inv % p
+                A[i] = [(x - f * y) % p for x, y in zip(row, A[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def edge_mixed_matrices(draw):
+    """Edge rows in both sign orders, repeated, closing cycles and joining
+    columns already joined, mixed with rows that are not edges over Z:
+    (1, 1), (2, -2), (1, -1, 1), singletons and wide rows."""
+    n = draw(st.integers(3, 8))
+    col = st.integers(0, n - 1)
+
+    def distinct(k):
+        return draw(st.lists(col, min_size=k, max_size=k, unique=True))
+
+    kinds = ["edge", "repeat", "cycle", "plus", "double", "three", "single", "wide"]
+    rows, edges = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("edge", "repeat", "cycle"):
+            if kind == "repeat" and edges:
+                ends = [draw(st.sampled_from(edges))]
+            elif kind == "cycle":
+                i, j, k = distinct(3)
+                ends = [(i, j), (j, k), (k, i)]
+            else:
+                ends = [tuple(distinct(2))]
+            for a, b in ends:
+                s = draw(st.sampled_from((1, -1)))
+                rows.append({a: s, b: -s})
+                edges.append((a, b))
+        elif kind in ("plus", "double"):
+            i, j = distinct(2)
+            rows.append({i: 1, j: 1} if kind == "plus" else {i: 2, j: -2})
+        elif kind == "three":
+            i, j, k = distinct(3)
+            rows.append({i: 1, j: -1, k: 1})
+        elif kind == "single":
+            rows.append({draw(col): draw(st.sampled_from((1, -1, 2, 3, -6)))})
+        else:
+            cs = draw(st.lists(col, min_size=min(3, n), max_size=n, unique=True))
+            rows.append({c: draw(st.integers(-3, 3).filter(bool)) for c in cs})
+    order = draw(st.permutations(range(len(rows))))
+    trips = [(r, c, v) for r, k in enumerate(order) for c, v in rows[k].items()]
+    return SparseIntMatrix(len(rows), n, trips)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_mixed_matrices())
+def test_edge_phase_matches_dense_elimination(M):
+    dense = M.to_dense()
+    ranks = [dense_rank_mod(dense, p) for p in (2, 3, P50)]
+    assert [rank_mod_p(M, p) for p in (2, 3, P50)] == ranks
+    joint = rank_mod_p(M, (2, 3, P50))
+    if len(set(ranks)) == 1:
+        assert joint in (None, ranks[0])
+    else:
+        assert joint is None
+    assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
+
+
+def test_contracted_rows_count_in_stats(f2):
+    d1 = parse_ring_matrix("a - 1 ; b - 1", f2)
+    L = linearize(d1, sanov_quotient(5, f2))
+    d = L.cols
+    for p in (P50, JOINT_PRIMES):
+        stats = {}
+        assert rank_mod_p(L, p, stats) == d - 1
+        assert stats == {"initial_nnz": L.nnz, "peak_nnz": L.nnz, "pivots": d - 1}
 
 
 # ---------------------------------------------------------------------------
