@@ -27,8 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, prod
 
-from sympy import factorint
-
+from .primes import prime_factors
 from .rank import DEFAULT_POLICY, multimodular_rank
 
 __all__ = ["character_orbits", "fourier_rank"]
@@ -67,7 +66,7 @@ def character_orbits(k, n):
 def _root_of_unity(n, p):
     """A primitive n-th root of unity mod a prime p = 1 (mod n)."""
     e = (p - 1) // n
-    factors = list(factorint(n))
+    factors = prime_factors(n)
     for x in range(2, p):
         w = pow(x, e, p)
         if all(pow(w, n // l, p) != 1 for l in factors):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from sympy import factorint
+from .primes import prime_factors
 
 __all__ = [
     "GroupFamily",
@@ -688,7 +688,7 @@ def grid_modulus(q):
 
 def _sl2_size(m):
     size = m ** 3
-    for p in factorint(m):
+    for p in prime_factors(m):
         size = size // (p * p) * (p * p - 1)
     return size
 

@@ -48,7 +48,7 @@ from itertools import groupby
 from math import prod
 from operator import itemgetter
 
-from sympy import isprime
+from .primes import isprime
 
 __all__ = [
     "RankPolicy",

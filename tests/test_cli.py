@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -513,3 +515,39 @@ def test_bench_harness_csv(tmp_path):
     assert len(lines) == 3
     ranks = {line.split(",")[5] for line in lines[1:]}
     assert len(ranks) == 1  # prime-independent on this instance
+
+
+RUNTIME_SCRIPT = """\
+import sys
+
+import soficrank
+from soficrank import FiniteTable, cli
+
+jobs = {
+    "betti": SANOV,
+    "euler": GRID,
+    "oracle": "[group]\\nfamily = finite_table\\ntable = z6.txt\\n\\n"
+              "[complex]\\nranks = 1 1\\nd1 = 1 - g2\\n\\n[run]\\npipeline = oracle\\n",
+}
+with open("z6.txt", "w") as f:
+    f.write(FiniteTable.cyclic(6).to_text())
+for name, text in jobs.items():
+    with open(name + ".cfg", "w") as f:
+        f.write(text)
+    assert cli.main(["--config", name + ".cfg", "--out", name]) == 0, name
+assert "sympy" not in sys.modules, "the runtime imports sympy"
+"""
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    # the package needs only the standard library at run time
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = RUNTIME_SCRIPT.replace("SANOV", repr(F2_BETTI_CONFIG.replace("3 15", "3 5")))
+    script = script.replace("GRID", repr(KOSZUL_EULER_CONFIG.replace("2 3 5", "4 6")))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("betti", "euler", "oracle"):
+        assert (tmp_path / name / "series.csv").read_text().count("\n") > 1

@@ -21,8 +21,9 @@ from soficrank import (
     vrk_approximants,
 )
 from soficrank import invariants
-from soficrank.fourier import character_orbits, fourier_rank
+from soficrank.fourier import _root_of_unity, character_orbits, fourier_rank
 from soficrank.groups import grid_modulus, perm_compose, perm_inverse
+from soficrank.primes import isprime
 from soficrank.rank import RankPolicy
 
 # largest grid modulus per rank, so that the sparse reference stays small
@@ -156,3 +157,12 @@ def test_grid_path_keeps_the_size_cap(z2grid):
     with pytest.raises(SizeCapExceeded):
         vrk_approximants(M, grid_sequence(2, [10]), size_cap=199)
     assert vrk_approximants(M, grid_sequence(2, [10]), size_cap=200).points[0].certified
+
+
+def test_root_of_unity_has_exact_order():
+    for n in range(1, 41):
+        primes = [p for p in range(n + 1, 10**4, n) if isprime(p)][:2]
+        assert len(primes) == 2
+        for p in primes:
+            w = _root_of_unity(n, p)
+            assert [k for k in range(1, n + 1) if pow(w, k, p) == 1] == [n]

@@ -22,7 +22,7 @@ from soficrank import (
     sanov_sequence,
     soficity_defect,
 )
-from soficrank.groups import identity_perm, perm_compose, perm_inverse, perm_power
+from soficrank.groups import _sl2_size, identity_perm, perm_compose, perm_inverse, perm_power
 
 from conftest import build_s3_table, s3_elements, then_perms
 
@@ -367,14 +367,16 @@ def test_grid_quotient_rank2_commutes():
 
 
 def test_sanov_degree_by_enumeration(f2):
-    # degree equals |SL2(Z/m)|, enumerated by brute force for m = 3
-    m = 3
-    count = sum(
-        1
-        for p in range(m) for q in range(m) for r in range(m) for s in range(m)
-        if (p * s - q * r) % m == 1
-    )
-    assert count == 24
+    # degree equals |SL2(Z/m)|, enumerated by brute force; sanov_quotient
+    # checks its degree against _sl2_size
+    for m in range(2, 13):
+        count = sum(
+            1
+            for p in range(m) for q in range(m) for r in range(m) for s in range(m)
+            if (p * s - q * r) % m == 1
+        )
+        assert _sl2_size(m) == count
+    assert _sl2_size(3) == 24
     assert sanov_quotient(3, f2).degree == 24
     assert sanov_quotient(5, f2).degree == 120
     assert sanov_quotient(15, f2).degree == 2880

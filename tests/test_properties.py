@@ -1,6 +1,7 @@
 """Property tests on random small inputs over Z/n (n <= 6) and S_3 at their
-regular models: the complex pipelines against the finite-group oracle, and
-the module pipelines against Bareiss ranks."""
+regular models: the complex pipelines against the finite-group oracle, the
+module pipelines against Bareiss ranks, and the additivity defect against
+the Betti number of the complex it measures."""
 
 from fractions import Fraction
 
@@ -16,11 +17,13 @@ from soficrank import (
     build_complex,
     euler_approximants,
     finite_group_exact_betti,
+    juzvinskii_defect,
     linearize,
     literal_mean_rank_point,
     mrk_j_approximants,
     rank_dense_bareiss,
     regular_sequence,
+    relative_vrk_approximants,
     vrk_approximants,
 )
 from conftest import build_s3_table
@@ -117,3 +120,51 @@ def test_module_ranks_match_bareiss(M):
     std = FiniteSubgroupSpec(fam, n, basis)
     literal = literal_mean_rank_point(M, std, std, fam.elements(), q)
     assert literal.value == expected and literal.certified
+
+
+@st.composite
+def kernel_complexes(draw):
+    """A two-term complex with d_1[k][j] = (1 - h_k) b_kj and kernel rows K
+    with K[i][k] = a_ik c_k N_{h_k}, c_k in {1, 2}, so K d_1 = 0; or K = None."""
+    fam = draw(st.sampled_from(GROUPS))
+    n2, n1, n0 = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    hs = [draw(st.sampled_from(fam.elements())) for _ in range(n1)]
+    vs = [RingElement.one(fam) - RingElement.monomial(h) for h in hs]
+    d1 = RingMatrix(fam, [[v * draw(ring_elements(fam)) for _ in range(n0)] for v in vs])
+    C = build_complex(fam, [n1, n0], [d1])
+    if draw(st.booleans()):
+        return C, None
+    us = [orbit_sum(h) * draw(st.sampled_from([1, 2])) for h in hs]
+    K = RingMatrix(fam, [[draw(ring_elements(fam)) * u for u in us] for _ in range(n2)])
+    return C, K
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_complexes())
+def test_defect_is_the_betti_number_of_the_kernel_complex(case):
+    # value = n_1 - (rank K + rank d_1)/g, degree 1 of the complex K -> d_1
+    C, K = case
+    full = C
+    if K is not None:
+        ranks = [K.rows, C.rank_of(1), C.rank_of(0)]
+        full = build_complex(C.family, ranks, [K, C.differential(1)])
+    (point,) = juzvinskii_defect(C, regular_sequence(C.family), K).points
+    assert point.value == finite_group_exact_betti(full)[1] and point.certified
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.data())
+def test_relative_rank_matches_bareiss(M, data):
+    fam, n = M.family, M.free_rank
+    (q,) = Q = regular_sequence(fam)
+    vector = st.lists(ring_elements(fam), min_size=n, max_size=n)
+    gens = data.draw(st.lists(vector, min_size=1, max_size=2))
+    relations = [] if M.relations is None else [list(row) for row in M.relations.entries]
+
+    def rank(rows):
+        return rank_dense_bareiss(linearize(RingMatrix(fam, rows), q).to_dense()) if rows else 0
+
+    expected = Fraction(rank(relations + gens) - rank(relations), fam.order)
+    spec = FiniteSubgroupSpec(fam, n, gens)
+    (point,) = relative_vrk_approximants(M, spec, Q).points
+    assert point.value == expected and point.certified

@@ -51,10 +51,11 @@ def test_mod_p_rank_drop():
 
 def test_p_must_be_prime():
     m = SparseIntMatrix.from_dense([[1]])
-    with pytest.raises(ValueError):
-        rank_mod_p(m, 6)
-    with pytest.raises(ValueError):
-        rank_mod_p(m, 1 << 63)
+    # a Carmichael number and a strong pseudoprime to the first nine prime bases
+    for p in (0, 1, 6, 561, 3825123056546413051, 1 << 63):
+        with pytest.raises(ValueError):
+            rank_mod_p(m, p)
+    assert rank_mod_p(m, 2**61 - 1) == 1
 
 
 def test_mod_p_matches_oracle_on_randoms():
