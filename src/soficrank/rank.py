@@ -21,6 +21,16 @@ kernel of the map summing coordinates over each component, over any ring,
 so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
 included, and for a product of primes.
 
+Next, every residual column whose residues mod the modulus in use equal
+those of an earlier column is dropped: a column that repeats another adds
+nothing to the column space, so the rank is unchanged.  At a regular model
+a differential that is a right multiple of a norm element N_H has columns
+constant on H-orbits, and all but one of each orbit's copies would
+otherwise be carried through every row operation.  Columns equal modulo a
+product N of primes are equal modulo every prime factor of N, so the
+dropped matrix has the same rank over each F_{p_i} as the full one, and
+the joint pass below stays exact.
+
 Given a tuple of distinct primes p_1..p_k, rank_mod_p eliminates once
 modulo their product N.  While every pivot is a unit mod N, the run reduces
 mod each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
@@ -120,8 +130,10 @@ def rank_mod_p(M, p, stats=None):
     The edge rows (+-(e_i - e_j) over Z) are first contracted by a
     union-find over the columns, each union one pivot.  The other rows, with
     each column replaced by the root of its component and the merged
-    coefficients summed mod p, go to Markowitz elimination.  This is exact
-    for every prime and for a product of primes (see the module docstring).
+    coefficients summed mod p, go to Markowitz elimination, less every
+    column whose residues equal those of an earlier column.  Both steps are
+    exact for every prime and for a product of primes (see the module
+    docstring).
 
     ``p`` may also be a tuple of distinct machine-word primes.  The matrix
     is then eliminated once modulo their product, and the common rank over
@@ -130,8 +142,9 @@ def rank_mod_p(M, p, stats=None):
 
     ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
     ``pivots`` (fill-in is peak minus initial); contracted edge rows count
-    in the nonzeros and their unions in the pivots.  An abandoned joint
-    pass reports the pivots made before it stopped.
+    in the nonzeros and their unions in the pivots, and dropped columns
+    count in the initial nonzeros.  An abandoned joint pass reports the
+    pivots made before it stopped.
     """
     if isinstance(p, tuple):
         primes = [_check_prime(q) for q in p]
@@ -166,13 +179,25 @@ def rank_mod_p(M, p, stats=None):
             v %= p
             if v:
                 rows.setdefault(r, {})[c] = v
-    cols = {}
+    entries = {}  # column -> its rows and residues, interleaved
     for r, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-    nnz = sum(len(row) for row in rows.values())
+        for c, v in row.items():
+            entries.setdefault(c, []).extend((r, v))
     if not unions:
-        initial_nnz = nnz
+        initial_nnz = sum(len(row) for row in rows.values())
+    # a column equal mod p to an earlier one adds nothing to the rank: drop it
+    cols = {}
+    seen = set()
+    for c, col in entries.items():
+        key = tuple(col)
+        if key in seen:
+            for r in col[::2]:
+                del rows[r][c]
+        else:
+            seen.add(key)
+            cols[c] = set(col[::2])
+    del entries, seen
+    nnz = sum(len(row) for row in rows.values())
     peak_nnz = initial_nnz
     heap = []
     for c, s in cols.items():

@@ -358,6 +358,31 @@ def test_pipelines_match_oracle_on_regular_stage(s3):
             assert mrk_j_approximants(C, Q, j).points[0].value == oracle[j]
 
 
+def test_norm_multiple_matches_oracle(s3, count_calls):
+    """d1 = A * (1 + s + s^2) with s of order 3: the columns of L(d1) are
+    constant on the orbits of s, so two in three repeat one before them."""
+    from soficrank import rank
+
+    z6 = FiniteTable.cyclic(6)
+    for fam, s in ((s3, s3.element(4)), (z6, z6.element(2))):
+        g = [fam.element(i) for i in range(fam.order)]
+        one = RingElement.one(fam)
+        norm = one + RingElement.monomial(s) + RingElement.monomial(s * s)
+        A = [[3 * one - RingElement.monomial(g[1]), one + 2 * RingElement.monomial(g[5])],
+             [RingElement.monomial(g[3]) - one, 2 * one + RingElement.monomial(g[1] * g[3])]]
+        d1 = RingMatrix(fam, [[a * norm for a in row] for row in A])
+        L = linearize(d1, regular_quotient(fam))
+        assert len({tuple(col) for col in zip(*L.to_dense())}) == L.cols // 3
+        C = build_complex(fam, (2, 2), [d1])
+        oracle = finite_group_exact_betti(C)
+        calls = count_calls(rank, "rank_mod_p")
+        Q = regular_sequence(fam)
+        for j in (0, 1):
+            point = betti_approximants(C, Q, j).points[0]
+            assert (point.value, point.certified) == (oracle[j], True)
+        assert calls
+
+
 # ---------------------------------------------------------------------------
 # literal mean rank
 

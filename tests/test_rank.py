@@ -253,6 +253,93 @@ def test_contracted_rows_count_in_stats(f2):
 
 
 # ---------------------------------------------------------------------------
+# repeated columns: a column equal mod p to an earlier one is dropped
+
+@st.composite
+def repeated_column_matrices(draw):
+    """Columns repeated exactly, equal only mod 2 or 3 (c and c +- p*e_r),
+    or equal only once the edge phase reads them through find (c beside
+    x and y with x + y = c and an edge row joining x and y), among edge
+    rows and wide rows; rows and columns shuffled."""
+    m = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    cols = [
+        draw(st.dictionaries(st.integers(0, m - 1), entry.filter(bool), max_size=m))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    extra = []  # rows below the first m, each a dict column -> value
+
+    def some_col():
+        return draw(st.integers(0, len(cols) - 1))
+
+    kinds = ["copy", "mod", "split", "edge", "wide"]
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(kinds))
+        n = len(cols)
+        s = draw(st.sampled_from((1, -1)))
+        if kind == "copy":
+            cols.append(dict(cols[some_col()]))
+        elif kind == "mod":
+            col = dict(cols[some_col()])
+            r, p = draw(st.integers(0, m - 1)), draw(st.sampled_from((2, 3)))
+            col[r] = col.get(r, 0) + s * p
+            cols.append({r: v for r, v in col.items() if v})
+        elif kind == "split":
+            base = cols[some_col()]
+            x = {r: draw(entry) for r in base}
+            cols.append({r: v for r, v in x.items() if v})
+            cols.append({r: v - x[r] for r, v in base.items() if v != x[r]})
+            extra.append({n: s, n + 1: -s})
+        elif kind == "edge" and n > 1:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            extra.append({i: s, j: -s})
+        elif kind == "wide":
+            cs = draw(st.lists(st.integers(0, n - 1), min_size=min(3, n), max_size=n, unique=True))
+            extra.append({c: draw(entry.filter(bool)) for c in cs})
+    row_order = draw(st.permutations(range(m + len(extra))))
+    col_order = draw(st.permutations(range(len(cols))))
+    trips = [(row_order[r], col_order[c], v) for c, col in enumerate(cols) for r, v in col.items()]
+    trips += [(row_order[m + k], col_order[c], v)
+              for k, row in enumerate(extra) for c, v in row.items()]
+    return SparseIntMatrix(m + len(extra), len(cols), trips)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_column_matrices())
+def test_repeated_columns_match_dense_elimination(M):
+    dense = M.to_dense()
+    ranks = [dense_rank_mod(dense, p) for p in (2, 3, P50)]
+    assert [rank_mod_p(M, p) for p in (2, 3, P50)] == ranks
+    joint = rank_mod_p(M, (2, 3, P50))
+    if len(set(ranks)) == 1:
+        assert joint in (None, ranks[0])
+    else:
+        assert joint is None
+    assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
+
+
+def test_dropped_columns_count_in_stats(f2):
+    rng = random.Random(107)
+    base = random_sparse(rng, 12, 5, per_row=3).to_dense()
+    tripled = SparseIntMatrix.from_dense([row * 3 for row in base])
+    rank = rational_rank(base)
+    # the same columns beside the edge rows of a Sanov model
+    d1 = parse_ring_matrix("a - 1 ; b - 1", f2)
+    L = linearize(d1, sanov_quotient(5, f2))
+    edged = SparseIntMatrix(
+        L.rows + tripled.rows, L.cols + tripled.cols,
+        list(L.triplets) + [(L.rows + r, L.cols + c, v) for r, c, v in tripled.triplets])
+    for M, want in ((tripled, rank), (edged, L.cols - 1 + rank)):
+        for p in (P50, JOINT_PRIMES):
+            stats = {}
+            assert rank_mod_p(M, p, stats) == want
+            assert set(stats) == {"initial_nnz", "peak_nnz", "pivots"}
+            assert stats["initial_nnz"] == M.nnz
+            assert stats["pivots"] == want
+            assert stats["peak_nnz"] >= stats["initial_nnz"]
+
+
+# ---------------------------------------------------------------------------
 # rank_over_rationals
 
 def test_identity_certified():
