@@ -405,8 +405,10 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
     """Exact homology-rank densities over a finite-table group.
 
     Uses the regular model of degree g = |G| and unconditional dense
-    fraction-free ranks; a single exact stage, no limit involved.  Serves
-    as the brute-force oracle for the approximant pipelines.
+    fraction-free ranks over Z (rank_dense_bareiss: exact repeated columns
+    dropped, no primes); a single exact stage, no limit involved.  Serves
+    as the brute-force oracle for the approximant pipelines, and shares no
+    step with their modular engine.
     """
     fam = C.family
     if not isinstance(fam, FiniteTable):

@@ -47,6 +47,15 @@ abandoned, and finally to exact fraction-free (Bareiss) elimination when
 the matrix is small enough.  fourier.fourier_rank runs it with primes
 p = 1 (mod n) and the character split of a grid model of (Z/n)^k, whose
 value at each prime is also a lower bound (see that module).
+
+rank_dense_bareiss is the exact engine, behind that fallback and behind
+invariants.finite_group_exact_betti, the finite-group oracle.  It keeps
+each column that is not an exact repeat over Z of an earlier one (a
+repeated column adds nothing to the column space, so the rank over Q is
+unchanged) and runs fraction-free elimination on those, with no prime
+and no step shared with rank_mod_p.  Its key, the exact integers, is
+narrower than rank_mod_p's residues, so a wrong drop in the modular
+engine cannot be masked by the oracle.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from dataclasses import dataclass
 from heapq import heappush, heappop
 from itertools import groupby
 from math import prod
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .primes import isprime
 
@@ -268,10 +277,23 @@ def rank_mod_p(M, p, stats=None):
 
 
 def rank_dense_bareiss(dense_rows):
-    """Exact rank by fraction-free (Bareiss) elimination on a dense copy."""
-    A = [list(map(int, r)) for r in dense_rows]
+    """Exact rank over Q of an integer matrix given as dense rows.
+
+    The working copy holds each distinct column once, in the order of its
+    first occurrence: a column that exactly repeats an earlier one over Z
+    adds nothing to the column space, so the rank is unchanged.
+    Fraction-free (Bareiss) elimination then runs on that copy, with no
+    prime anywhere.  Rows of unequal length raise ValueError, and an entry
+    that is not an integer raises TypeError (operator.index), since
+    truncating either would give a wrong exact rank.
+    """
+    n = len(dense_rows[0]) if dense_rows else 0
+    if any(len(r) != n for r in dense_rows):
+        raise ValueError("rank_dense_bareiss needs rows of equal length")
+    cols = dict.fromkeys(tuple(map(index, c)) for c in zip(*dense_rows))
+    A = [list(r) for r in zip(*cols)]
     m = len(A)
-    n = len(A[0]) if m else 0
+    n = len(cols)
     prev = 1
     r = 0
     for j in range(n):

@@ -383,6 +383,33 @@ def test_norm_multiple_matches_oracle(s3, count_calls):
         assert calls
 
 
+def test_oracle_is_exact_over_z_without_primes(s3, count_calls):
+    """The oracle shares no step with the modular engine: on the same
+    norm-multiple d1, finite_group_exact_betti calls neither rank_mod_p nor
+    isprime, and each value is (n_j g - r_j - r_{j+1}) / g with the ranks
+    taken by Fraction-Gauss elimination of the linearization."""
+    from soficrank import rank
+
+    modular = count_calls(rank, "rank_mod_p")
+    primality = count_calls(rank, "isprime")
+    z6 = FiniteTable.cyclic(6)
+    for fam, s in ((s3, s3.element(4)), (z6, z6.element(2))):
+        g = [fam.element(i) for i in range(fam.order)]
+        one = RingElement.one(fam)
+        norm = one + RingElement.monomial(s) + RingElement.monomial(s * s)
+        A = [[3 * one - RingElement.monomial(g[1]), one + 2 * RingElement.monomial(g[5])],
+             [RingElement.monomial(g[3]) - one, 2 * one + RingElement.monomial(g[1] * g[3])]]
+        d1 = RingMatrix(fam, [[a * norm for a in row] for row in A])
+        C = build_complex(fam, (2, 2), [d1])
+        oracle = finite_group_exact_betti(C)
+        assert (modular, primality) == ([], [])
+        ranks = {1: rational_rank(linearize(d1, regular_quotient(fam)).to_dense())}
+        assert oracle == [
+            Fraction(C.rank_of(j) * fam.order - ranks.get(j, 0) - ranks.get(j + 1, 0), fam.order)
+            for j in (0, 1)
+        ]
+
+
 # ---------------------------------------------------------------------------
 # literal mean rank
 

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soficrank import (
@@ -370,6 +371,58 @@ def test_bareiss_matches_fraction_gauss():
         cols = rng.randrange(1, 10)
         m = random_sparse(rng, rows, cols, per_row=min(cols, 4))
         assert rank_dense_bareiss(m.to_dense()) == rational_rank(m.to_dense())
+
+
+@st.composite
+def bareiss_column_matrices(draw):
+    """Dense rows whose columns repeat an earlier one exactly, are zero, or
+    equal one only up to sign (the whole column or some entries), up to a
+    scalar, or on the support; columns shuffled."""
+    m = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3)
+    cols = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["copy", "zero", "negate", "scale", "flip", "support"]))
+        if kind == "zero" or not cols:
+            cols.append([0] * m)
+            continue
+        c = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "copy":
+            cols.append(list(c))
+        elif kind == "negate":
+            cols.append([-v for v in c])
+        elif kind == "scale":
+            k = draw(st.sampled_from((2, 3, -2)))
+            cols.append([k * v for v in c])
+        elif kind == "flip":
+            cols.append([draw(st.sampled_from((v, -v))) for v in c])
+        else:
+            cols.append([draw(entry.filter(bool)) if v else 0 for v in c])
+    cols = draw(st.permutations(cols))
+    return [[col[i] for col in cols] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bareiss_column_matrices())
+@example([])  # 0 x n
+@example([[], [], []])  # m x 0
+@example([[0]])
+@example([[-2]])
+def test_bareiss_repeated_columns_match_fraction_gauss(dense):
+    assert rank_dense_bareiss(dense) == rational_rank(dense)
+
+
+def test_bareiss_rejects_ragged_rows():
+    # a width read from the first row would give rank 0; the true rank is 1
+    with pytest.raises(ValueError):
+        rank_dense_bareiss([[0], [0, 1]])
+
+
+@pytest.mark.parametrize("dense", [[[Fraction(1, 2)]], [[0.5, 1], [1, 2]]])
+def test_bareiss_rejects_non_integers(dense):
+    # int() would truncate these to rank 0 and 2; the true ranks are 1 and 1
+    with pytest.raises(TypeError):
+        rank_dense_bareiss(dense)
 
 
 def test_rank_deficient_products():
