@@ -31,8 +31,6 @@ from .linearize import (
     SizeCapExceeded,
     SparseIntMatrix,
     linearize,
-    quotient_complex,
-    read_matrix_market,
     write_matrix_market,
 )
 from .rank import (
@@ -41,7 +39,6 @@ from .rank import (
     rank_dense_bareiss,
     rank_mod_p,
     rank_over_rationals,
-    smith_normal_form,
 )
 from .invariants import (
     ApproximantSeries,
@@ -56,7 +53,6 @@ from .invariants import (
     juzvinskii_defect,
     literal_mean_rank,
     literal_mean_rank_point,
-    model_diagnostics,
     mrk_j_approximants,
     relative_vrk_approximants,
     series_to_csv,

@@ -1,22 +1,17 @@
-"""Benchmark harness for the sparse mod-p rank engine.
+"""Deterministic sparse test matrices for the mod-p rank engine.
 
-Builds deterministic sparse test matrices and emits a CSV with one row per
-(matrix, prime): label, rows, cols, nnz, prime, rank, milliseconds, and the
-peak stored nonzeros during elimination (fill-in indicator).
+benchmark_matrix builds the block-diagonal matrix that acceptance
+criterion 6 ranks at total dimension 1e5.  The end-to-end benchmark of the
+pipelines lives in ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import random
-import sys
-import time
 
 from .linearize import SparseIntMatrix
-from .rank import _draw_primes, rank_mod_p
 
-__all__ = ["benchmark_matrix", "run_benchmark", "main"]
+__all__ = ["benchmark_matrix"]
 
 
 def benchmark_matrix(total_dim=100_000, block=40, nnz_per_row=10, seed=0):
@@ -39,64 +34,3 @@ def benchmark_matrix(total_dim=100_000, block=40, nnz_per_row=10, seed=0):
                     trips.append((start + i, start + c, v))
         start += size
     return SparseIntMatrix(n, n, trips)
-
-
-def run_benchmark(out, total_dim=100_000, block=40, nnz_per_row=10, primes=3,
-                  prime_bits=(50, 62), seed=0):
-    M = benchmark_matrix(total_dim, block, nnz_per_row, seed)
-    rng = random.Random(seed)
-    ps = _draw_primes(rng, prime_bits, primes, [])
-    label = "blocks%d-dim%d" % (block, total_dim)
-    rows = []
-    for p in ps:
-        stats = {}
-        t0 = time.perf_counter()
-        r = rank_mod_p(M, p, stats)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            [label, M.rows, M.cols, M.nnz, p, r, "%.1f" % ms, stats["peak_nnz"]]
-        )
-    close = False
-    if isinstance(out, str):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(
-            ["label", "rows", "cols", "nnz", "prime", "rank", "milliseconds", "peak_nnz"]
-        )
-        w.writerows(rows)
-    finally:
-        if close:
-            out.close()
-    return rows
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="soficrank-bench", description="sparse rank engine benchmark"
-    )
-    parser.add_argument("--total-dim", type=int, default=100_000)
-    parser.add_argument("--block", type=int, default=40)
-    parser.add_argument("--nnz-per-row", type=int, default=10)
-    parser.add_argument("--primes", type=int, default=3)
-    parser.add_argument("--bits", type=int, nargs=2, default=(50, 62))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="bench.csv")
-    args = parser.parse_args(argv)
-    rows = run_benchmark(
-        args.out,
-        total_dim=args.total_dim,
-        block=args.block,
-        nnz_per_row=args.nnz_per_row,
-        primes=args.primes,
-        prime_bits=tuple(args.bits),
-        seed=args.seed,
-    )
-    for row in rows:
-        print(" ".join(str(x) for x in row))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

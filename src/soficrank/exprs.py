@@ -133,6 +133,10 @@ class _Parser:
             if kind == "OP" and val == "*":
                 self.advance()
                 kind, val, pos = self.peek()
+                if not (kind == "NAME" or (kind == "INT" and val == "1")):
+                    raise ParseError(
+                        "expected a factor after '*', got %r" % (val or "end"), pos
+                    )
         elif kind == "INT" and val == "1":
             # a lone '1' is the identity factor; handled by the factor loop
             pass

@@ -8,8 +8,7 @@ euler, mrk_j) rank each differential they need once per stage
 (_stage_ranks) and read every value of that stage from the one table; no
 rank outlives the call that computed it.  Heuristic (non-genuine)
 models are rejected by the homology pipelines, because the image need not
-sit inside the kernel there; model_diagnostics exposes the raw ranks and
-the composite check for such models instead.
+sit inside the kernel there.
 
 Ranks of differentials and relation matrices come from _model_rank.  At the
 translation model of (Z/n)^k it splits the rank over characters without
@@ -66,7 +65,6 @@ __all__ = [
     "finite_group_exact_betti",
     "literal_mean_rank",
     "literal_mean_rank_point",
-    "model_diagnostics",
     "series_to_csv",
 ]
 
@@ -567,29 +565,3 @@ def literal_mean_rank_point(
     certified = finite and cert_rel and cert_full
     return SeriesPoint(d, Fraction(rank_full - rank_rel, d), certified)
 
-
-# ---------------------------------------------------------------------------
-# diagnostics for heuristic models
-
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    degree: int
-    differential_ranks: tuple  # (degree j, rank, certified) top-down
-    composites_zero: tuple  # adjacency flags, top-down
-
-
-def model_diagnostics(C, q, policy=None, size_cap=DEFAULT_SIZE_CAP):
-    """Raw ranks plus composite-vanishing flags at any model (no genuineness
-    required); for heuristic models the composite typically fails, which is
-    exactly why homology ranks are undefined there."""
-    policy = policy or DEFAULT_POLICY
-    mats = [linearize(dm, q, size_cap) for dm in C.differentials]
-    ranks = []
-    k = C.top_degree
-    for i, m in enumerate(mats):
-        result = rank_over_rationals(m, policy)
-        ranks.append((k - i, result.rank, result.certified))
-    composites = tuple(
-        (upper * lower).is_zero() for upper, lower in zip(mats, mats[1:])
-    )
-    return ModelDiagnostics(q.degree, tuple(ranks), composites)

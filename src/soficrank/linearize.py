@@ -5,11 +5,13 @@ Block layout for an m x n ring matrix at a degree-d model: rows are indexed
 by (v, j) as v*m + j and columns by (w, k) as w*n + k (v-major, block-minor,
 so permutation blocks stay contiguous).  The block for source j and target k
 is sum_s f_jk(s) P(s), where P(s) maps basis vector delta_w to
-delta_{sigma(s) w}.  With this orientation linearize(A*B) equals
-linearize(A) * linearize(B) for genuine models.
+delta_{sigma(s) w}.  With this orientation linearize(A*B) is the matrix
+product of linearize(A) and linearize(B) for genuine models.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .groups import extend_to_word
 from .ring import RingMatrix
@@ -19,9 +21,7 @@ __all__ = [
     "SizeCapExceeded",
     "check_size_cap",
     "linearize",
-    "quotient_complex",
     "write_matrix_market",
-    "read_matrix_market",
     "DEFAULT_SIZE_CAP",
 ]
 
@@ -36,7 +36,9 @@ class SparseIntMatrix:
     """Sparse matrix of arbitrary-precision integers.
 
     Triplets (row, col, value) are deduplicated (duplicates are summed),
-    zero values dropped, and stored sorted by (row, col).
+    zero values dropped, and stored sorted by (row, col).  A value that is
+    not an integer raises TypeError (operator.index) rather than being
+    truncated.
     """
 
     __slots__ = ("rows", "cols", "triplets")
@@ -50,7 +52,7 @@ class SparseIntMatrix:
         for r, c, v in triplets:
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError("triplet index out of range: (%d,%d)" % (r, c))
-            v = int(v)
+            v = index(v)
             if not v:
                 continue
             key = (r, c)
@@ -67,18 +69,12 @@ class SparseIntMatrix:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, [(i, i, 1) for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
     def from_dense(cls, rows_of_ints):
         data = [list(r) for r in rows_of_ints]
         m = len(data)
         n = len(data[0]) if m else 0
+        if any(len(row) != n for row in data):
+            raise ValueError("from_dense needs rows of equal length")
         trips = [
             (i, j, v)
             for i, row in enumerate(data)
@@ -105,12 +101,6 @@ class SparseIntMatrix:
             out[r][c] = v
         return out
 
-    def row_maps(self):
-        rows = [dict() for _ in range(self.rows)]
-        for r, c, v in self.triplets:
-            rows[r][c] = v
-        return rows
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseIntMatrix)
@@ -118,34 +108,6 @@ class SparseIntMatrix:
             and self.cols == other.cols
             and self.triplets == other.triplets
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.triplets))
-
-    def __mul__(self, other):
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in sparse product")
-        brows = other.row_maps()
-        acc = {}
-        for r, k, v in self.triplets:
-            for c, w in brows[k].items():
-                key = (r, c)
-                n = acc.get(key, 0) + v * w
-                if n:
-                    acc[key] = n
-                else:
-                    del acc[key]
-        return SparseIntMatrix(
-            self.rows, other.cols, [(r, c, v) for (r, c), v in acc.items()]
-        )
-
-    @staticmethod
-    def block_diag(a, b):
-        trips = list(a.triplets)
-        trips.extend((r + a.rows, c + a.cols, v) for r, c, v in b.triplets)
-        return SparseIntMatrix(a.rows + b.rows, a.cols + b.cols, trips)
 
     def __repr__(self):
         return "SparseIntMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz)
@@ -187,24 +149,6 @@ def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
     return SparseIntMatrix(m * d, n * d, trips)
 
 
-def quotient_complex(C, q, size_cap=DEFAULT_SIZE_CAP):
-    """Linearize every differential of a valid complex at a genuine model.
-
-    Returns the matrices in the same top-down order as C.differentials and
-    verifies that adjacent products are exactly zero.
-    """
-    if not q.genuine:
-        raise ValueError(
-            "quotient_complex requires a genuine model; "
-            "use model_diagnostics for heuristic models"
-        )
-    mats = [linearize(d, q, size_cap) for d in C.differentials]
-    for upper, lower in zip(mats, mats[1:]):
-        if not (upper * lower).is_zero():
-            raise RuntimeError("nonzero composite after linearization")
-    return mats
-
-
 # -- MatrixMarket coordinate interchange (1-based, integer field) ----------
 
 def write_matrix_market(M, f):
@@ -217,29 +161,6 @@ def write_matrix_market(M, f):
         f.write("%d %d %d\n" % (M.rows, M.cols, M.nnz))
         for r, c, v in M.triplets:
             f.write("%d %d %d\n" % (r + 1, c + 1, v))
-    finally:
-        if close:
-            f.close()
-
-
-def read_matrix_market(f):
-    close = False
-    if isinstance(f, str):
-        f = open(f)
-        close = True
-    try:
-        header = f.readline()
-        if "coordinate" not in header or "integer" not in header:
-            raise ValueError("unsupported MatrixMarket header: %r" % header)
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        rows, cols, nnz = (int(x) for x in line.split())
-        trips = []
-        for _ in range(nnz):
-            r, c, v = f.readline().split()
-            trips.append((int(r) - 1, int(c) - 1, int(v)))
-        return SparseIntMatrix(rows, cols, trips)
     finally:
         if close:
             f.close()

@@ -1,5 +1,4 @@
-"""Exact rank over Q and over F_p, and Smith normal form, for sparse integer
-matrices.
+"""Exact rank over Q and over F_p for sparse integer matrices.
 
 rank_mod_p runs sparse Gaussian elimination with Markowitz-style pivoting:
 at each step the active column with the fewest nonzeros is selected (ties
@@ -76,7 +75,6 @@ __all__ = [
     "rank_over_rationals",
     "multimodular_rank",
     "rank_dense_bareiss",
-    "smith_normal_form",
     "DEFAULT_POLICY",
 ]
 
@@ -436,131 +434,3 @@ def rank_over_rationals(M, policy=None):
     exact = rank_dense_bareiss(M.to_dense())
     return RankResult(exact, "dense_fraction_free", result.primes_used, True)
 
-
-def _xgcd(a, b):
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
-def smith_normal_form(M, max_total_dim=200):
-    """Invariant factors d_1 | d_2 | ... of a sparse integer matrix.
-
-    Returns a tuple of length min(rows, cols); the number of nonzero
-    entries equals the rank over Q.  Dense computation, guarded by
-    ``max_total_dim``.  Clearing uses 2x2 unimodular (extended-gcd)
-    transforms, which land the gcd in the pivot in one step and keep the
-    clear-column/clear-row alternation logarithmic.
-    """
-    if M.total_dimension > max_total_dim:
-        raise ValueError(
-            "matrix total dimension %d exceeds SNF threshold %d"
-            % (M.total_dimension, max_total_dim)
-        )
-    A = M.to_dense()
-    m = M.rows
-    n = M.cols
-    size = min(m, n)
-
-    def clear_column(k):
-        Ak = A[k]
-        for i in range(k + 1, m):
-            Ai = A[i]
-            b = Ai[k]
-            if not b:
-                continue
-            a = Ak[k]
-            if b % a == 0:
-                q = b // a
-                for j in range(k, n):
-                    Ai[j] -= q * Ak[j]
-            else:
-                x, y, g = _xgcd(a, b)
-                ca, cb = a // g, b // g
-                for j in range(k, n):
-                    u, v = Ak[j], Ai[j]
-                    Ak[j] = x * u + y * v
-                    Ai[j] = ca * v - cb * u
-
-    def clear_row(k):
-        changed_pivot_column = False
-        for j in range(k + 1, n):
-            b = A[k][j]
-            if not b:
-                continue
-            a = A[k][k]
-            if b % a == 0:
-                q = b // a
-                for row in A:
-                    row[j] -= q * row[k]
-            else:
-                x, y, g = _xgcd(a, b)
-                ca, cb = a // g, b // g
-                for row in A:
-                    u, v = row[k], row[j]
-                    row[k] = x * u + y * v
-                    row[j] = ca * v - cb * u
-                changed_pivot_column = True
-        return changed_pivot_column
-
-    for k in range(size):
-        pivot = None
-        best = None
-        for i in range(k, m):
-            Ai = A[i]
-            for j in range(k, n):
-                v = Ai[j]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-        while True:
-            clear_column(k)
-            # exact column steps leave column k alone; gcd steps shrink the
-            # pivot by at least half, so this loop runs O(log |pivot|) times
-            if not clear_row(k):
-                break
-            if all(A[i][k] == 0 for i in range(k + 1, m)):
-                break
-    diag = [abs(A[i][i]) for i in range(size)]
-    # enforce the divisibility chain on the diagonal
-    from math import gcd
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size):
-            for j in range(i + 1, size):
-                a, b = diag[i], diag[j]
-                if a and b % a == 0:
-                    continue
-                if a == 0 and b == 0:
-                    continue
-                g = gcd(a, b)
-                l = a * b // g if g else 0
-                if (g, l) != (a, b):
-                    diag[i], diag[j] = g, l
-                    changed = True
-    nz = sorted(x for x in diag if x)
-    return tuple(nz + [0] * (size - len(nz)))

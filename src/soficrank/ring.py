@@ -290,18 +290,6 @@ class RingMatrix:
             raise ValueError("stack needs equal families and column counts")
         return RingMatrix(self.family, self.entries + other.entries)
 
-    @staticmethod
-    def block_diag(a, b):
-        if a.family != b.family:
-            raise ValueError("families differ")
-        z = RingElement.zero(a.family)
-        out = []
-        for row in a.entries:
-            out.append(list(row) + [z] * b.cols)
-        for row in b.entries:
-            out.append([z] * a.cols + list(row))
-        return RingMatrix(a.family, out)
-
     def __str__(self):
         return "[" + "; ".join(
             ", ".join(str(x) for x in row) for row in self.entries

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from soficrank.cli import ConfigError, load_config, main
+from soficrank.linearize import linearize
 
 F2_BETTI_CONFIG = """\
 # free-group two-term complex, homology-rank density in degree 1
@@ -358,10 +360,18 @@ def test_matrix_dumps(tmp_path):
     cfg = write(tmp_path, "job.cfg", F2_BETTI_CONFIG.replace("3 15", "3"))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--dump-matrices"]) == 0
-    dumps = [p for p in os.listdir(out) if p.endswith(".mtx")]
-    assert dumps
-    text = (out / dumps[0]).read_text()
-    assert text.startswith("%%MatrixMarket")
+    job = load_config(cfg)
+    C = job.complex
+    expected = {}
+    for qi, q in enumerate(job.quotients):
+        for j in range(1, C.top_degree + 1):
+            expected["matrix_stage%d_d%d.mtx" % (qi, j)] = linearize(C.differential(j), q)
+    assert sorted(p for p in os.listdir(out) if p.endswith(".mtx")) == sorted(expected)
+    for name, m in expected.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
+        assert lines[1] == "%d %d %d" % (m.rows, m.cols, m.nnz)
+        assert lines[2:] == ["%d %d %d" % (r + 1, c + 1, v) for r, c, v in m.triplets]
 
 
 def test_config_errors_carry_location(tmp_path):
@@ -453,6 +463,9 @@ BAD_CONFIGS = {
     # a missing key is located at its section
     "missing_rank": (_replace(F2_BETTI_CONFIG, "rank = 2\n", ""), "[group]"),
     "unread_differential": (_replace(F2_BETTI_CONFIG, "d1 = ", "d3 =\nd1 = "), "d3 ="),
+    "dangling_star": (
+        _replace(F2_BETTI_CONFIG, "d1 = a - 1 ; b - 1", "d1 = a - 1 ; 3*"), "d1 = a - 1 ; 3*"
+    ),
     "betti_without_complex": (
         _replace(F2_BETTI_CONFIG, "[complex]\nranks = 2 1\nd1 = a - 1 ; b - 1\n", ""),
         "pipeline = betti",
@@ -499,24 +512,6 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
         load_config(missing)
 
 
-def test_bench_harness_csv(tmp_path):
-    from soficrank.bench import main as bench_main
-
-    out = str(tmp_path / "bench.csv")
-    assert (
-        bench_main(
-            ["--total-dim", "400", "--block", "10", "--nnz-per-row", "4",
-             "--primes", "2", "--out", out]
-        )
-        == 0
-    )
-    lines = open(out).read().splitlines()
-    assert lines[0] == "label,rows,cols,nnz,prime,rank,milliseconds,peak_nnz"
-    assert len(lines) == 3
-    ranks = {line.split(",")[5] for line in lines[1:]}
-    assert len(ranks) == 1  # prime-independent on this instance
-
-
 RUNTIME_SCRIPT = """\
 import sys
 
@@ -551,3 +546,15 @@ def test_runtime_never_imports_sympy(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("betti", "euler", "oracle"):
         assert (tmp_path / name / "series.csv").read_text().count("\n") > 1
+
+
+def test_project_scripts_resolve():
+    # a console script left pointing at deleted code would fail only when run
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

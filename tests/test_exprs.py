@@ -26,6 +26,7 @@ def test_coefficient_and_inverse_exponent(f2):
     assert f.coefficient(a * ~b) == 2
     assert f.coefficient(f2.identity()) == -3
     assert len(f.terms) == 2
+    assert parse_ring_element("3*a", f2) == RingElement.monomial(a, 3)
 
 
 def test_commuting_normal_form_cancels(z2grid):
@@ -64,6 +65,11 @@ def test_syntax_errors_carry_positions(f2):
     assert err.value.position == 2
     with pytest.raises(ParseError):
         parse_ring_element("a ^ b", f2)
+    # a '*' after a coefficient needs a factor
+    for text, position in (("3*", 2), ("-2*", 3), ("3*+a", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_ring_element(text, f2)
+        assert err.value.position == position
 
 
 def test_unknown_generator(f2):
