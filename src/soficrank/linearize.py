@@ -33,39 +33,42 @@ class SizeCapExceeded(RuntimeError):
 
 
 class SparseIntMatrix:
-    """Sparse matrix of arbitrary-precision integers.
+    """Sparse matrix of arbitrary-precision integers, one dict per row.
 
-    Triplets (row, col, value) are deduplicated (duplicates are summed),
-    zero values dropped, and stored sorted by (row, col).  A value that is
-    not an integer raises TypeError (operator.index) rather than being
-    truncated.
+    Triplets (row, col, value) are summed into ``{row: {col: value}}``, in
+    the order they first appear; zero values and cancelled rows are dropped.
+    Dimensions, indices and values go through operator.index, so a value
+    that is not an integer raises TypeError rather than being truncated.
+    ``triplets`` is the view sorted by (row, col).
     """
 
-    __slots__ = ("rows", "cols", "triplets")
+    __slots__ = ("rows", "cols", "_row_map")
 
     def __init__(self, rows, cols, triplets=()):
-        rows = int(rows)
-        cols = int(cols)
+        rows, cols = index(rows), index(cols)
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        acc = {}
+        row_map = {}
         for r, c, v in triplets:
+            r, c = index(r), index(c)
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError("triplet index out of range: (%d,%d)" % (r, c))
             v = index(v)
             if not v:
                 continue
-            key = (r, c)
-            n = acc.get(key, 0) + v
+            row = row_map.get(r)
+            if row is None:
+                row = row_map[r] = {}
+            n = row.get(c, 0) + v
             if n:
-                acc[key] = n
+                row[c] = n
             else:
-                del acc[key]
+                del row[c]
+                if not row:
+                    del row_map[r]
         self.rows = rows
         self.cols = cols
-        self.triplets = tuple(
-            (r, c, acc[(r, c)]) for r, c in sorted(acc)
-        )
+        self._row_map = row_map
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -85,20 +88,26 @@ class SparseIntMatrix:
 
     # -- basic queries ----------------------------------------------------
     @property
+    def triplets(self):
+        return tuple((r, c, v) for r, row in sorted(self._row_map.items())
+                     for c, v in sorted(row.items()))
+
+    @property
     def nnz(self):
-        return len(self.triplets)
+        return sum(map(len, self._row_map.values()))
 
     @property
     def total_dimension(self):
         return self.rows + self.cols
 
     def is_zero(self):
-        return not self.triplets
+        return not self._row_map
 
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.triplets:
-            out[r][c] = v
+        for r, row in self._row_map.items():
+            for c, v in row.items():
+                out[r][c] = v
         return out
 
     def __eq__(self, other):
@@ -106,7 +115,7 @@ class SparseIntMatrix:
             isinstance(other, SparseIntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.triplets == other.triplets
+            and self._row_map == other._row_map
         )
 
     def __repr__(self):

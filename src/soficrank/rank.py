@@ -4,8 +4,9 @@ rank_mod_p runs sparse Gaussian elimination with Markowitz-style pivoting:
 at each step the active column with the fewest nonzeros is selected (ties
 broken by lowest column index), and within it the entry whose row has the
 fewest nonzeros (ties broken by lowest row index), which minimizes the
-Markowitz fill bound (r-1)(c-1) for that column.  Deterministic given the
-prime.
+Markowitz fill bound (r-1)(c-1) for that column.  It reads the row dicts
+of the SparseIntMatrix in their stored order, so it is deterministic given
+the prime and the order in which the matrix's entries were given.
 
 Before that loop, rank_mod_p contracts the edge rows: rows that are
 +-(e_i - e_j) over Z, as every row of the linearized d_1 of F_k at a
@@ -62,9 +63,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from itertools import groupby
 from math import prod
-from operator import index, itemgetter
+from operator import index
 
 from .primes import isprime
 
@@ -90,25 +90,21 @@ def _check_prime(p):
     return p
 
 
-def _rows(triplets):
-    """The rows of triplets sorted by row, each a tuple of its triplets."""
-    for _, row in groupby(triplets, itemgetter(0)):
-        yield tuple(row)
-
-
 def _edge_columns(row):
-    """The two columns of a row that is +-(e_i - e_j) over Z, else None."""
-    if len(row) == 2 and row[0][2] in (1, -1) and row[0][2] + row[1][2] == 0:
-        return row[0][1], row[1][1]
+    """The two columns of a row dict that is +-(e_i - e_j) over Z, else None."""
+    if len(row) == 2:
+        (a, u), (b, v) = row.items()
+        if u in (1, -1) and u + v == 0:
+            return a, b
     return None
 
 
-def _contract_edges(triplets):
-    """Union-find of the columns over the edge rows of the triplets.
+def _contract_edges(M):
+    """Union-find of the columns over the edge rows of M.
 
     Returns the number of successful unions and ``find``, which maps a
-    column to the root of its component.  A row whose two ends are already
-    joined adds nothing.
+    column to the root of its component (itself when no edge row touches
+    it).  A row whose two ends are already joined adds nothing.
     """
     parent = {}
 
@@ -121,7 +117,7 @@ def _contract_edges(triplets):
         return root
 
     unions = 0
-    for row in _rows(triplets):
+    for row in M._row_map.values():
         ends = _edge_columns(row)
         if ends:
             a, b = find(ends[0]), find(ends[1])
@@ -134,13 +130,13 @@ def _contract_edges(triplets):
 def rank_mod_p(M, p, stats=None):
     """Rank of M over F_p; always a lower bound for the rank over Q.
 
-    The edge rows (+-(e_i - e_j) over Z) are first contracted by a
-    union-find over the columns, each union one pivot.  The other rows, with
-    each column replaced by the root of its component and the merged
-    coefficients summed mod p, go to Markowitz elimination, less every
-    column whose residues equal those of an earlier column.  Both steps are
-    exact for every prime and for a product of primes (see the module
-    docstring).
+    M's row dicts are read as stored.  The edge rows (+-(e_i - e_j) over Z)
+    are first contracted by a union-find over the columns, each union one
+    pivot.  The other rows, with each column replaced by the root of its
+    component and the merged coefficients summed mod p, go to Markowitz
+    elimination, less every column whose residues equal those of a column
+    met earlier.  Both steps are exact for every prime and for a product of
+    primes (see the module docstring).
 
     ``p`` may also be a tuple of distinct machine-word primes.  The matrix
     is then eliminated once modulo their product, and the common rank over
@@ -162,36 +158,28 @@ def rank_mod_p(M, p, stats=None):
         p = prod(primes)
     else:
         p = _check_prime(p)
-    unions, find = _contract_edges(M.triplets)
+    unions, find = _contract_edges(M)
+    # the residual: every other row, its columns read through find
     rows = {}
     initial_nnz = 0
-    if unions:
-        # the residual: every other row, its columns read through find
-        for row in _rows(M.triplets):
-            if _edge_columns(row):
-                initial_nnz += 2
-                continue
-            merged = {}
-            for _, c, v in row:
-                v %= p
-                if v:
-                    initial_nnz += 1
-                    c = find(c)
-                    merged[c] = (merged.get(c, 0) + v) % p
-            merged = {c: v for c, v in merged.items() if v}
-            if merged:
-                rows[row[0][0]] = merged
-    else:
-        for r, c, v in M.triplets:
+    for r, row in M._row_map.items():
+        if _edge_columns(row):
+            initial_nnz += 2
+            continue
+        merged = {}
+        for c, v in row.items():
             v %= p
             if v:
-                rows.setdefault(r, {})[c] = v
+                initial_nnz += 1
+                c = find(c)
+                merged[c] = (merged.get(c, 0) + v) % p
+        merged = {c: v for c, v in merged.items() if v}
+        if merged:
+            rows[r] = merged
     entries = {}  # column -> its rows and residues, interleaved
     for r, row in rows.items():
         for c, v in row.items():
             entries.setdefault(c, []).extend((r, v))
-    if not unions:
-        initial_nnz = sum(len(row) for row in rows.values())
     # a column equal mod p to an earlier one adds nothing to the rank: drop it
     cols = {}
     seen = set()

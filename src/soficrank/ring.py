@@ -8,6 +8,8 @@ applying ``d_{j+1}`` then ``d_j`` corresponds to the matrix product
 
 from __future__ import annotations
 
+from operator import index
+
 from .groups import GroupElement, GroupFamily
 
 __all__ = [
@@ -35,7 +37,7 @@ class RingElement:
         items = terms.items() if isinstance(terms, dict) else terms
         for g, c in items:
             family.check_member(g)
-            c = int(c)
+            c = index(c)
             if c == 0:
                 continue
             c += clean.get(g, 0)

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficrank import (
+    RankResult,
     RingElement,
     RingMatrix,
     SizeCapExceeded,
@@ -12,6 +15,7 @@ from soficrank import (
     linearize,
     parse_ring_matrix,
     random_quotient,
+    rank_over_rationals,
     regular_quotient,
     sanov_quotient,
     write_matrix_market,
@@ -73,19 +77,64 @@ def test_non_integer_entries_rejected(value):
         SparseIntMatrix(2, 2, [(0, 0, value)])
 
 
+@pytest.mark.parametrize("dims, triplets", [
+    ((2, 2), [(0.5, 0, 1), (1, 1.5, 1)]),
+    ((2, 2), [(0, 1.0, 1)]),
+    ((2.7, 2), []),
+    ((2, 2.0), []),
+])
+def test_non_integer_indices_and_dimensions_rejected(dims, triplets):
+    # int() would put 0.5 in row 0, 1.5 in column 1 and give 2.7 two rows
+    with pytest.raises(TypeError):
+        SparseIntMatrix(*dims, triplets)
+
+
+@st.composite
+def shuffled_triplets(draw):
+    """Triplets with repeated positions and cancelling pairs, shuffled twice."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    trips = draw(st.lists(entry, max_size=20))
+    for r, c, v in draw(st.lists(entry, max_size=6)):
+        trips += [(r, c, v), (r, c, -v)]
+    return m, n, draw(st.permutations(trips)), draw(st.permutations(trips))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_triplets())
+def test_constructor_matches_summing_oracle(case):
+    m, n, trips, reordered = case
+    acc = {}
+    for r, c, v in trips:
+        acc[r, c] = acc.get((r, c), 0) + v
+    want = tuple(sorted((r, c, v) for (r, c), v in acc.items() if v))
+    dense = [[acc.get((r, c), 0) for c in range(n)] for r in range(m)]
+    M, N = SparseIntMatrix(m, n, trips), SparseIntMatrix(m, n, reordered)
+    assert M.triplets == N.triplets == want
+    assert M.nnz == N.nnz == len(want)
+    assert M.to_dense() == N.to_dense() == dense
+    assert M == N
+    # every entry against its negation: rows cancel out as well as entries
+    Z = SparseIntMatrix(m, n, trips + [(r, c, -v) for r, c, v in reordered])
+    assert Z.is_zero() and Z.nnz == 0 and Z.triplets == ()
+    assert rank_over_rationals(Z) == RankResult(0, "dense_fraction_free", (), True)
+
+
 def test_from_dense_rejects_ragged_rows():
     with pytest.raises(ValueError):
         SparseIntMatrix.from_dense([[1, 2], [3]])
 
 
 def test_matrix_market_round_trip(tmp_path):
-    m = SparseIntMatrix.from_dense([[0, 5], [-7, 0]])
+    # unsorted, with a repeated entry and a pair that cancels
+    m = SparseIntMatrix(2, 3, [(1, 0, -7), (0, 2, 1), (1, 2, 4), (0, 1, 5),
+                               (0, 2, 2), (1, 2, -4)])
     path = str(tmp_path / "m.mtx")
     write_matrix_market(m, path)
-    text = open(path).read()
-    assert text.startswith("%%MatrixMarket matrix coordinate integer general")
-    assert "2 2 2" in text.splitlines()[1]
-    assert text.splitlines()[2:] == ["1 2 5", "2 1 -7"]
+    lines = open(path).read().splitlines()
+    assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
+    assert lines[1] == "2 3 3"
+    assert lines[2:] == ["1 2 5", "1 3 3", "2 1 -7"]
 
 
 # ---------------------------------------------------------------------------

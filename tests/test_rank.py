@@ -243,6 +243,23 @@ def test_edge_phase_matches_dense_elimination(M):
     assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
 
 
+@settings(max_examples=100, deadline=None)
+@given(edge_mixed_matrices(), st.randoms(use_true_random=False))
+def test_ranks_do_not_depend_on_input_order(M, rnd):
+    # rank_mod_p reads the rows in the order their entries were given
+    trips = list(M.triplets)
+    rnd.shuffle(trips)
+    S = SparseIntMatrix(M.rows, M.cols, trips)
+    ranks = [rank_mod_p(M, p) for p in (2, 3, P50)]
+    assert [rank_mod_p(S, p) for p in (2, 3, P50)] == ranks
+    assert rank_over_rationals(S) == rank_over_rationals(M)
+    joint = rank_mod_p(S, (2, 3, P50))
+    if len(set(ranks)) == 1:
+        assert joint in (None, ranks[0])
+    else:
+        assert joint is None
+
+
 def test_contracted_rows_count_in_stats(f2):
     d1 = parse_ring_matrix("a - 1 ; b - 1", f2)
     L = linearize(d1, sanov_quotient(5, f2))

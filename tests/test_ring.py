@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +118,16 @@ def test_no_zero_coefficients_stored(f2):
     f = mono(a) - mono(a)
     assert f.is_zero()
     assert f.terms == {}
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(3, 2), 0.9])
+def test_non_integer_coefficients_rejected(f2, coeff):
+    # int() would store 1/2 and 0.9 as nothing and 3/2 as 1
+    a, _ = f2.generators()
+    with pytest.raises(TypeError):
+        RingElement(f2, {a: coeff})
+    with pytest.raises(TypeError):
+        RingElement.monomial(a, coeff)
 
 
 # ---------------------------------------------------------------------------
