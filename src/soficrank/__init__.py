@@ -48,10 +48,8 @@ from .invariants import (
     betti_approximants,
     euler_approximants,
     euler_characteristic,
-    euler_identity_check,
     finite_group_exact_betti,
     juzvinskii_defect,
-    literal_mean_rank,
     literal_mean_rank_point,
     mrk_j_approximants,
     relative_vrk_approximants,

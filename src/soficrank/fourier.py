@@ -136,13 +136,7 @@ def fourier_rank(f, n, policy=None):
     know that the model is that grid (groups.grid_modulus).
     """
     policy = policy or DEFAULT_POLICY
-    if any((p - 1) % n for p in policy.explicit_primes or ()):
-        raise ValueError("explicit primes must be 1 mod %d" % n)
     orbits = character_orbits(f.family.rank, n)
-
-    def rank_batch(batch):
-        distinct = sorted(set(batch))
-        values = dict(zip(distinct, _orbit_values(f, n, orbits, distinct)))
-        return [values[p] for p in batch]
-
-    return multimodular_rank(rank_batch, policy, "fourier_mod_p", modulus=n)
+    return multimodular_rank(
+        lambda batch: _orbit_values(f, n, orbits, batch), policy, "fourier_mod_p", modulus=n
+    )

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from operator import index
 
 from .primes import prime_factors
 
@@ -160,7 +161,7 @@ class GroupFamily:
 
     def power(self, a, k):
         self.check_member(a)
-        k = int(k)
+        k = index(k)
         if k == 0:
             return self.identity()
         base = a if k > 0 else self.inverse(a)
@@ -179,7 +180,7 @@ class FreeAbelian(GroupFamily):
     """Z^d with elements stored as integer vectors; generators commute."""
 
     def __init__(self, rank, gen_names=None):
-        rank = int(rank)
+        rank = index(rank)
         if rank < 1:
             raise ValueError("rank must be positive")
         if gen_names is None:
@@ -227,7 +228,7 @@ class FreeAbelian(GroupFamily):
 
     def power(self, a, k):
         self.check_member(a)
-        k = int(k)
+        k = index(k)
         return self._wrap(tuple(x * k for x in a.payload))
 
     def sort_key(self, payload):
@@ -250,7 +251,7 @@ class Free(GroupFamily):
     """
 
     def __init__(self, rank, gen_names=None):
-        rank = int(rank)
+        rank = index(rank)
         if rank < 1:
             raise ValueError("rank must be positive")
         if gen_names is None:
@@ -364,7 +365,7 @@ class FiniteTable(GroupFamily):
     """
 
     def __init__(self, table, inverse=None, identity_index=0, names=None):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(tuple(map(index, row)) for row in table)
         g = len(table)
         if g < 1 or any(len(row) != g for row in table):
             raise ValueError("table must be square and nonempty")
@@ -372,7 +373,7 @@ class FiniteTable(GroupFamily):
             for x in row:
                 if not 0 <= x < g:
                     raise ValueError("table entry out of range")
-        e = int(identity_index)
+        e = index(identity_index)
         if not 0 <= e < g:
             raise ValueError("identity index out of range")
         for j in range(g):
@@ -385,7 +386,7 @@ class FiniteTable(GroupFamily):
                 if inv_i is None or table[inv_i][i] != e:
                     raise ValueError("element %d has no two-sided inverse" % i)
                 inverse.append(inv_i)
-        inverse = tuple(int(x) for x in inverse)
+        inverse = tuple(map(index, inverse))
         if len(inverse) != g:
             raise ValueError("inverse table has wrong length")
         if not all(0 <= x < g for x in inverse):
@@ -422,7 +423,7 @@ class FiniteTable(GroupFamily):
     @classmethod
     def cyclic(cls, n, names=None):
         """Z/n with generator t: element i is t^i."""
-        n = int(n)
+        n = index(n)
         if n < 1:
             raise ValueError("order must be positive")
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -637,8 +638,8 @@ def soficity_defect(q, pairs):
 
 def grid_quotient(rank, modulus, family=None):
     """Z^rank acting by translation on (Z/modulus)^rank; genuine, degree modulus^rank."""
-    rank = int(rank)
-    n = int(modulus)
+    rank = index(rank)
+    n = index(modulus)
     if n < 1:
         raise ValueError("modulus must be positive")
     if family is None:
@@ -708,7 +709,7 @@ def sanov_quotient(modulus, family=None):
     images give all elementary matrices).  Kernels form a chain with trivial
     intersection along divisibility of the moduli.
     """
-    m = int(modulus)
+    m = index(modulus)
     if m < 3 or m % 2 == 0:
         raise ValueError("sanov modulus must be odd and >= 3")
     if family is None:
@@ -736,9 +737,9 @@ def sanov_quotient(modulus, family=None):
     d = len(elements)
     if d != _sl2_size(m):
         raise RuntimeError("Sanov images failed to generate SL2(Z/%d)" % m)
-    index = {x: i for i, x in enumerate(elements)}
-    img_a = tuple(index[_sl2_mul(gen_a, x, m)] for x in elements)
-    img_b = tuple(index[_sl2_mul(gen_b, x, m)] for x in elements)
+    position = {x: i for i, x in enumerate(elements)}
+    img_a = tuple(position[_sl2_mul(gen_a, x, m)] for x in elements)
+    img_b = tuple(position[_sl2_mul(gen_b, x, m)] for x in elements)
     return FiniteQuotient(family, d, (img_a, img_b), True, "Sanov mod %d" % m)
 
 
@@ -754,7 +755,7 @@ def regular_quotient(family):
 
 def random_quotient(family, degree, seed):
     """Uniformly random permutation per generator; heuristic (genuine = False)."""
-    d = int(degree)
+    d = index(degree)
     if d < 1:
         raise ValueError("degree must be positive")
     rng = random.Random(seed)
@@ -819,13 +820,13 @@ def _divisibility_chain(moduli):
 
 
 def grid_sequence(rank, moduli, family=None):
-    moduli = [int(m) for m in moduli]
+    moduli = list(map(index, moduli))
     qs = tuple(grid_quotient(rank, m, family) for m in moduli)
     return QuotientSequence(qs, chain=_divisibility_chain(moduli))
 
 
 def sanov_sequence(moduli, family=None):
-    moduli = [int(m) for m in moduli]
+    moduli = list(map(index, moduli))
     qs = tuple(sanov_quotient(m, family) for m in moduli)
     return QuotientSequence(qs, chain=_divisibility_chain(moduli))
 

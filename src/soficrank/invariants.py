@@ -1,25 +1,26 @@
 """Finite-scale approximants of the rank invariants of ZG chain complexes.
 
-Every pipeline reduces to exact ranks of linearized differentials at finite
+Every pipeline reduces to exact ranks of linearized matrices at finite
 permutation models: at a genuine stage of degree d the homology rank in
 degree j is n_j*d - rank L(d_j) - rank L(d_{j+1}), so the emitted value
-(that quantity over d) is an exact rational.  The complex pipelines (betti,
-euler, mrk_j) rank each differential they need once per stage
-(_stage_ranks) and read every value of that stage from the one table; no
-rank outlives the call that computed it.  Heuristic (non-genuine)
-models are rejected by the homology pipelines, because the image need not
-sit inside the kernel there.
+(that quantity over d) is an exact rational.  Every pipeline is a formula
+over one rank table per stage (_rank_table): the differentials or relation
+matrices it needs are ranked once at each stage, each point is its
+formula over those ranks, and a point is certified exactly when every rank
+behind it is.  No rank outlives the call that computed it.  Heuristic
+(non-genuine) models are rejected, because the image need not sit inside
+the kernel there.
 
-Ranks of differentials and relation matrices come from _model_rank.  At the
-translation model of (Z/n)^k it splits the rank over characters without
-linearizing (fourier.fourier_rank).  Characters in one orbit of a -> u.a,
-u a unit mod n, are Galois conjugates and have equal rank over Q(zeta_n);
+Ranks come from _model_rank.  At the translation model of (Z/n)^k it
+splits the rank over characters without linearizing
+(fourier.fourier_rank).  Characters in one orbit of a -> u.a, u a unit
+mod n, are Galois conjugates and have equal rank over Q(zeta_n);
 evaluating one representative per orbit at a root of unity mod a prime
 p = 1 (mod n) can only lower that rank, so each prime's weighted sum is a
 lower bound on rank_Q L(f) = sum_chi rank f(chi), certified by the same
-agreement rule as a sparse mod-p rank.  Every other model, a policy with
-explicit primes, and any uncertified split take linearize and the sparse
-engine, with its Bareiss fallback.
+agreement rule as a sparse mod-p rank.  Every other model, and any
+uncertified split, takes linearize and the sparse engine, with its
+Bareiss fallback.
 
 A literal mean rank is built on one path for every family: module elements
 are truncated to a finite window of group elements, and a finite family is
@@ -46,7 +47,7 @@ from .groups import (
 from .linearize import (
     DEFAULT_SIZE_CAP, SizeCapExceeded, SparseIntMatrix, check_size_cap, linearize,
 )
-from .rank import DEFAULT_POLICY, rank_dense_bareiss, rank_over_rationals
+from .rank import DEFAULT_POLICY, RankResult, rank_dense_bareiss, rank_over_rationals
 from .ring import RingElement, RingMatrix
 
 __all__ = [
@@ -60,10 +61,8 @@ __all__ = [
     "mrk_j_approximants",
     "euler_characteristic",
     "euler_approximants",
-    "euler_identity_check",
     "juzvinskii_defect",
     "finite_group_exact_betti",
-    "literal_mean_rank",
     "literal_mean_rank_point",
     "series_to_csv",
 ]
@@ -179,38 +178,33 @@ class FiniteSubgroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# certified ranks, one per differential per stage
+# one rank table per stage
+
+_ZERO_MAP = RankResult(0, "dense_fraction_free", (), True)
+
 
 def _model_rank(f, q, policy, size_cap):
-    """(rank, certified) of linearize(f, q) over Q.
+    """RankResult of linearize(f, q) over Q; f None is the zero map.
 
     At the translation model of (Z/n)^k the rank is split over characters
-    (fourier.fourier_rank) without linearizing; any other model, a policy
-    with explicit primes, or an uncertified split takes the sparse engine.
+    (fourier.fourier_rank) without linearizing; any other model, or an
+    uncertified split, takes the sparse engine.
     """
+    if f is None:
+        return _ZERO_MAP
     n = grid_modulus(q)
-    if n is not None and not policy.explicit_primes:
+    if n is not None:
         check_size_cap(f, q, size_cap)
         result = fourier_rank(f, n, policy)
         if result.certified:
-            return result.rank, True
-    result = rank_over_rationals(linearize(f, q, size_cap), policy)
-    return result.rank, result.certified
+            return result
+    return rank_over_rationals(linearize(f, q, size_cap), policy)
 
 
-def _stage_ranks(C, q, indices, policy, size_cap):
-    """{i: (rank, certified)} of L(d_i) at q, one _model_rank call per index;
-    d_0 and d_{k+1} are zero maps, (0, True)."""
-    ranks = {}
-    for i in indices:
-        d = C.differential(i)
-        ranks[i] = (0, True) if d is None else _model_rank(d, q, policy, size_cap)
-    return ranks
-
-
-def _genuine_sequence(X, Q, what):
-    """Q as a QuotientSequence of genuine models over the family of X, a
-    complex or module named ``what`` in the error."""
+def _rank_table(family, Q, matrices, policy, size_cap):
+    """Q as a QuotientSequence of genuine models over ``family``, and for
+    each of its stages the degree d and the RankResult of every matrix in
+    ``matrices`` at that stage (None the zero map), each ranked once."""
     if not isinstance(Q, QuotientSequence):
         Q = QuotientSequence(tuple(Q))
     for q in Q:
@@ -219,22 +213,36 @@ def _genuine_sequence(X, Q, what):
                 "homology pipelines require genuine quotients; "
                 "got heuristic model %r" % q.label
             )
-    if X.family != Q.family:
-        raise ValueError("%s and quotient families differ" % what)
-    return Q
+    if family != Q.family:
+        raise ValueError("pipeline and quotient families differ")
+    policy = policy or DEFAULT_POLICY
+    table = [
+        (q.degree, [_model_rank(f, q, policy, size_cap) for f in matrices])
+        for q in Q
+    ]
+    return Q, table
 
 
-def _complex_sequence(C, Q, j=0):
-    """Q as a genuine QuotientSequence of C's family, with 0 <= j <= top."""
+def _point(d, value, ranks):
+    """The point value at degree d, certified when every rank behind it is."""
+    return SeriesPoint(d, value, all(r.certified for r in ranks))
+
+
+def _series(label, family, Q, matrices, value, policy, size_cap):
+    """One point per stage: value(d, *ranks) over the stage's ranks of
+    ``matrices``."""
+    Q, table = _rank_table(family, Q, matrices, policy, size_cap)
+    points = tuple(
+        _point(d, value(d, *(r.rank for r in ranks)), ranks) for d, ranks in table
+    )
+    return ApproximantSeries(label, points, Q.chain)
+
+
+def _differentials_at(C, j):
+    """(d_j, d_{j+1}), the two maps whose ranks give homology in degree j."""
     if not 0 <= j <= C.top_degree:
         raise ValueError("degree index %d outside the complex" % j)
-    return _genuine_sequence(C, Q, "complex")
-
-
-def _betti_point(C, j, d, ranks):
-    (r_low, cert_low), (r_high, cert_high) = ranks[j], ranks[j + 1]
-    value = Fraction(C.rank_of(j) * d - r_low - r_high, d)
-    return SeriesPoint(d, value, cert_low and cert_high)
+    return C.differential(j), C.differential(j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,37 +253,21 @@ def betti_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
 
     Stage value at degree d: (n_j*d - rank L(d_j) - rank L(d_{j+1})) / d.
     """
-    policy = policy or DEFAULT_POLICY
-    Q = _complex_sequence(C, Q, j)
-    points = tuple(
-        _betti_point(C, j, q.degree, _stage_ranks(C, q, (j, j + 1), policy, size_cap))
-        for q in Q
+    n_j = C.rank_of(j)
+    return _series(
+        "betti[j=%d]" % j, C.family, Q, _differentials_at(C, j),
+        lambda d, r_low, r_high: Fraction(n_j * d - r_low - r_high, d),
+        policy, size_cap,
     )
-    return ApproximantSeries("betti[j=%d]" % j, points, Q.chain)
 
 
-def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP, label="vrk"):
+def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Rank density of a presented module: (n*d - rank L(relations)) / d."""
-    policy = policy or DEFAULT_POLICY
-    Q = _genuine_sequence(M, Q, "module")
-    points = []
-    for q in Q:
-        d = q.degree
-        if M.relations is None:
-            r, cert = 0, True
-        else:
-            r, cert = _model_rank(M.relations, q, policy, size_cap)
-        points.append(SeriesPoint(d, Fraction(M.free_rank * d - r, d), cert))
-    return ApproximantSeries(label, tuple(points), Q.chain)
-
-
-def _append_generators(M, gens):
-    rows = [list(vec) for vec in gens.generators]
-    if not rows:
-        return M
-    extra = RingMatrix(M.family, rows)
-    rel = extra if M.relations is None else M.relations.vstack(extra)
-    return ModulePresentation(M.family, M.free_rank, rel)
+    n = M.free_rank
+    return _series(
+        "vrk", M.family, Q, (M.relations,),
+        lambda d, r: Fraction(n * d - r, d), policy, size_cap,
+    )
 
 
 def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
@@ -283,40 +275,34 @@ def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CA
 
     The submodule is given by generating vectors inside the presented
     module; the value is vrk(M2) - vrk(M2/M1) stage by stage, where M2/M1
-    appends the generators as extra relation rows.
+    appends the generators as extra relation rows, so it is
+    (rank L(relations of M2/M1) - rank L(relations of M2)) / d.
     """
     if gens.family != M2.family or gens.length != M2.free_rank:
         raise ValueError("generators do not live in the ambient module")
-    outer = vrk_approximants(M2, Q, policy, size_cap)
-    quotient = vrk_approximants(_append_generators(M2, gens), Q, policy, size_cap)
-    points = tuple(
-        SeriesPoint(a.degree, a.value - b.value, a.certified and b.certified)
-        for a, b in zip(outer.points, quotient.points)
+    quotient = M2.relations
+    if gens.generators:
+        extra = RingMatrix(M2.family, [list(vec) for vec in gens.generators])
+        quotient = extra if quotient is None else quotient.vstack(extra)
+    return _series(
+        "relative_vrk", M2.family, Q, (M2.relations, quotient),
+        lambda d, r_outer, r_quotient: Fraction(r_quotient - r_outer, d),
+        policy, size_cap,
     )
-    return ApproximantSeries("relative_vrk", points, outer.chain)
 
 
 def mrk_j_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Mean-rank route to the degree-j series: vrk(coker d_{j+1}) minus the
-    rank density n_{j-1} - vrk(coker d_j) of the image of d_j, cross-checked
-    stage by stage against the Betti value from the same ranks."""
-    policy = policy or DEFAULT_POLICY
-    Q = _complex_sequence(C, Q, j)
+    rank density n_{j-1} - vrk(coker d_j) of the image of d_j, from the same
+    two ranks as the Betti value (and so equal to it at every stage)."""
     n_j, n_low = C.rank_of(j), C.rank_of(j - 1)
-    points = []
-    for q in Q:
-        d = q.degree
-        ranks = _stage_ranks(C, q, (j, j + 1), policy, size_cap)
-        (r_low, cert_low), (r_high, cert_high) = ranks[j], ranks[j + 1]
-        value = Fraction(n_j * d - r_high, d) - (n_low - Fraction(n_low * d - r_low, d))
-        check = _betti_point(C, j, d, ranks)
-        if value != check.value:
-            raise RuntimeError(
-                "mean-rank/betti cross-check failed at degree %d: %s vs %s"
-                % (d, value, check.value)
-            )
-        points.append(SeriesPoint(d, value, cert_low and cert_high))
-    return ApproximantSeries("mrk[j=%d]" % j, tuple(points), Q.chain)
+    return _series(
+        "mrk[j=%d]" % j, C.family, Q, _differentials_at(C, j),
+        lambda d, r_low, r_high: (
+            Fraction(n_j * d - r_high, d) - (n_low - Fraction(n_low * d - r_low, d))
+        ),
+        policy, size_cap,
+    )
 
 
 def euler_characteristic(C):
@@ -329,36 +315,31 @@ def euler_approximants(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
     their alternating sum against chi, from one rank table per stage.
 
     Telescoping of rank-nullity makes the residual exactly 0 at every
-    finite stage for every valid bounded complex.  A residual is certified
-    only when every Betti value it sums is.
+    finite stage for every valid bounded complex.  Each Betti value is
+    certified when its two ranks are, and a residual when every rank of
+    its stage is.
     """
-    policy = policy or DEFAULT_POLICY
-    Q = _complex_sequence(C, Q)
     degrees = range(C.top_degree + 1)
+    free_ranks = [C.rank_of(j) for j in degrees]
+    differentials = [C.differential(i) for i in range(C.top_degree + 2)]
+    Q, table = _rank_table(C.family, Q, differentials, policy, size_cap)
     chi = euler_characteristic(C)
-    stages = []
-    for q in Q:
-        ranks = _stage_ranks(C, q, range(C.top_degree + 2), policy, size_cap)
-        stages.append([_betti_point(C, j, q.degree, ranks) for j in degrees])
+    stages = [
+        [
+            _point(d, Fraction(n_j * d - low.rank - high.rank, d), (low, high))
+            for n_j, low, high in zip(free_ranks, results, results[1:])
+        ]
+        for d, results in table
+    ]
     series = [
         ApproximantSeries("betti[j=%d]" % j, tuple(s[j] for s in stages), Q.chain)
         for j in degrees
     ]
     residuals = tuple(
-        SeriesPoint(
-            s[0].degree,
-            sum((-1) ** j * p.value for j, p in enumerate(s)) - chi,
-            all(p.certified for p in s),
-        )
-        for s in stages
+        _point(d, sum((-1) ** j * p.value for j, p in enumerate(s)) - chi, results)
+        for s, (d, results) in zip(stages, table)
     )
     return series + [ApproximantSeries("euler_residual", residuals, Q.chain)]
-
-
-def euler_identity_check(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
-    """Per-stage (degree, residual) of the alternating Betti sum against chi."""
-    residuals = euler_approximants(C, Q, policy, size_cap)[-1]
-    return [(p.degree, p.value) for p in residuals]
 
 
 def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE_CAP):
@@ -368,8 +349,9 @@ def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE
     ker d_1 (kernels of ZG-matrices are not algorithmically presentable in
     general); None means the kernel is zero.  The value at each stage is
     the rank density of the image presented absolutely (coker of the
-    kernel rows) minus its density relative to the target module; zero
-    defect is the additivity of the rank under d_1.
+    kernel rows) minus its density relative to the target module
+    (n_0 - vrk(coker d_1)); zero defect is the additivity of the rank
+    under d_1.
     """
     if C.top_degree != 1:
         raise ValueError("juzvinskii_defect expects a two-term complex")
@@ -382,21 +364,13 @@ def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE
             raise ValueError("kernel rows must have %d columns" % n1)
         if not (kernel_rows * d1).is_zero():
             raise ValueError("kernel rows are not annihilated by d_1")
-    image_abs = vrk_approximants(
-        ModulePresentation(C.family, n1, kernel_rows), Q, policy, size_cap
+    return _series(
+        "juzvinskii_defect", C.family, Q, (kernel_rows, d1),
+        lambda d, r_kernel, r_image: (
+            Fraction(n1 * d - r_kernel, d) - (n0 - Fraction(n0 * d - r_image, d))
+        ),
+        policy, size_cap,
     )
-    target_coker = vrk_approximants(
-        ModulePresentation(C.family, n0, d1), Q, policy, size_cap
-    )
-    points = tuple(
-        SeriesPoint(
-            a.degree,
-            a.value - (n0 - b.value),
-            a.certified and b.certified,
-        )
-        for a, b in zip(image_abs.points, target_coker.points)
-    )
-    return ApproximantSeries("juzvinskii_defect", points, image_abs.chain)
 
 
 def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
@@ -426,13 +400,6 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
 
 # ---------------------------------------------------------------------------
 # literal mean rank on finite (or windowed) integer presentations
-
-def literal_mean_rank(M, A, B, F, q, window=None, policy=None, size_cap=DEFAULT_SIZE_CAP):
-    """Literal rank density of the measured subgroup at one finite model, as
-    an exact rational; literal_mean_rank_point also says whether it is
-    certified."""
-    return literal_mean_rank_point(M, A, B, F, q, window, policy, size_cap).value
-
 
 def literal_mean_rank_point(
     M, A, B, F, q, window=None, policy=None, size_cap=DEFAULT_SIZE_CAP
@@ -466,7 +433,7 @@ def literal_mean_rank_point(
     if finite:
         window = fam.elements()
     elif window is None:
-        raise ValueError("literal_mean_rank over an infinite family needs a window")
+        raise ValueError("a literal mean rank over an infinite family needs a window")
     for s in F:
         fam.check_member(s)
     d = q.degree
@@ -554,14 +521,10 @@ def literal_mean_rank_point(
 
     def certified_rank(row_dicts):
         trips = [(i, pos, c) for i, row in enumerate(row_dicts) for pos, c in row.items()]
-        result = rank_over_rationals(SparseIntMatrix(len(row_dicts), big_cols, trips), policy)
-        return result.rank, result.certified
+        return rank_over_rationals(SparseIntMatrix(len(row_dicts), big_cols, trips), policy)
 
-    rank_rel, cert_rel = certified_rank(rows[:rel_count]) if rel_count else (0, True)
-    if len(rows) > rel_count:
-        rank_full, cert_full = certified_rank(rows)
-    else:
-        rank_full, cert_full = rank_rel, cert_rel
-    certified = finite and cert_rel and cert_full
-    return SeriesPoint(d, Fraction(rank_full - rank_rel, d), certified)
+    rel = certified_rank(rows[:rel_count]) if rel_count else _ZERO_MAP
+    full = certified_rank(rows) if len(rows) > rel_count else rel
+    certified = finite and rel.certified and full.certified
+    return SeriesPoint(d, Fraction(full.rank - rel.rank, d), certified)
 

@@ -10,6 +10,8 @@ Larger n raise ``ValueError``: the rank engine's primes stay below 2^63.
 grid moduli) by trial division.
 """
 
+__all__ = ["isprime", "prime_factors"]
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _LIMIT = 1 << 64

@@ -82,7 +82,7 @@ _MACHINE_WORD = 1 << 63
 
 
 def _check_prime(p):
-    p = int(p)
+    p = index(p)
     if p >= _MACHINE_WORD:
         raise ValueError("prime must fit in a machine word")
     if not isprime(p):
@@ -102,9 +102,10 @@ def _edge_columns(row):
 def _contract_edges(M):
     """Union-find of the columns over the edge rows of M.
 
-    Returns the number of successful unions and ``find``, which maps a
-    column to the root of its component (itself when no edge row touches
-    it).  A row whose two ends are already joined adds nothing.
+    Returns the number of successful unions, ``find``, which maps a column
+    to the root of its component (itself when no edge row touches it), and
+    the rows that are not edge rows, as (index, row dict) pairs in their
+    stored order.  A row whose two ends are already joined adds nothing.
     """
     parent = {}
 
@@ -117,14 +118,17 @@ def _contract_edges(M):
         return root
 
     unions = 0
-    for row in M._row_map.values():
+    rest = []
+    for r, row in M._row_map.items():
         ends = _edge_columns(row)
-        if ends:
-            a, b = find(ends[0]), find(ends[1])
-            if a != b:
-                parent[a] = b
-                unions += 1
-    return unions, find
+        if ends is None:
+            rest.append((r, row))
+            continue
+        a, b = find(ends[0]), find(ends[1])
+        if a != b:
+            parent[a] = b
+            unions += 1
+    return unions, find, rest
 
 
 def rank_mod_p(M, p, stats=None):
@@ -158,14 +162,12 @@ def rank_mod_p(M, p, stats=None):
         p = prod(primes)
     else:
         p = _check_prime(p)
-    unions, find = _contract_edges(M)
-    # the residual: every other row, its columns read through find
+    unions, find, rest = _contract_edges(M)
+    # the residual: every other row, its columns read through find; each
+    # edge row held two nonzeros
     rows = {}
-    initial_nnz = 0
-    for r, row in M._row_map.items():
-        if _edge_columns(row):
-            initial_nnz += 2
-            continue
+    initial_nnz = 2 * (len(M._row_map) - len(rest))
+    for r, row in rest:
         merged = {}
         for c, v in row.items():
             v %= p
@@ -317,7 +319,6 @@ class RankPolicy:
     dense_threshold: int = 500
     max_rounds: int = 3
     seed: int = 0
-    explicit_primes: tuple = None
 
 
 DEFAULT_POLICY = RankPolicy()
@@ -365,22 +366,19 @@ def multimodular_rank(rank_batch, policy, method, modulus=1):
 
     ``rank_batch(primes)`` returns one value per prime, each a lower bound
     for the rank over Q.  Rounds draw batches of ``primes_count`` fresh
-    primes p = 1 (mod ``modulus``) from the policy's window (or take the
-    policy's explicit primes) until the maximum value so far is attained by
-    ``primes_count`` of the primes used; that value is then certified.  Any
-    smaller value is a bad-reduction artifact.  When the rounds or the
-    window run out, the best lower bound is returned uncertified.
+    primes p = 1 (mod ``modulus``) from the policy's window until the
+    maximum value so far is attained by ``primes_count`` of the primes
+    used; that value is then certified.  The primes of a batch differ from
+    each other and from every prime drawn before.  Any smaller value is a
+    bad-reduction artifact.  When the rounds or the window run out, the
+    best lower bound is returned uncertified.
     """
     rng = random.Random(policy.seed)
     used = []
     ranks = {}
     k = max(1, policy.primes_count)
-    explicit = list(policy.explicit_primes or ())
     for _ in range(max(1, policy.max_rounds)):
-        if explicit:
-            batch, explicit = explicit[:k], explicit[k:]
-        else:
-            batch = _draw_primes(rng, policy.prime_bits, k, used, modulus)
+        batch = _draw_primes(rng, policy.prime_bits, k, used, modulus)
         if not batch:
             break
         for p, r in zip(batch, rank_batch(batch)):
@@ -394,9 +392,7 @@ def multimodular_rank(rank_batch, policy, method, modulus=1):
 
 
 def _sparse_ranks(M, batch):
-    joint = None
-    if len(set(batch)) == len(batch) > 1:
-        joint = rank_mod_p(M, tuple(batch))
+    joint = rank_mod_p(M, tuple(batch)) if len(batch) > 1 else None
     return [rank_mod_p(M, p) if joint is None else joint for p in batch]
 
 
@@ -404,10 +400,10 @@ def rank_over_rationals(M, policy=None):
     """Certified rank over Q of a sparse integer matrix.
 
     Certification is the agreement rule of multimodular_rank over random
-    large primes.  Each batch of distinct primes is ranked by one joint
-    rank_mod_p pass modulo their product; a batch of one prime, a batch
-    with a repeated prime, or a joint pass that meets a non-unit pivot is
-    ranked one prime at a time.  Falls back to Bareiss for small matrices;
+    large primes.  Each batch, whose primes are always distinct, is ranked
+    by one joint rank_mod_p pass modulo their product; a batch of one prime,
+    or a joint pass that meets a non-unit pivot, is ranked one prime at a
+    time.  Falls back to Bareiss for small matrices;
     policy exhaustion returns the best lower bound uncertified.
     """
     if policy is None:

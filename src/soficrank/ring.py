@@ -313,7 +313,7 @@ class ChainComplex:
     __slots__ = ("family", "ranks", "differentials")
 
     def __init__(self, family, ranks, differentials):
-        ranks = tuple(int(n) for n in ranks)
+        ranks = tuple(map(index, ranks))
         if not ranks or any(n < 1 for n in ranks):
             raise ValueError("ranks must be positive")
         differentials = tuple(differentials)

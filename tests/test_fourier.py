@@ -24,7 +24,6 @@ from soficrank import invariants
 from soficrank.fourier import _root_of_unity, character_orbits, fourier_rank
 from soficrank.groups import grid_modulus, perm_compose, perm_inverse
 from soficrank.primes import isprime
-from soficrank.rank import RankPolicy
 
 # largest grid modulus per rank, so that the sparse reference stays small
 MAX_MODULUS = {1: 15, 2: 8, 3: 4}
@@ -142,14 +141,6 @@ def test_grid_differentials_skip_linearization(z2grid, monkeypatch):
     series = invariants.betti_approximants(C, grid_sequence(2, [3, 6]), 1)
     assert [p.value for p in series] == [Fraction(2, 9), Fraction(2, 36)]
     assert all(p.certified for p in series)
-
-
-def test_explicit_primes_take_sparse_path(z1, monkeypatch):
-    monkeypatch.setattr(invariants, "fourier_rank", None)
-    M = ModulePresentation(z1, 1, parse_ring_matrix("t - 1", z1))
-    policy = RankPolicy(explicit_primes=(101, 103, 107))
-    (point,) = vrk_approximants(M, grid_sequence(1, [5]), policy).points
-    assert point.value == Fraction(1, 5) and point.certified
 
 
 def test_grid_path_keeps_the_size_cap(z2grid):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficrank import (
+    ChainComplex,
     FiniteQuotient,
     FiniteTable,
     Free,
@@ -22,6 +23,8 @@ from soficrank import (
     sanov_sequence,
     soficity_defect,
 )
+from soficrank.linearize import SparseIntMatrix
+from soficrank.rank import rank_mod_p
 from soficrank.groups import _sl2_size, identity_perm, perm_compose, perm_inverse, perm_power
 
 from conftest import build_s3_table, s3_elements, then_perms
@@ -440,3 +443,41 @@ def test_sequence_chain_flag_from_divisibility(z1, f2):
     assert not grid_sequence(1, [3, 5, 7], z1).chain
     assert sanov_sequence([3, 15], f2).chain
     assert not sanov_sequence([3, 5, 15], f2).chain
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+def _power(family, k):
+    return family.generators()[0] ** k
+
+
+NON_INTEGER_COUNTS = {
+    "free_abelian_power_float": lambda: _power(FreeAbelian(2), 1.5),
+    "free_abelian_power_fraction": lambda: _power(FreeAbelian(2), Fraction(5, 2)),
+    "free_power": lambda: _power(Free(2), 1.5),
+    "table_power": lambda: _power(FiniteTable.cyclic(3), Fraction(3, 2)),
+    "free_abelian_rank": lambda: FreeAbelian(2.5),
+    "free_rank": lambda: Free(1.5),
+    "table_entry": lambda: FiniteTable([[0, 1], [1.9, 0]]),
+    "table_identity": lambda: FiniteTable([[0, 1], [1, 0]], identity_index=0.5),
+    "table_inverse": lambda: FiniteTable([[0, 1], [1, 0]], inverse=[0, 1.5]),
+    "cyclic_order": lambda: FiniteTable.cyclic(3.5),
+    "grid_rank": lambda: grid_quotient(1.5, 3),
+    "grid_modulus": lambda: grid_quotient(1, 3.5),
+    "sanov_modulus": lambda: sanov_quotient(15.9),
+    "random_degree": lambda: random_quotient(Free(2), 4.5, 0),
+    "grid_sequence": lambda: grid_sequence(1, [3, 6.5]),
+    "sanov_sequence": lambda: sanov_sequence([3, 15.9]),
+    "complex_rank": lambda: ChainComplex(Free(1), (1.5,), ()),
+    "prime": lambda: rank_mod_p(SparseIntMatrix.from_dense([[1]]), 7.9),
+}
+
+
+@pytest.mark.parametrize(
+    "build", NON_INTEGER_COUNTS.values(), ids=list(NON_INTEGER_COUNTS)
+)
+def test_non_integer_counts_rejected(build):
+    # truncating 15.9 to 15 or x ** 1.5 to x would silently build another object
+    with pytest.raises(TypeError):
+        build()

@@ -12,18 +12,19 @@ from soficrank import (
     SizeCapExceeded,
     betti_approximants,
     build_complex,
+    euler_approximants,
     euler_characteristic,
-    euler_identity_check,
     finite_group_exact_betti,
+    grid_quotient,
     grid_sequence,
     juzvinskii_defect,
     linearize,
-    literal_mean_rank,
     literal_mean_rank_point,
     mrk_j_approximants,
     parse_ring_element,
     parse_ring_matrix,
     random_quotient,
+    rank_over_rationals,
     regular_quotient,
     regular_sequence,
     relative_vrk_approximants,
@@ -235,9 +236,9 @@ def test_euler_characteristic_values(f2_complex, koszul):
 
 def test_euler_residual_exactly_zero(f2, f2_complex, koszul, z2grid):
     Qf = sanov_sequence([3, 5], f2)
-    assert all(v == 0 for _, v in euler_identity_check(f2_complex, Qf))
+    assert all(p.value == 0 for p in euler_approximants(f2_complex, Qf)[-1])
     Qk = grid_sequence(2, [2, 3, 5], z2grid)
-    assert all(v == 0 for _, v in euler_identity_check(koszul, Qk))
+    assert all(p.value == 0 for p in euler_approximants(koszul, Qk)[-1])
 
 
 def test_euler_check_ranks_each_differential_once(f2, f2_complex, count_calls):
@@ -246,7 +247,7 @@ def test_euler_check_ranks_each_differential_once(f2, f2_complex, count_calls):
     mrk_j_approximants(f2_complex, Q, 1)
     linearized = count_calls(invariants, "linearize")
     certified = count_calls(invariants, "rank_over_rationals")
-    assert all(v == 0 for _, v in euler_identity_check(f2_complex, Q))
+    assert all(p.value == 0 for p in euler_approximants(f2_complex, Q)[-1])
     assert len(linearized) == len(certified) == 2  # d_1 at both stages
 
 
@@ -424,7 +425,7 @@ def test_literal_zero_subgroups():
     M = ModulePresentation(z2, 1, None)
     zero = FiniteSubgroupSpec(z2, 1, ((RingElement.zero(z2),),))
     q = regular_quotient(z2)
-    assert literal_mean_rank(M, zero, zero, z2.elements(), q) == 0
+    assert literal_mean_rank_point(M, zero, zero, z2.elements(), q).value == 0
 
 
 def test_literal_full_group_ring_density_one():
@@ -434,7 +435,7 @@ def test_literal_full_group_ring_density_one():
         A = one_spec(fam)
         B = one_spec(fam)
         q = regular_quotient(fam)
-        assert literal_mean_rank(M, A, B, fam.elements(), q) == 1
+        assert literal_mean_rank_point(M, A, B, fam.elements(), q).value == 1
 
 
 def test_literal_z2_small_f_set_brute_force():
@@ -446,7 +447,7 @@ def test_literal_z2_small_f_set_brute_force():
     B = one_spec(z2)
     t = z2.element(1)
     q = regular_quotient(z2)
-    value = literal_mean_rank(M, A, B, [t], q)
+    value = literal_mean_rank_point(M, A, B, [t], q).value
     # basis of M^2 = Z[Z/2]^2: coordinates (v, elem) for v in {0,1}
     # relations delta_v (x) 1 - delta_{sigma(t) v} (x) t for v in {0,1}
     rel = [
@@ -473,15 +474,15 @@ def test_literal_direct_sum_additivity():
         M1 = ModulePresentation(fam, 1, None)
         M2 = ModulePresentation(fam, 1, RingMatrix(fam, [[norm]]))
         A1 = B1 = one_spec(fam)
-        v1 = literal_mean_rank(M1, A1, B1, F, q)
-        v2 = literal_mean_rank(M2, A1, B1, F, q)
+        v1 = literal_mean_rank_point(M1, A1, B1, F, q).value
+        v2 = literal_mean_rank_point(M2, A1, B1, F, q).value
         Msum = ModulePresentation(
             fam, 2, RingMatrix(fam, [[RingElement.zero(fam), norm]])
         )
         zero = RingElement.zero(fam)
         one = RingElement.one(fam)
         AB = FiniteSubgroupSpec(fam, 2, ((one, zero), (zero, one)))
-        vsum = literal_mean_rank(Msum, AB, AB, F, q)
+        vsum = literal_mean_rank_point(Msum, AB, AB, F, q).value
         assert vsum == v1 + v2
 
 
@@ -493,12 +494,12 @@ def test_literal_window_over_infinite_family(z1):
     from soficrank import grid_quotient
 
     q = grid_quotient(1, 3, z1)
-    value = literal_mean_rank(M, A, B, [t], q, window=window)
+    value = literal_mean_rank_point(M, A, B, [t], q, window=window).value
     assert 0 <= value <= 1
     # deterministic
-    assert value == literal_mean_rank(M, A, B, [t], q, window=window)
+    assert value == literal_mean_rank_point(M, A, B, [t], q, window=window).value
     with pytest.raises(ValueError):
-        literal_mean_rank(M, A, B, [t], q)  # no window
+        literal_mean_rank_point(M, A, B, [t], q)  # no window
 
 
 def test_literal_point_carries_both_rank_flags():
@@ -508,7 +509,7 @@ def test_literal_point_carries_both_rank_flags():
     A = one_spec(z2)
     point = literal_mean_rank_point(M, A, A, z2.elements(), q)
     assert point.certified and point.degree == 2
-    assert point.value == literal_mean_rank(M, A, A, z2.elements(), q)
+    assert point.value == literal_mean_rank_point(M, A, A, z2.elements(), q).value
     # the relation rows 2*e have rank 0 mod 2 and full rank mod 3, and the
     # window holds no other prime: the relation rank stays uncertified
     tiny = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
@@ -525,7 +526,7 @@ def test_literal_windowed_point_is_uncertified(z1):
     q = grid_quotient(1, 3, z1)
     point = literal_mean_rank_point(M, A, A, [t], q, window=window)
     assert not point.certified
-    assert point.value == literal_mean_rank(M, A, A, [t], q, window=window)
+    assert point.value == literal_mean_rank_point(M, A, A, [t], q, window=window).value
 
 
 def test_literal_size_cap_counts_rows_and_columns(count_calls):
@@ -536,7 +537,10 @@ def test_literal_size_cap_counts_rows_and_columns(count_calls):
     F = z2.elements()
     # d = 2 rows for each of 2 relation rows, 2 (b, s) pairs and 1 A
     # generator, plus d*N = 4 columns: 14
-    assert literal_mean_rank(M, A, A, F, q, size_cap=14) == literal_mean_rank(M, A, A, F, q)
+    assert (
+        literal_mean_rank_point(M, A, A, F, q, size_cap=14).value
+        == literal_mean_rank_point(M, A, A, F, q).value
+    )
     ranked = count_calls(invariants, "rank_over_rationals")
     with pytest.raises(SizeCapExceeded, match="exceeds cap 13"):
         literal_mean_rank_point(M, A, A, F, q, size_cap=13)
@@ -552,7 +556,54 @@ def test_literal_window_rejects_outside_generators(z1):
 
     q = grid_quotient(1, 3, z1)
     with pytest.raises(ValueError):
-        literal_mean_rank(M, outside, one_spec(z1), [t], q, window=window)
+        literal_mean_rank_point(M, outside, one_spec(z1), [t], q, window=window)
+
+
+# ---------------------------------------------------------------------------
+# certification: a point is certified exactly when every rank behind it is
+
+# The window [2, 4) holds only the primes 2 and 3, and none that is 1 mod 3,
+# so at the grid of degree 3 every rank takes the sparse engine with no
+# Bareiss fallback: L(2) = 2*I has rank 0 mod 2 and 3 mod 3 and stays
+# uncertified, while L(1) = I is certified.
+TINY_WINDOW = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
+
+
+def _pipeline_and_matrices(name, fam, a, b):
+    """The series of one pipeline over matrices with entries a and b, and
+    the matrices whose ranks are behind each of its points."""
+    Q = grid_sequence(1, [3], fam)
+    ab = parse_ring_matrix("%d, 0 ; 0, %d" % (a, b), fam)
+    top = parse_ring_matrix("%d, 0" % a, fam)
+    bottom = parse_ring_matrix("0 ; %d" % b, fam)
+    if name in ("betti", "mrk_j"):
+        C = build_complex(fam, (1, 2, 1), [top, bottom])
+        pipeline = betti_approximants if name == "betti" else mrk_j_approximants
+        return pipeline(C, Q, 1, TINY_WINDOW), [bottom, top]
+    if name == "vrk":
+        M = ModulePresentation(fam, 2, ab)
+        return vrk_approximants(M, Q, TINY_WINDOW), [ab]
+    if name == "relative_vrk":
+        M = ModulePresentation(fam, 2, top)
+        zero, gen = parse_ring_element("0", fam), parse_ring_element(str(b), fam)
+        gens = FiniteSubgroupSpec(fam, 2, ((zero, gen),))
+        return relative_vrk_approximants(M, gens, Q, TINY_WINDOW), [top, ab]
+    C = build_complex(fam, (2, 1), [bottom])
+    return juzvinskii_defect(C, Q, top, TINY_WINDOW), [top, bottom]
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "name", ["betti", "mrk_j", "vrk", "relative_vrk", "juzvinskii_defect"]
+)
+def test_point_certified_exactly_when_its_ranks_are(z1, name, a, b):
+    series, behind = _pipeline_and_matrices(name, z1, a, b)
+    q = grid_quotient(1, 3, z1)
+    flags = [rank_over_rationals(linearize(f, q), TINY_WINDOW).certified for f in behind]
+    if a == b:
+        assert flags == [a == 1] * len(behind)
+    (point,) = series.points
+    assert point.certified == all(flags)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,23 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import soficrank
+
+MODULES = sorted(
+    "soficrank." + info.name for info in pkgutil.iter_modules(soficrank.__path__)
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    # a name deleted from a module but left in its __all__ breaks star imports
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_every_module_declares_all():
+    undeclared = [n for n in MODULES if not hasattr(importlib.import_module(n), "__all__")]
+    assert undeclared == []

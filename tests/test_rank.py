@@ -115,8 +115,8 @@ def test_joint_pass_gives_up_on_a_non_unit_pivot():
     m = SparseIntMatrix.from_dense([[3, 1], [0, 1]])
     assert rank_mod_p(m, (2, 3)) is None
     assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 1)
-    policy = RankPolicy(primes_count=2, explicit_primes=(2, 3), dense_threshold=0, max_rounds=1)
-    assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (2, 3), False)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1)
+    assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (3, 2), False)
 
 
 def test_joint_pass_gives_the_per_prime_results(monkeypatch):
@@ -128,8 +128,8 @@ def test_joint_pass_gives_the_per_prime_results(monkeypatch):
         RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, seed=0),
         RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, dense_threshold=0),
         RankPolicy(primes_count=2, prime_bits=(2, 4), max_rounds=3, dense_threshold=0),
-        RankPolicy(primes_count=2, explicit_primes=(2, 3), dense_threshold=0, max_rounds=1),
-        RankPolicy(primes_count=2, explicit_primes=(5, 5, 7), dense_threshold=0),
+        RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1),
+        RankPolicy(primes_count=2, prime_bits=(2, 3), dense_threshold=0),
     ]
     mats = joint_corpus(rng)[::3] + [
         SparseIntMatrix.from_dense([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
@@ -480,13 +480,14 @@ def test_policy_exhaustion_returns_lower_bound_uncertified():
     assert not res.certified
 
 
-def test_explicit_primes_honored():
-    # with 2 and 3 both dividing every entry, the k-prime agreement rule
-    # certifies a wrong rank: this is why the default window is 50-62 bits
+def test_prime_window_honored():
+    # the window [2, 4) holds only 2 and 3; with both dividing every entry,
+    # the k-prime agreement rule certifies a wrong rank: this is why the
+    # default window is 50-62 bits
     m = SparseIntMatrix.from_dense([[6]])
-    policy = RankPolicy(primes_count=2, explicit_primes=(2, 3), dense_threshold=0, max_rounds=1)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1)
     res = rank_over_rationals(m, policy)
-    assert res.primes_used == (2, 3)
+    assert res.primes_used == (3, 2)
     assert res.rank == 0
     assert res.certified
 
