@@ -89,7 +89,7 @@ from .invariants import (
 )
 from .linearize import DEFAULT_SIZE_CAP, linearize, write_matrix_market
 from .rank import RankPolicy
-from .ring import build_complex
+from .ring import RingMatrix, build_complex
 
 __all__ = ["ConfigError", "JobConfig", "load_config", "run", "main"]
 
@@ -195,19 +195,38 @@ def _pairs(text, family):
 
 _REQUIRED = object()
 
-# [run] key -> (parser, default, printer, the RankPolicy field it sets)
+# [run] key -> (parser, default, the RankPolicy field it sets)
 _RUN_KEYS = {
-    "pipeline": (_one_of(*PIPELINES), _REQUIRED, str, None),
-    "j": (_at_least(0), 0, str, None),
-    "pairs": (_pairs, None, lambda ps: " ; ".join("%r, %r" % p for p in ps), None),
-    "primes": (_at_least(1), 3, str, "primes_count"),
-    "prime_bits": (_prime_bits, (50, 62), lambda bits: "%d %d" % bits, "prime_bits"),
-    "dense_threshold": (_at_least(0), 500, str, "dense_threshold"),
-    "max_rounds": (_at_least(1), 3, str, "max_rounds"),
-    "seed": (_integer, 0, str, "seed"),
-    "size_cap": (_at_least(0), DEFAULT_SIZE_CAP, str, None),
-    "dump_matrices": (_boolean, False, lambda flag: "true" if flag else "false", None),
+    "pipeline": (_one_of(*PIPELINES), _REQUIRED, None),
+    "j": (_at_least(0), 0, None),
+    "pairs": (_pairs, None, None),
+    "primes": (_at_least(1), 3, "primes_count"),
+    "prime_bits": (_prime_bits, (50, 62), "prime_bits"),
+    "dense_threshold": (_at_least(0), 500, "dense_threshold"),
+    "max_rounds": (_at_least(1), 3, "max_rounds"),
+    "seed": (_integer, 0, "seed"),
+    "size_cap": (_at_least(0), DEFAULT_SIZE_CAP, None),
+    "dump_matrices": (_boolean, False, None),
 }
+
+
+def _show(value):
+    """Config text that parses back to ``value``: a flag, a scalar, a list
+    of integers or names joined by spaces, or rows (a matrix, vectors,
+    elements, pairs) joined by ';' with their entries joined by ','."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, RingMatrix):
+        value = value.entries
+    elif isinstance(value, FiniteSubgroupSpec):
+        value = value.generators
+    if all(isinstance(x, (int, str)) for x in value):
+        return " ".join(map(str, value))
+    return " ; ".join(
+        ", ".join(map(str, x)) if isinstance(x, (list, tuple)) else str(x) for x in value
+    )
 
 
 def _parse_sections(text, path):
@@ -251,7 +270,7 @@ class JobConfig:
         self.lines = lines or {}
         self.sections = sections
         self.base_dir = base_dir
-        self._read = set()
+        self._read = {}  # (section, key) -> the value the job read, in read order
         self._build()
 
     def _fail(self, section, key, message):
@@ -263,33 +282,35 @@ class JobConfig:
 
     def _value(self, section, key, parse, default=_REQUIRED):
         """``parse(text, family)`` of [section] key, or ``default`` when it
-        is absent; a bad value is a located ConfigError.  Records the read."""
-        self._read.add((section, key))
+        is absent; a bad value is a located ConfigError.  Records the read
+        and the value, which normalized_text prints."""
         text = self.sections.get(section, {}).get(key)
         if text is None or (not text and default is None):
             if default is _REQUIRED:
                 self._fail(section, key, "missing")
-            return default
-        try:
-            return parse(text, self.family)
-        except (OSError, ValueError) as exc:
-            self._fail(section, key, str(exc))
-
-    def _load_table(self, text, names):
-        resolved = os.path.join(self.base_dir, text)
-        with open(resolved) as fh:
-            family = FiniteTable.from_text(fh.read(), names)
-        self.table_path = os.path.abspath(resolved)
-        return family
+            value = default
+        else:
+            try:
+                value = parse(text, self.family)
+            except ValueError as exc:
+                self._fail(section, key, str(exc))
+        self._read[(section, key)] = value
+        return value
 
     def _build(self):
         # ---- group ----
         kind = self._value("group", "family", _one_of("free", "free_abelian", "finite_table"))
         names = self._value("group", "names", lambda text, _: tuple(text.split()), None)
         if kind == "finite_table":
-            self.family = self._value(
-                "group", "table", lambda text, _: self._load_table(text, names)
+            path = self._value(
+                "group", "table",
+                lambda text, _: os.path.abspath(os.path.join(self.base_dir, text)),
             )
+            try:
+                with open(path) as fh:
+                    self.family = FiniteTable.from_text(fh.read(), names)
+            except (OSError, ValueError) as exc:
+                self._fail("group", "table", str(exc))
         else:
             rank = self._value("group", "rank", _at_least(1))
             try:
@@ -368,7 +389,7 @@ class JobConfig:
         # ---- run ----
         self.options = {
             key: self._value("run", key, parse, default)
-            for key, (parse, default, _, _) in _RUN_KEYS.items()
+            for key, (parse, default, _) in _RUN_KEYS.items()
         }
 
         # ---- every key read, every input of the pipeline given ----
@@ -383,65 +404,25 @@ class JobConfig:
             if not (values.get(key.strip()) if key else values):
                 self._fail("run", "pipeline", "%s needs %s" % (pipeline, need))
 
-    # ---- normalization ----
     def normalized_text(self):
-        fam = self.family
-        out = ["[group]"]
-        if isinstance(fam, FiniteTable):
-            out += ["family = finite_table", "table = %s" % self.table_path]
-        else:
-            out.append("family = %s" % ("free" if isinstance(fam, Free) else "free_abelian"))
-            out += ["rank = %d" % fam.rank, "names = %s" % " ".join(fam.gen_names)]
-        if self.complex is not None:
-            out += ["", "[complex]"]
-            out.append("ranks = %s" % " ".join(str(n) for n in self.complex.ranks))
-            k = self.complex.top_degree
-            for j in range(k, 0, -1):
-                out.append("d%d = %s" % (j, _matrix_text(self.complex.differential(j))))
-            if self.kernel is not None:
-                out.append("kernel = %s" % _matrix_text(self.kernel))
-        if self.module is not None:
-            out += ["", "[module]"]
-            out.append("free_rank = %d" % self.module.free_rank)
-            if self.module.relations is not None:
-                out.append("relations = %s" % _matrix_text(self.module.relations))
-            for key, spec in (
-                ("generators", self.generators),
-                ("a_gens", self.a_gens),
-                ("b_gens", self.b_gens),
-            ):
-                if spec is not None:
-                    rows = " ; ".join(
-                        ", ".join(str(x) for x in vec) for vec in spec.generators
-                    )
-                    out.append("%s = %s" % (key, rows))
-            if self.f_set is not None:
-                out.append("f_set = %s" % " ; ".join(repr(g) for g in self.f_set))
-            if self.window is not None:
-                out.append("window = %s" % " ; ".join(repr(g) for g in self.window))
-        if self.quotients is not None:
-            out += ["", "[quotients]"]
-            qt = self.sections.get("quotients", {})
-            out.append("provider = %s" % qt.get("provider"))
-            for key in ("moduli", "degrees", "seed"):
-                if key in qt:
-                    out.append("%s = %s" % (key, " ".join(qt[key].split())))
-        out += ["", "[run]"]
-        for key, (_, _, show, _) in _RUN_KEYS.items():
-            if self.options[key] is not None:
-                out.append("%s = %s" % (key, show(self.options[key])))
-        return "\n".join(out) + "\n"
+        """Every value the job read, section by section, in the order read."""
+        blocks = []
+        for section in _SECTION_ORDER:
+            lines = [
+                "%s = %s" % (key, _show(value))
+                for (where, key), value in self._read.items()
+                if where == section and value is not None
+            ]
+            if lines:
+                blocks.append("\n".join(["[%s]" % section] + lines))
+        return "\n\n".join(blocks) + "\n"
 
     def policy(self):
         return RankPolicy(**{
             field: self.options[key]
-            for key, (_, _, _, field) in _RUN_KEYS.items()
+            for key, (_, _, field) in _RUN_KEYS.items()
             if field is not None
         })
-
-
-def _matrix_text(m):
-    return " ; ".join(", ".join(str(x) for x in row) for row in m.entries)
 
 
 def load_config(path):

@@ -24,7 +24,6 @@ rank.multimodular_rank certifies it by the same agreement rule.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, prod
 
 from .primes import prime_factors
@@ -33,7 +32,6 @@ from .rank import DEFAULT_POLICY, multimodular_rank
 __all__ = ["character_orbits", "fourier_rank"]
 
 
-@lru_cache(maxsize=16)
 def character_orbits(k, n):
     """One (representative, orbit size) pair per orbit of (Z/n)^k under
     a -> u.a for the units u of Z/n; the sizes add up to n^k.
@@ -42,7 +40,8 @@ def character_orbits(k, n):
     and the units of Z/n reach every unit of Z/m, so its orbit is
     {u.a : u a unit of Z/m}, of size phi(m).  Points are indexed as
     sum_i a_i n^i; representatives come out in increasing index order.
-    Memoized: every differential ranked at one grid shares the orbits.
+    Not memoized: invariants builds them once per grid stage and passes
+    them to fourier_rank for every differential ranked there.
     """
     weights = [n ** i for i in range(k)]
     units = {}
@@ -127,16 +126,16 @@ def _orbit_values(f, n, orbits, primes):
     return totals
 
 
-def fourier_rank(f, n, policy=None):
+def fourier_rank(f, n, orbits, policy=None):
     """Rank over Q of linearize(f) at the grid model of (Z/n)^k, certified by
     the agreement rule over primes p = 1 (mod n), without linearizing.
 
-    Returns a RankResult with method ``fourier_mod_p``; it is uncertified
-    when the policy's window holds too few such primes.  The caller must
-    know that the model is that grid (groups.grid_modulus).
+    ``orbits`` is character_orbits(k, n).  Returns a RankResult with method
+    ``fourier_mod_p``; it is uncertified when the policy's window holds too
+    few such primes.  The caller must know that the model is that grid
+    (groups.grid_modulus).
     """
     policy = policy or DEFAULT_POLICY
-    orbits = character_orbits(f.family.rank, n)
     return multimodular_rank(
         lambda batch: _orbit_values(f, n, orbits, batch), policy, "fourier_mod_p", modulus=n
     )

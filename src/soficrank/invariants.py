@@ -11,8 +11,8 @@ behind it is.  No rank outlives the call that computed it.  Heuristic
 (non-genuine) models are rejected, because the image need not sit inside
 the kernel there.
 
-Ranks come from _model_rank.  At the translation model of (Z/n)^k it
-splits the rank over characters without linearizing
+Ranks come from _stage_ranks.  At the translation model of (Z/n)^k it
+splits each rank over characters without linearizing
 (fourier.fourier_rank).  Characters in one orbit of a -> u.a, u a unit
 mod n, are Galois conjugates and have equal rank over Q(zeta_n);
 evaluating one representative per orbit at a root of unity mod a prime
@@ -20,7 +20,10 @@ p = 1 (mod n) can only lower that rank, so each prime's weighted sum is a
 lower bound on rank_Q L(f) = sum_chi rank f(chi), certified by the same
 agreement rule as a sparse mod-p rank.  Every other model, and any
 uncertified split, takes linearize and the sparse engine, with its
-Bareiss fallback.
+Bareiss fallback.  The orbits (fourier.character_orbits) are built once
+per grid stage, after the first matrix there has passed the size cap, and
+are shared by every matrix ranked at that stage; nothing is cached across
+stages or calls.
 
 A literal mean rank is built on one path for every family: module elements
 are truncated to a finite window of group elements, and a finite family is
@@ -34,8 +37,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
-from .fourier import fourier_rank
+from .fourier import character_orbits, fourier_rank
 from .groups import (
     FiniteQuotient,
     FiniteTable,
@@ -142,6 +146,7 @@ class ModulePresentation:
     relations: object = None  # RingMatrix or None
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 1:
             raise ValueError("free rank must be positive")
         rel = self.relations
@@ -167,6 +172,7 @@ class FiniteSubgroupSpec:
     generators: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "length", index(self.length))
         gens = tuple(tuple(v) for v in self.generators)
         object.__setattr__(self, "generators", gens)
         for vec in gens:
@@ -183,22 +189,32 @@ class FiniteSubgroupSpec:
 _ZERO_MAP = RankResult(0, "dense_fraction_free", (), True)
 
 
-def _model_rank(f, q, policy, size_cap):
-    """RankResult of linearize(f, q) over Q; f None is the zero map.
+def _stage_ranks(q, matrices, policy, size_cap):
+    """The RankResult over Q of linearize(f, q) for each f in ``matrices``,
+    None the zero map.
 
-    At the translation model of (Z/n)^k the rank is split over characters
-    (fourier.fourier_rank) without linearizing; any other model, or an
-    uncertified split, takes the sparse engine.
+    At the translation model of (Z/n)^k each rank is split over characters
+    (fourier.fourier_rank) without linearizing, and the stage's character
+    orbits are built once, for the first matrix within the size cap; any
+    other model, or an uncertified split, takes the sparse engine.
     """
-    if f is None:
-        return _ZERO_MAP
     n = grid_modulus(q)
-    if n is not None:
-        check_size_cap(f, q, size_cap)
-        result = fourier_rank(f, n, policy)
-        if result.certified:
-            return result
-    return rank_over_rationals(linearize(f, q, size_cap), policy)
+    orbits = None
+    results = []
+    for f in matrices:
+        if f is None:
+            results.append(_ZERO_MAP)
+            continue
+        if n is not None:
+            check_size_cap(f, q, size_cap)
+            if orbits is None:
+                orbits = character_orbits(f.family.rank, n)
+            result = fourier_rank(f, n, orbits, policy)
+            if result.certified:
+                results.append(result)
+                continue
+        results.append(rank_over_rationals(linearize(f, q, size_cap), policy))
+    return results
 
 
 def _rank_table(family, Q, matrices, policy, size_cap):
@@ -216,10 +232,7 @@ def _rank_table(family, Q, matrices, policy, size_cap):
     if family != Q.family:
         raise ValueError("pipeline and quotient families differ")
     policy = policy or DEFAULT_POLICY
-    table = [
-        (q.degree, [_model_rank(f, q, policy, size_cap) for f in matrices])
-        for q in Q
-    ]
+    table = [(q.degree, _stage_ranks(q, matrices, policy, size_cap)) for q in Q]
     return Q, table
 
 

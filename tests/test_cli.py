@@ -105,9 +105,11 @@ def test_euler_ranks_each_differential_once_per_stage(tmp_path, count_calls):
     from soficrank import invariants
 
     calls = count_calls(invariants, "fourier_rank")
+    orbits = count_calls(invariants, "character_orbits")
     cfg = write(tmp_path, "job.cfg", KOSZUL_EULER_CONFIG)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 6  # d_1 and d_2 at grids 2, 3 and 5
+    assert orbits == [(2, 2), (2, 3), (2, 5)]  # one orbit set per grid stage
 
 
 def test_euler_residual_inherits_uncertified_betti(tmp_path):
@@ -160,21 +162,6 @@ def test_soficity_pipeline_deterministic(tmp_path):
     # free-family random models are homomorphisms: mult defect is 0
     mult_row = next(r for r in rows[1:] if r[0] == "mult_defect(a,b)")
     assert mult_row[2] == "0"
-
-
-def test_dump_normalized_round_trip(tmp_path, capsys):
-    cfg = write(tmp_path, "job.cfg", F2_BETTI_CONFIG)
-    assert main(["--config", cfg, "--dump-normalized"]) == 0
-    normalized = capsys.readouterr().out
-    cfg2 = write(tmp_path, "normalized.cfg", normalized)
-    # normalizing the normalized config is a fixpoint
-    assert main(["--config", cfg2, "--dump-normalized"]) == 0
-    assert capsys.readouterr().out == normalized
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out1)]) == 0
-    assert main(["--config", cfg2, "--out", str(out2)]) == 0
-    assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
 def test_vrk_and_relative_pipelines(tmp_path):
@@ -419,6 +406,48 @@ d1 = 1 + g2
 [run]
 pipeline = oracle
 """
+
+
+# a table job with its own element names, which its d1 reads
+NAMED_TABLE_CONFIG = """\
+[group]
+family = finite_table
+table = z2.txt
+names = one s
+
+[complex]
+ranks = 1 1
+d1 = one - s
+
+[run]
+pipeline = oracle
+"""
+
+ROUND_TRIP_CONFIGS = {
+    "f2_betti": F2_BETTI_CONFIG,
+    "koszul_euler": KOSZUL_EULER_CONFIG,
+    "soficity": SOFICITY_CONFIG,
+    "meanrank_windowed": MEANRANK_WINDOWED_CONFIG,
+    "oracle_z2": ORACLE_Z2_CONFIG,
+    "named_table": NAMED_TABLE_CONFIG,
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_TRIP_CONFIGS))
+def test_dump_normalized_round_trip(tmp_path, capsys, case):
+    write(tmp_path, "z2.txt", "2\n1 2\n2 1\n1 2\n")
+    cfg = write(tmp_path, "job.cfg", ROUND_TRIP_CONFIGS[case])
+    assert main(["--config", cfg, "--dump-normalized"]) == 0
+    normalized = capsys.readouterr().out
+    cfg2 = write(tmp_path, "normalized.cfg", normalized)
+    # normalizing the normalized config is a fixpoint
+    assert main(["--config", cfg2, "--dump-normalized"]) == 0
+    assert capsys.readouterr().out == normalized
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert main(["--config", cfg, "--out", str(out1)]) == 0
+    assert main(["--config", cfg2, "--out", str(out2)]) == 0
+    assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
 def test_bad_inverse_table_is_a_config_error(tmp_path, capsys):

@@ -66,7 +66,7 @@ def grid_cases(draw):
 def test_fourier_matches_sparse_engine(case):
     f, n = case
     k = f.family.rank
-    split = fourier_rank(f, n)
+    split = fourier_rank(f, n, character_orbits(k, n))
     sparse = rank_over_rationals(linearize(f, grid_quotient(k, n, f.family)))
     assert (split.rank, split.certified) == (sparse.rank, sparse.certified)
     assert split.method == "fourier_mod_p"
@@ -76,7 +76,7 @@ def test_fourier_matches_sparse_engine(case):
 def test_fourier_known_rank_deficiency(z1):
     # 1 - t^3 at Z/6 vanishes exactly at the characters a with 3a = 0 mod 6
     f = parse_ring_matrix("1 - t^3", z1)
-    assert fourier_rank(f, 6).rank == 6 - 3
+    assert fourier_rank(f, 6, character_orbits(1, 6)).rank == 6 - 3
 
 
 def test_character_orbits_partition_the_group():
@@ -113,9 +113,9 @@ def relabelled_grid(fam, n):
 def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, monkeypatch):
     calls = []
 
-    def counted(f, n, policy=None):
+    def counted(f, n, orbits, policy=None):
         calls.append(n)
-        return fourier_rank(f, n, policy)
+        return fourier_rank(f, n, orbits, policy)
 
     monkeypatch.setattr(invariants, "fourier_rank", counted)
     M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1 ; y^2 - 1", z2grid))

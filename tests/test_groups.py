@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from soficrank import (
     ChainComplex,
     FiniteQuotient,
+    FiniteSubgroupSpec,
     FiniteTable,
     Free,
     FreeAbelian,
+    ModulePresentation,
     QuotientSequence,
     extend_to_word,
     grid_quotient,
@@ -471,6 +473,8 @@ NON_INTEGER_COUNTS = {
     "sanov_sequence": lambda: sanov_sequence([3, 15.9]),
     "complex_rank": lambda: ChainComplex(Free(1), (1.5,), ()),
     "prime": lambda: rank_mod_p(SparseIntMatrix.from_dense([[1]]), 7.9),
+    "module_free_rank": lambda: ModulePresentation(FreeAbelian(1), Fraction(3, 2)),
+    "subgroup_length": lambda: FiniteSubgroupSpec(Free(1), 1.0, ()),
 }
 
 

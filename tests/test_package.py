@@ -21,3 +21,14 @@ def test_all_names_resolve(name):
 def test_every_module_declares_all():
     undeclared = [n for n in MODULES if not hasattr(importlib.import_module(n), "__all__")]
     assert undeclared == []
+
+
+def test_no_module_level_caches():
+    # a functools cache is state shared by every job run in one process
+    cached = [
+        "%s.%s" % (name, attr)
+        for name in MODULES
+        for attr, value in vars(importlib.import_module(name)).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == []
