@@ -54,7 +54,7 @@ def identity_perm(d):
 
 def perm_compose(p, q):
     """(p . q)(v) = p[q[v]], i.e. apply q first."""
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def perm_inverse(p):
@@ -65,10 +65,15 @@ def perm_inverse(p):
 
 
 def perm_power(p, k):
-    """p^k for any integer k, via cycle decomposition (cost O(d) regardless of k)."""
+    """p^k for any integer k, via cycle decomposition (cost O(d) regardless of k).
+
+    p^1 is p itself, with no walk of its cycles.
+    """
     d = len(p)
     if k == 0:
         return identity_perm(d)
+    if k == 1:
+        return p
     out = [0] * d
     seen = [False] * d
     for start in range(d):
@@ -530,7 +535,7 @@ class FiniteQuotient:
         d = self.degree
         if d < 1:
             raise ValueError("degree must be positive")
-        images = tuple(tuple(p) for p in self.gen_images)
+        images = tuple(tuple(map(index, p)) for p in self.gen_images)
         object.__setattr__(self, "gen_images", images)
         expected = (
             self.family.order
@@ -694,13 +699,6 @@ def _sl2_size(m):
     return size
 
 
-def _sl2_mul(x, y, m):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % m, (a * f + b * h) % m,
-            (c * e + d * g) % m, (c * f + d * h) % m)
-
-
 def sanov_quotient(modulus, family=None):
     """F_2 -> SL_2(Z/m) via a -> [[1,2],[0,1]], b -> [[1,0],[2,1]], m odd >= 3.
 
@@ -716,30 +714,31 @@ def sanov_quotient(modulus, family=None):
         family = Free(2)
     elif not isinstance(family, Free) or family.rank != 2:
         raise ValueError("sanov quotient needs a rank-2 free family")
-    gen_a = (1, 2 % m, 0, 1)
-    gen_b = (1, 0, 2 % m, 1)
-    inv_a = (1, (-2) % m, 0, 1)
-    inv_b = (1, 0, (-2) % m, 1)
+    # left multiplication by a = [[1,2],[0,1]] adds twice the second row to
+    # the first, by b = [[1,0],[2,1]] twice the first row to the second.  In
+    # a finite group the positive words already reach every element.
     identity = (1, 0, 0, 1)
-    seen = {identity}
+    steps = {}
     frontier = [identity]
-    steps = (gen_a, gen_b, inv_a, inv_b)
     while frontier:
         nxt = []
         for x in frontier:
-            for s in steps:
-                y = _sl2_mul(s, x, m)
-                if y not in seen:
-                    seen.add(y)
+            p, q, r, s = x
+            ax = ((p + 2 * r) % m, (q + 2 * s) % m, r, s)
+            bx = (p, q, (r + 2 * p) % m, (s + 2 * q) % m)
+            steps[x] = ax, bx
+            for y in (ax, bx):
+                if y not in steps:
+                    steps[y] = None  # seen; its steps are set next round
                     nxt.append(y)
         frontier = nxt
-    elements = sorted(seen)
+    elements = sorted(steps)
     d = len(elements)
     if d != _sl2_size(m):
         raise RuntimeError("Sanov images failed to generate SL2(Z/%d)" % m)
     position = {x: i for i, x in enumerate(elements)}
-    img_a = tuple(position[_sl2_mul(gen_a, x, m)] for x in elements)
-    img_b = tuple(position[_sl2_mul(gen_b, x, m)] for x in elements)
+    img_a = tuple(position[steps[x][0]] for x in elements)
+    img_b = tuple(position[steps[x][1]] for x in elements)
     return FiniteQuotient(family, d, (img_a, img_b), True, "Sanov mod %d" % m)
 
 

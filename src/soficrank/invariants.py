@@ -533,8 +533,10 @@ def literal_mean_rank_point(
             rows.append(place(v, avec))
 
     def certified_rank(row_dicts):
-        trips = [(i, pos, c) for i, row in enumerate(row_dicts) for pos, c in row.items()]
-        return rank_over_rationals(SparseIntMatrix(len(row_dicts), big_cols, trips), policy)
+        # each row above is non-empty, its values nonzero ints and its
+        # columns below big_cols, so the rows are adopted as they are
+        M = SparseIntMatrix._adopt(len(row_dicts), big_cols, dict(enumerate(row_dicts)))
+        return rank_over_rationals(M, policy)
 
     rel = certified_rank(rows[:rel_count]) if rel_count else _ZERO_MAP
     full = certified_rank(rows) if len(rows) > rel_count else rel

@@ -40,6 +40,11 @@ class SparseIntMatrix:
     Dimensions, indices and values go through operator.index, so a value
     that is not an integer raises TypeError rather than being truncated.
     ``triplets`` is the view sorted by (row, col).
+
+    ``_adopt`` is the private path for code in this package that builds the
+    row map itself: it takes the map as given, unchecked, so the map must
+    hold only non-empty rows of nonzero ints, with every index an int in
+    range.  Nothing may change the map afterwards.
     """
 
     __slots__ = ("rows", "cols", "_row_map")
@@ -69,6 +74,13 @@ class SparseIntMatrix:
         self.rows = rows
         self.cols = cols
         self._row_map = row_map
+
+    @classmethod
+    def _adopt(cls, rows, cols, row_map):
+        """A matrix whose row map is ``row_map`` itself (see the class doc)."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M._row_map = rows, cols, row_map
+        return M
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -140,22 +152,40 @@ def check_size_cap(f, q, size_cap):
 def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
     """Linearize an m x n ring matrix at a finite model into (m*d) x (n*d) ints.
 
+    The row map is built here, with the constructor's rules: entries are
+    summed in the order (j, k, term, w) in which they are met, and zero sums
+    and emptied rows are dropped.  Every index is in range by construction
+    and every coefficient is a nonzero int (RingElement holds no others), so
+    the map goes to SparseIntMatrix._adopt unchecked.
+
     Raises SizeCapExceeded when (m+n)*d exceeds the cap.
     """
     check_size_cap(f, q, size_cap)
     m, n, d = f.rows, f.cols, q.degree
     perms = {}
-    trips = []
+    row_map = {}
     for j in range(m):
         for k in range(n):
+            cols = range(k, n * d, n)
             for g, coeff in f.entries[j][k].terms.items():
                 p = perms.get(g)
                 if p is None:
                     p = extend_to_word(q, g)
                     perms[g] = p
-                for w in range(d):
-                    trips.append((p[w] * m + j, w * n + k, coeff))
-    return SparseIntMatrix(m * d, n * d, trips)
+                for v, c in zip(p, cols):
+                    r = v * m + j
+                    row = row_map.get(r)
+                    if row is None:
+                        row_map[r] = {c: coeff}
+                        continue
+                    total = row.get(c, 0) + coeff
+                    if total:
+                        row[c] = total
+                    else:
+                        del row[c]
+                        if not row:
+                            del row_map[r]
+    return SparseIntMatrix._adopt(m * d, n * d, row_map)
 
 
 # -- MatrixMarket coordinate interchange (1-based, integer field) ----------

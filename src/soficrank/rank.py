@@ -12,11 +12,10 @@ Before that loop, rank_mod_p contracts the edge rows: rows that are
 +-(e_i - e_j) over Z, as every row of the linearized d_1 of F_k at a
 permutation model is.  A union-find over the columns takes each edge row;
 a row that joins two components is a pivot, a row whose ends are already
-joined is dependent and dropped.  Every other row has its columns read
-through ``find`` (column j replaced by the root of its component) and
-goes to the Markowitz loop.  This is exact over Z: an edge row is a +-1
-pivot, and eliminating with it substitutes one column by another in the
-other rows, a unimodular step.  The row space of the edge rows is the
+joined is dependent and dropped.  Every other row has each column
+replaced by the root of its component and goes to the Markowitz loop.
+This is exact over Z: an edge row is a +-1 pivot, and eliminating with it
+substitutes one column by another in the other rows, a unimodular step.  The row space of the edge rows is the
 kernel of the map summing coordinates over each component, over any ring,
 so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
 included, and for a product of primes.
@@ -90,45 +89,46 @@ def _check_prime(p):
     return p
 
 
-def _edge_columns(row):
-    """The two columns of a row dict that is +-(e_i - e_j) over Z, else None."""
-    if len(row) == 2:
-        (a, u), (b, v) = row.items()
-        if u in (1, -1) and u + v == 0:
-            return a, b
-    return None
-
-
 def _contract_edges(M):
     """Union-find of the columns over the edge rows of M.
 
-    Returns the number of successful unions, ``find``, which maps a column
-    to the root of its component (itself when no edge row touches it), and
+    Returns the number of successful unions, the forest ``parent``, and
     the rows that are not edge rows, as (index, row dict) pairs in their
     stored order.  A row whose two ends are already joined adds nothing.
+    When there are other rows, ``parent`` then maps each column joined to
+    another straight to the root of its component; a column that is not a
+    key is its own root.
     """
     parent = {}
-
-    def find(c):
-        root = c
-        while root in parent:
-            root = parent[root]
-        while c != root:
-            parent[c], c = root, parent[c]
-        return root
-
     unions = 0
     rest = []
     for r, row in M._row_map.items():
-        ends = _edge_columns(row)
-        if ends is None:
-            rest.append((r, row))
-            continue
-        a, b = find(ends[0]), find(ends[1])
-        if a != b:
-            parent[a] = b
-            unions += 1
-    return unions, find, rest
+        if len(row) == 2:
+            (a, u), (b, v) = row.items()
+            if u + v == 0 and (u == 1 or u == -1):
+                # both ends to their roots, halving the paths on the way
+                while a in parent:
+                    up = parent[a]
+                    if up in parent:
+                        parent[a] = up = parent[up]
+                    a = up
+                while b in parent:
+                    up = parent[b]
+                    if up in parent:
+                        parent[b] = up = parent[up]
+                    b = up
+                if a != b:
+                    parent[a] = b
+                    unions += 1
+                continue
+        rest.append((r, row))
+    if rest:
+        # only the residual reads the roots: point every column at its own
+        for c, up in parent.items():
+            while up in parent:
+                up = parent[up]
+            parent[c] = up
+    return unions, parent, rest
 
 
 def rank_mod_p(M, p, stats=None):
@@ -162,8 +162,8 @@ def rank_mod_p(M, p, stats=None):
         p = prod(primes)
     else:
         p = _check_prime(p)
-    unions, find, rest = _contract_edges(M)
-    # the residual: every other row, its columns read through find; each
+    unions, parent, rest = _contract_edges(M)
+    # the residual: every other row, each column read as its root; each
     # edge row held two nonzeros
     rows = {}
     initial_nnz = 2 * (len(M._row_map) - len(rest))
@@ -173,7 +173,7 @@ def rank_mod_p(M, p, stats=None):
             v %= p
             if v:
                 initial_nnz += 1
-                c = find(c)
+                c = parent.get(c, c)
                 merged[c] = (merged.get(c, 0) + v) % p
         merged = {c: v for c, v in merged.items() if v}
         if merged:

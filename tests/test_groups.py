@@ -205,9 +205,9 @@ def test_extend_grid_shift(z1):
     assert p == tuple((v + 3) % 5 for v in range(5))
 
 
-def test_extend_sanov_matches_matrix_oracle(f2):
-    # oracle: arithmetic in SL2(Z/3) done directly in the test
-    m = 3
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_extend_sanov_matches_matrix_oracle(f2, m):
+    # oracle: arithmetic in SL2(Z/m) done directly in the test
     a, b = f2.generators()
     q = sanov_quotient(m, f2)
 
@@ -224,14 +224,17 @@ def test_extend_sanov_matches_matrix_oracle(f2):
     word = a * b * ~a
     W = mat_mul(mat_mul(A, B), mat_inv(A))
 
-    # enumerate SL2(Z/3) by brute force, in the same sorted order
+    # enumerate SL2(Z/m) by brute force, in the same sorted order
     elements = sorted(
         (p, qq, r, s)
         for p in range(m) for qq in range(m) for r in range(m) for s in range(m)
         if (p * s - qq * r) % m == 1
     )
-    assert len(elements) == 24 == q.degree
+    assert len(elements) == q.degree
     index = {x: i for i, x in enumerate(elements)}
+    assert q.gen_images == tuple(
+        tuple(index[mat_mul(G, x)] for x in elements) for G in (A, B)
+    )
     expected = tuple(index[mat_mul(W, x)] for x in elements)
     assert extend_to_word(q, word) == expected
 
@@ -283,6 +286,8 @@ def test_perm_power_matches_repeated_composition():
         acc = perm_compose(acc, p)
         assert perm_power(p, k) == acc
     assert perm_power(p, -3) == perm_inverse(perm_power(p, 3))
+    # the first power is p itself, so a one-letter word costs nothing
+    assert perm_power(p, 1) is p
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +435,9 @@ def test_genuine_flag_validated():
 def test_gen_image_must_be_permutation():
     with pytest.raises(ValueError):
         FiniteQuotient(FreeAbelian(1), 3, ((0, 0, 1),), False, "bad")
+    # 1.0 == 1, so the float passes the permutation check; it is not an index
+    with pytest.raises(TypeError):
+        FiniteQuotient(Free(2), 3, ((1.0, 2, 0), (0, 1, 2)), False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficrank import (
+    FiniteQuotient,
+    FiniteTable,
+    Free,
+    FreeAbelian,
     RankResult,
     RingElement,
     RingMatrix,
@@ -21,6 +25,7 @@ from soficrank import (
     write_matrix_market,
 )
 from soficrank.groups import perm_inverse
+from conftest import build_s3_table
 
 
 def rational_rank(dense):
@@ -235,6 +240,88 @@ def test_rank_invariant_under_orientation_flip(f2, s3, z1):
         r1 = rational_rank(linearize(f, q).to_dense())
         r2 = rational_rank(linearize_flipped(f, q).to_dense())
         assert r1 == r2
+
+
+def triplet_linearize(f, q):
+    """Oracle: the triplets of every block, in the order (j, k, term, w),
+    summed by the SparseIntMatrix constructor."""
+    m, n, d = f.rows, f.cols, q.degree
+    trips = []
+    for j in range(m):
+        for k in range(n):
+            for g, coeff in f.entries[j][k].terms.items():
+                p = extend_to_word(q, g)
+                for w in range(d):
+                    trips.append((p[w] * m + j, w * n + k, coeff))
+    return SparseIntMatrix(m * d, n * d, trips)
+
+
+def stored_order(M):
+    """The rows and, within each row, the columns in the order rank_mod_p
+    reads them."""
+    return [(r, list(row.items())) for r, row in M._row_map.items()]
+
+
+def _free_words(fam):
+    a, b = fam.generators()
+    e = fam.identity()
+    return [e, a, b, ~a, ~b, a * b, b * a, a * a, a * ~b, b * b * ~a]
+
+
+def _lattice_points(fam):
+    x, y = fam.generators()
+    return [x ** i * y ** j for i in range(-2, 3) for j in range(-2, 3)]
+
+
+# each family with the elements terms are drawn from and a genuine model
+LINEARIZE_FAMILIES = [
+    (Free(2), _free_words, lambda fam: sanov_quotient(3, fam)),
+    (FreeAbelian(2), _lattice_points, lambda fam: grid_quotient(2, 3, fam)),
+    (FiniteTable(build_s3_table(), identity_index=0), FiniteTable.elements,
+     regular_quotient),
+]
+
+
+@st.composite
+def linearize_cases(draw):
+    """A ring matrix of 1-3 x 1-3 entries of up to four terms, at the
+    family's genuine model or at a random model of degree 1-6."""
+    fam, elements, genuine = draw(st.sampled_from(LINEARIZE_FAMILIES))
+    term = st.tuples(st.sampled_from(elements(fam)), st.integers(-3, 3))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = [
+        [RingElement(fam, draw(st.lists(term, max_size=4))) for _ in range(n)]
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):
+        q = genuine(fam)
+    else:
+        q = random_quotient(fam, draw(st.integers(1, 6)), draw(st.integers(0, 99)))
+    return RingMatrix(fam, entries), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(linearize_cases())
+def test_linearize_matches_triplet_oracle(case):
+    f, q = case
+    L, want = linearize(f, q), triplet_linearize(f, q)
+    assert L == want
+    if q.genuine:
+        assert stored_order(L) == stored_order(want)
+
+
+def test_linearize_keeps_order_when_terms_cancel(f2):
+    # a and b act alike, so the b term empties every row the a term made,
+    # and the a*b term makes them again in its own order
+    a, b = f2.generators()
+    p = (1, 2, 0, 4, 3)
+    q = FiniteQuotient(f2, 5, (p, p), False)
+    f = RingMatrix(f2, [[RingElement(f2, [(a, 2), (b, -2), (a * b, 1)]), RingElement.monomial(b)]])
+    L, want = linearize(f, q), triplet_linearize(f, q)
+    assert L == want and stored_order(L) == stored_order(want)
+    # the order of a*b's image (p p), not of a's (p)
+    assert [r for r, _ in stored_order(L)] == [2, 0, 1, 3, 4]
+    assert linearize(RingMatrix(f2, [[RingElement(f2, [(a, 1), (b, -1)])]]), q).is_zero()
 
 
 def test_block_diagonal_linearization(f2):
