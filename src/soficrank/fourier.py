@@ -1,6 +1,7 @@
 """Ranks at grid models of Z^k by splitting over characters.
 
-At the translation model of (Z/n)^k (grid_quotient), linearize(f) is
+At the translation model of (Z/n)^k that grid_quotient builds (the model
+records n, and invariants._stage_ranks reads it there), linearize(f) is
 block-circulant: every block is a combination of commuting translations.
 Over a field holding the n-th roots of unity the characters
 chi_a(x^s) = zeta^(a.s), a in (Z/n)^k, diagonalize all translations at once,
@@ -132,8 +133,8 @@ def fourier_rank(f, n, orbits, policy=None):
 
     ``orbits`` is character_orbits(k, n).  Returns a RankResult with method
     ``fourier_mod_p``; it is uncertified when the policy's window holds too
-    few such primes.  The caller must know that the model is that grid
-    (groups.grid_modulus).
+    few such primes.  The caller must know that the model is that grid: a
+    model that grid_quotient built records n.
     """
     policy = policy or DEFAULT_POLICY
     return multimodular_rank(

@@ -29,7 +29,6 @@ __all__ = [
     "extend_to_word",
     "soficity_defect",
     "grid_quotient",
-    "grid_modulus",
     "sanov_quotient",
     "regular_quotient",
     "random_quotient",
@@ -135,9 +134,6 @@ class GroupElement:
 
     def __hash__(self):
         return hash((self.family, self.payload))
-
-    def is_identity(self):
-        return self == self.family.identity()
 
     def __repr__(self):
         return self.family.element_str(self.payload)
@@ -290,17 +286,6 @@ class Free(GroupFamily):
         if not 0 <= i < self.rank:
             raise IndexError("generator index out of range")
         return self._wrap((i + 1,))
-
-    def reduce_word(self, letters):
-        word = []
-        for l in letters:
-            if l == 0 or abs(l) > self.rank:
-                raise ValueError("invalid letter %r" % (l,))
-            if word and word[-1] == -l:
-                word.pop()
-            else:
-                word.append(l)
-        return self._wrap(tuple(word))
 
     def multiply(self, a, b):
         self.check_member(a)
@@ -462,13 +447,6 @@ class FiniteTable(GroupFamily):
         inverse = [int(x) - 1 for x in lines[g + 1].split()]
         return cls(table, inverse=inverse, identity_index=0, names=names)
 
-    def to_text(self):
-        out = [str(self.order)]
-        for row in self.table:
-            out.append(" ".join(str(x + 1) for x in row))
-        out.append(" ".join(str(x + 1) for x in self.inverse_table))
-        return "\n".join(out) + "\n"
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteTable)
@@ -518,11 +496,25 @@ class FiniteTable(GroupFamily):
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """A degree-d permutation model sigma: generators -> Sym(d).
+    """A degree-d permutation model sigma: generators -> Sym(d), one image
+    per name in ``family.gen_names``.
 
     ``genuine`` means the model comes from an actual homomorphism onto a
-    finite group; for FreeAbelian and FiniteTable families this is verified
-    on construction by extending the gen_images along the defining relators.
+    finite group.  A model is made on one of two paths:
+
+    - The constructor takes images from outside.  Every entry goes through
+      operator.index, every image must be a permutation of range(d), and
+      for a genuine FreeAbelian or FiniteTable model the images are
+      extended along the defining relators (commutation, or the table).
+    - ``_adopt`` is the private path of the builders in this module, which
+      know their group in closed form.  It takes the images as built and
+      checks nothing, so they must be tuples of int tuples, each a
+      permutation of range(d), and a genuine model's relations must hold by
+      construction (tests/test_groups.py runs the constructor's full proof
+      on every builder's models).  Only grid_quotient's models record their
+      modulus n as ``_grid``, which sends them to the Fourier path in
+      invariants; every other model has None, even one built by the
+      constructor from a grid's own images.
     """
 
     family: GroupFamily
@@ -531,17 +523,25 @@ class FiniteQuotient:
     genuine: bool
     label: str = ""
 
+    _grid = None
+
+    @classmethod
+    def _adopt(cls, family, degree, gen_images, genuine, label, grid=None):
+        """A model with ``gen_images`` as built (see the class doc)."""
+        q = cls.__new__(cls)
+        q.__dict__.update(
+            family=family, degree=degree, gen_images=gen_images,
+            genuine=genuine, label=label, _grid=grid,
+        )
+        return q
+
     def __post_init__(self):
         d = self.degree
         if d < 1:
             raise ValueError("degree must be positive")
         images = tuple(tuple(map(index, p)) for p in self.gen_images)
         object.__setattr__(self, "gen_images", images)
-        expected = (
-            self.family.order
-            if isinstance(self.family, FiniteTable)
-            else self.family.rank
-        )
+        expected = len(self.family.gen_names)
         if len(images) != expected:
             raise ValueError(
                 "expected %d generator images, got %d" % (expected, len(images))
@@ -563,9 +563,7 @@ class FiniteQuotient:
                         raise ValueError(
                             "genuine FreeAbelian model requires commuting images"
                         )
-        elif isinstance(fam, FiniteTable) and images != fam.table:
-            # the table's own rows (the regular model) respect the table by
-            # the associativity FiniteTable.__init__ verified
+        elif isinstance(fam, FiniteTable):
             if images[fam.identity_index] != identity_perm(self.degree):
                 raise ValueError("genuine model must send the identity to id")
             for a in range(fam.order):
@@ -652,7 +650,7 @@ def grid_quotient(rank, modulus, family=None):
     elif not isinstance(family, FreeAbelian) or family.rank != rank:
         raise ValueError("family does not match grid parameters")
     images = _grid_images(rank, n)
-    return FiniteQuotient(family, n ** rank, images, True, "grid mod %d" % n)
+    return FiniteQuotient._adopt(family, n ** rank, images, True, "grid mod %d" % n, n)
 
 
 def _grid_images(rank, n):
@@ -672,24 +670,6 @@ def _grid_images(rank, n):
             img.extend(range(b, b + stride))
         images.append(tuple(img))
     return tuple(images)
-
-
-def grid_modulus(q):
-    """n when q is the translation model of (Z/n)^k of a Z^k family, else None.
-
-    Decided from the model alone: the degree must be a k-th power n^k and
-    the generator images must be exactly the unit translations that
-    grid_quotient builds.
-    """
-    fam = q.family
-    if not isinstance(fam, FreeAbelian):
-        return None
-    k = fam.rank
-    n = round(q.degree ** (1.0 / k))
-    n = next((c for c in (n - 1, n, n + 1) if c >= 1 and c ** k == q.degree), None)
-    if n is None or q.gen_images != _grid_images(k, n):
-        return None
-    return n
 
 
 def _sl2_size(m):
@@ -739,16 +719,15 @@ def sanov_quotient(modulus, family=None):
     position = {x: i for i, x in enumerate(elements)}
     img_a = tuple(position[steps[x][0]] for x in elements)
     img_b = tuple(position[steps[x][1]] for x in elements)
-    return FiniteQuotient(family, d, (img_a, img_b), True, "Sanov mod %d" % m)
+    return FiniteQuotient._adopt(family, d, (img_a, img_b), True, "Sanov mod %d" % m)
 
 
 def regular_quotient(family):
     """Left regular action of a finite-table group on itself; genuine, degree g."""
     if not isinstance(family, FiniteTable):
         raise ValueError("regular quotient needs a FiniteTable family")
-    images = tuple(tuple(row) for row in family.table)
-    return FiniteQuotient(
-        family, family.order, images, True, "regular |G|=%d" % family.order
+    return FiniteQuotient._adopt(
+        family, family.order, family.table, True, "regular |G|=%d" % family.order
     )
 
 
@@ -758,19 +737,15 @@ def random_quotient(family, degree, seed):
     if d < 1:
         raise ValueError("degree must be positive")
     rng = random.Random(seed)
-    if isinstance(family, FiniteTable):
-        count = family.order
-    else:
-        count = family.rank
     images = []
-    for i in range(count):
+    for i in range(len(family.gen_names)):
         if isinstance(family, FiniteTable) and i == family.identity_index:
             images.append(identity_perm(d))
             continue
         img = list(range(d))
         rng.shuffle(img)
         images.append(tuple(img))
-    return FiniteQuotient(
+    return FiniteQuotient._adopt(
         family, d, tuple(images), False, "random d=%d seed=%r" % (d, seed)
     )
 

@@ -11,19 +11,19 @@ behind it is.  No rank outlives the call that computed it.  Heuristic
 (non-genuine) models are rejected, because the image need not sit inside
 the kernel there.
 
-Ranks come from _stage_ranks.  At the translation model of (Z/n)^k it
-splits each rank over characters without linearizing
-(fourier.fourier_rank).  Characters in one orbit of a -> u.a, u a unit
-mod n, are Galois conjugates and have equal rank over Q(zeta_n);
-evaluating one representative per orbit at a root of unity mod a prime
-p = 1 (mod n) can only lower that rank, so each prime's weighted sum is a
-lower bound on rank_Q L(f) = sum_chi rank f(chi), certified by the same
-agreement rule as a sparse mod-p rank.  Every other model, and any
-uncertified split, takes linearize and the sparse engine, with its
-Bareiss fallback.  The orbits (fourier.character_orbits) are built once
-per grid stage, after the first matrix there has passed the size cap, and
-are shared by every matrix ranked at that stage; nothing is cached across
-stages or calls.
+Ranks come from _stage_ranks.  At the translation model of (Z/n)^k that
+grid_quotient built, which records n, it splits each rank over characters
+without linearizing (fourier.fourier_rank); no model is recognized from its
+images.  Characters in one orbit of a -> u.a, u a unit mod n, are Galois
+conjugates and have equal rank over Q(zeta_n); evaluating one
+representative per orbit at a root of unity mod a prime p = 1 (mod n) can
+only lower that rank, so each prime's weighted sum is a lower bound on
+rank_Q L(f) = sum_chi rank f(chi), certified by the same agreement rule as
+a sparse mod-p rank.  Every other model, and any uncertified split, takes
+linearize and the sparse engine, with its Bareiss fallback.  The orbits
+(fourier.character_orbits) are built once per grid stage, after the first
+matrix there has passed the size cap, and are shared by every matrix
+ranked at that stage; nothing is cached across stages or calls.
 
 A literal mean rank is built on one path for every family: module elements
 are truncated to a finite window of group elements, and a finite family is
@@ -45,7 +45,6 @@ from .groups import (
     FiniteTable,
     QuotientSequence,
     extend_to_word,
-    grid_modulus,
     regular_quotient,
 )
 from .linearize import (
@@ -193,12 +192,13 @@ def _stage_ranks(q, matrices, policy, size_cap):
     """The RankResult over Q of linearize(f, q) for each f in ``matrices``,
     None the zero map.
 
-    At the translation model of (Z/n)^k each rank is split over characters
-    (fourier.fourier_rank) without linearizing, and the stage's character
-    orbits are built once, for the first matrix within the size cap; any
-    other model, or an uncertified split, takes the sparse engine.
+    At a model that grid_quotient built, which records its modulus n, each
+    rank is split over the characters of (Z/n)^k (fourier.fourier_rank)
+    without linearizing, and the stage's character orbits are built once,
+    for the first matrix within the size cap; any other model, or an
+    uncertified split, takes the sparse engine.
     """
-    n = grid_modulus(q)
+    n = q._grid
     orbits = None
     results = []
     for f in matrices:

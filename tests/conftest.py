@@ -23,6 +23,15 @@ def s3_elements():
     ]
 
 
+def free_word(fam, letters):
+    """The product of the free generators (+i) and their inverses (-i),
+    1-based, in order: a reduced word by the group law alone."""
+    word = fam.identity()
+    for l in letters:
+        word = word * fam.generator(abs(l) - 1) ** (1 if l > 0 else -1)
+    return word
+
+
 def build_s3_table():
     elems = s3_elements()
     index = {p: i for i, p in enumerate(elems)}

@@ -545,7 +545,7 @@ RUNTIME_SCRIPT = """\
 import sys
 
 import soficrank
-from soficrank import FiniteTable, cli
+from soficrank import cli
 
 jobs = {
     "betti": SANOV,
@@ -554,7 +554,8 @@ jobs = {
               "[complex]\\nranks = 1 1\\nd1 = 1 - g2\\n\\n[run]\\npipeline = oracle\\n",
 }
 with open("z6.txt", "w") as f:
-    f.write(FiniteTable.cyclic(6).to_text())
+    f.write("6\\n1 2 3 4 5 6\\n2 3 4 5 6 1\\n3 4 5 6 1 2\\n4 5 6 1 2 3\\n"
+            "5 6 1 2 3 4\\n6 1 2 3 4 5\\n1 6 5 4 3 2\\n")
 for name, text in jobs.items():
     with open(name + ".cfg", "w") as f:
         f.write(text)

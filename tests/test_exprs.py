@@ -10,6 +10,7 @@ from soficrank import (
     parse_ring_element,
     parse_ring_matrix,
 )
+from conftest import free_word
 
 
 def test_basic_parse(f2):
@@ -98,8 +99,8 @@ def test_parse_print_round_trip_randomized(f2, z2grid, s3):
 
     def sample_elt(fam):
         if isinstance(fam, Free):
-            return fam.reduce_word(
-                [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(5))]
+            return free_word(
+                fam, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(5))]
             )
         if isinstance(fam, FreeAbelian):
             return fam._wrap(tuple(rng.randrange(-3, 4) for _ in range(fam.rank)))

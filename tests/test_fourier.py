@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from soficrank import (
     FiniteQuotient,
+    FiniteTable,
     FreeAbelian,
     ModulePresentation,
     RingElement,
@@ -17,13 +18,17 @@ from soficrank import (
     grid_sequence,
     linearize,
     parse_ring_matrix,
+    random_quotient,
     rank_over_rationals,
+    regular_quotient,
+    sanov_quotient,
     vrk_approximants,
 )
 from soficrank import invariants
 from soficrank.fourier import _root_of_unity, character_orbits, fourier_rank
-from soficrank.groups import grid_modulus, perm_compose, perm_inverse
+from soficrank.groups import perm_compose, perm_inverse
 from soficrank.primes import isprime
+from conftest import build_s3_table
 
 # largest grid modulus per rank, so that the sparse reference stays small
 MAX_MODULUS = {1: 15, 2: 8, 3: 4}
@@ -92,11 +97,18 @@ def test_character_orbits_partition_the_group():
 
 
 def test_grid_modulus_reads_the_model(z2grid):
-    assert grid_modulus(grid_quotient(2, 5, z2grid)) == 5
-    assert grid_modulus(grid_quotient(3, 1)) == 1
-    x, y = grid_quotient(2, 5, z2grid).gen_images
+    # grid_quotient records n on its models; no model is recognized later
+    q = grid_quotient(2, 5, z2grid)
+    assert q._grid == 5
+    assert grid_quotient(3, 1)._grid == 1
+    x, y = q.gen_images
     swapped = FiniteQuotient(z2grid, 25, (y, x), True, "swapped axes")
-    assert grid_modulus(swapped) is None
+    given = FiniteQuotient(z2grid, 25, (x, y), True, q.label)
+    assert given == q
+    assert swapped._grid is None and given._grid is None
+    s3 = FiniteTable(build_s3_table())
+    for other in (sanov_quotient(3), regular_quotient(s3), random_quotient(z2grid, 9, 0)):
+        assert other._grid is None
 
 
 def relabelled_grid(fam, n):
@@ -120,13 +132,15 @@ def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, monkeypatch):
     monkeypatch.setattr(invariants, "fourier_rank", counted)
     M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1 ; y^2 - 1", z2grid))
     canonical, relabelled = relabelled_grid(z2grid, 4)
-    assert grid_modulus(relabelled) is None
+    # the grid's own images, given from outside rather than built
+    given = FiniteQuotient(z2grid, 16, canonical.gen_images, True, "given grid")
     (sparse,) = vrk_approximants(M, [relabelled]).points
+    (sparse_given,) = vrk_approximants(M, [given]).points
     assert calls == []
     (split,) = vrk_approximants(M, [canonical]).points
     assert calls == [4]
     # the cokernel is Z[(Z/4)^2] / (x - 1, y^2 - 1) = Z[Z/2], of rank 2
-    assert sparse == split
+    assert sparse == split == sparse_given
     assert sparse.value == Fraction(2, 16) and sparse.certified
 
 

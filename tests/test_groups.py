@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -21,15 +22,17 @@ from soficrank import (
     grid_sequence,
     random_quotient,
     regular_quotient,
+    regular_sequence,
     sanov_quotient,
     sanov_sequence,
     soficity_defect,
 )
+from soficrank import groups
 from soficrank.linearize import SparseIntMatrix
 from soficrank.rank import rank_mod_p
 from soficrank.groups import _sl2_size, identity_perm, perm_compose, perm_inverse, perm_power
 
-from conftest import build_s3_table, s3_elements, then_perms
+from conftest import build_s3_table, free_word, s3_elements, then_perms
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +43,14 @@ def test_free_abelian_multiply():
     x, y = fam.generators()
     assert (x * y).payload == (1, 1)
     assert x * y == y * x
-    assert (x * ~x).is_identity()
+    assert x * ~x == fam.identity()
     assert (x ** -3).payload == (-3, 0)
 
 
 def test_free_multiply_cancels(f2):
     a, b = f2.generators()
     assert (a * b) * ~b == a
-    assert (~a * a).is_identity()
+    assert ~a * a == f2.identity()
     w = a * b * ~a
     assert w.payload == (1, 2, -1)
     assert (w * w).payload == (1, 2, 2, -1)  # seam cancellation
@@ -78,7 +81,7 @@ def test_group_axioms_randomized(f2, s3):
 
     def random_free_word():
         letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(6))]
-        return f2.reduce_word(letters)
+        return free_word(f2, letters)
 
     for fam, sample in ((f2, random_free_word), (s3, lambda: s3.element(rng.randrange(6)))):
         e = fam.identity()
@@ -86,7 +89,7 @@ def test_group_axioms_randomized(f2, s3):
             a, b, c = sample(), sample(), sample()
             assert (a * b) * c == a * (b * c)
             assert a * e == a == e * a
-            assert (a * ~a).is_identity()
+            assert a * ~a == e
 
 
 def test_finite_table_validation():
@@ -179,15 +182,22 @@ def test_inverse_table_range_checked(inverse_line):
         FiniteTable.from_text("2\n1 2\n2 1\n%s\n" % inverse_line)
 
 
-def test_table_text_round_trip(tmp_path, s3):
-    text = s3.to_text()
-    reparsed = FiniteTable.from_text(text, names=s3.gen_names)
-    assert reparsed == s3
+# the table of the s3 fixture in the file format: order, rows, inverses
+S3_TABLE_TEXT = """\
+6
+1 2 3 4 5 6
+2 1 5 6 3 4
+3 6 1 5 4 2
+4 5 6 1 2 3
+5 4 2 3 6 1
+6 3 4 2 1 5
+1 2 3 4 6 5
+"""
+
+
+def test_table_text_round_trip(s3):
     # the documented format: order, g rows, inverse line, all 1-based
-    lines = text.strip().splitlines()
-    assert lines[0] == "6"
-    assert len(lines) == 8
-    assert lines[1].split()[0] == "1"  # e*e = e, 1-based index 1
+    assert FiniteTable.from_text(S3_TABLE_TEXT, names=s3.gen_names) == s3
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +255,8 @@ def test_extend_is_homomorphism_on_genuine(f2, s3):
     for q in quotients:
         fam = q.family
         if isinstance(fam, Free):
-            sample = lambda: fam.reduce_word(
-                [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(5))]
+            sample = lambda: free_word(
+                fam, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(5))]
             )
         elif isinstance(fam, FreeAbelian):
             sample = lambda: fam._wrap(
@@ -438,6 +448,57 @@ def test_gen_image_must_be_permutation():
     # 1.0 == 1, so the float passes the permutation check; it is not an index
     with pytest.raises(TypeError):
         FiniteQuotient(Free(2), 3, ((1.0, 2, 0), (0, 1, 2)), False)
+
+
+# ---------------------------------------------------------------------------
+# builders: models made without checks, proved here
+
+def symmetric_table(n):
+    """S_n as a FiniteTable, elements in lexicographic order (identity first)."""
+    elems = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(elems)}
+    return FiniteTable([[index[then_perms(p, q)] for q in elems] for p in elems])
+
+
+BUILT_MODELS = {
+    **{
+        "grid-k%d-n%d" % (k, n): (lambda k=k, n=n: grid_quotient(k, n))
+        for k in (1, 2, 3)
+        for n in (1, 2, 5, 6)
+    },
+    **{"sanov-%d" % m: (lambda m=m: sanov_quotient(m)) for m in (3, 5, 7, 9, 15)},
+    "regular-cyclic6": lambda: regular_quotient(FiniteTable.cyclic(6)),
+    "regular-s3": lambda: regular_quotient(FiniteTable(build_s3_table())),
+    "regular-s4": lambda: regular_quotient(symmetric_table(4)),
+    "random-free": lambda: random_quotient(Free(2), 30, 1),
+    "random-free-abelian": lambda: random_quotient(FreeAbelian(3), 30, 2),
+    "random-table": lambda: random_quotient(symmetric_table(3), 30, 3),
+}
+
+
+@pytest.mark.parametrize("build", BUILT_MODELS.values(), ids=list(BUILT_MODELS))
+def test_built_models_pass_the_constructor(build):
+    # the constructor checks every image and, for a genuine model, runs the
+    # full relator proof that the builders skip
+    q = build()
+    assert FiniteQuotient(q.family, q.degree, q.gen_images, q.genuine, q.label) == q
+    assert all(type(p) is tuple for p in q.gen_images)
+
+
+def test_building_runs_no_check(monkeypatch, f2):
+    def refuse(*args):
+        raise AssertionError("a builder ran a check")
+
+    monkeypatch.setattr(groups, "_check_perm", refuse)
+    monkeypatch.setattr(FiniteQuotient, "_check_relators", refuse)
+    for build in BUILT_MODELS.values():
+        build()
+    grid_sequence(2, [2, 4])
+    sanov_sequence([3, 15], f2)
+    regular_sequence(FiniteTable.cyclic(4))
+    # the constructor still checks images given from outside
+    with pytest.raises(AssertionError, match="ran a check"):
+        FiniteQuotient(f2, 2, ((1, 0), (0, 1)), False)
 
 
 # ---------------------------------------------------------------------------

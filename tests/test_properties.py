@@ -36,7 +36,7 @@ GROUPS = [FiniteTable.cyclic(n) for n in range(1, 7)] + [
 def orbit_sum(h):
     """N_h = 1 + h + ... + h^(o-1) for h of order o, so (1 - h) N_h = 0."""
     terms, p = [(h, 1)], h
-    while not p.is_identity():
+    while p != h.family.identity():
         p = p * h
         terms.append((p, 1))
     return RingElement(h.family, terms)

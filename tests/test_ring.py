@@ -13,7 +13,7 @@ from soficrank import (
     parse_ring_matrix,
 )
 
-from conftest import s3_elements, then_perms
+from conftest import free_word, s3_elements, then_perms
 
 
 def mono(g):
@@ -63,8 +63,8 @@ def test_augmentation_is_ring_hom(f2, s3):
             out = out + RingElement.monomial(sample(), rng.randrange(-4, 5))
         return out
 
-    free_sample = lambda: f2.reduce_word(
-        [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(4))]
+    free_sample = lambda: free_word(
+        f2, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(4))]
     )
     table_sample = lambda: s3.element(rng.randrange(6))
     for fam, sample in ((f2, free_sample), (s3, table_sample)):
@@ -80,8 +80,8 @@ def test_ring_axioms_randomized(f2, z2grid, s3):
 
     def sampler(fam):
         if isinstance(fam, Free):
-            return lambda: fam.reduce_word(
-                [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(4))]
+            return lambda: free_word(
+                fam, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(4))]
             )
         if isinstance(fam, FreeAbelian):
             return lambda: fam._wrap(tuple(rng.randrange(-2, 3) for _ in range(fam.rank)))
