@@ -11,9 +11,10 @@ product of linearize(A) and linearize(B) for genuine models.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import index
 
-from .groups import extend_to_word
+from .groups import extend_to_word, perm_inverse
 from .ring import RingMatrix
 
 __all__ = [
@@ -32,22 +33,53 @@ class SizeCapExceeded(RuntimeError):
     """Raised when a linearization would exceed the configured size cap."""
 
 
-class SparseIntMatrix:
-    """Sparse matrix of arbitrary-precision integers, one dict per row.
+def _file_edges(row_map, edges):
+    """Move every row of ``row_map`` that is +-(e_a - e_b) over Z into the
+    edge store ``edges``, appending (index, a, b) with a the +1 column and b
+    the -1 column, in the order of ``row_map``.  This is the one place a row
+    is recognised as an edge by its shape."""
+    er, eh, et = edges
+    start = len(er)
+    for r, row in row_map.items():
+        if len(row) == 2:
+            (a, u), (b, v) = row.items()
+            if u + v == 0 and (u == 1 or u == -1):
+                if u == -1:
+                    a, b = b, a
+                er.append(r)
+                eh.append(a)
+                et.append(b)
+    for r in er[start:]:
+        del row_map[r]
 
-    Triplets (row, col, value) are summed into ``{row: {col: value}}``, in
-    the order they first appear; zero values and cancelled rows are dropped.
-    Dimensions, indices and values go through operator.index, so a value
-    that is not an integer raises TypeError rather than being truncated.
-    ``triplets`` is the view sorted by (row, col).
+
+class SparseIntMatrix:
+    """Sparse matrix of arbitrary-precision integers in two stores.
+
+    A row that is +-(e_a - e_b) over Z, an edge row, is held in the edge
+    store ``_edges``: three parallel lists of the row index, the column a of
+    its +1 and the column b of its -1 (a != b).  Every other nonzero row is
+    a dict in ``_row_map``, ``{row: {col: value}}``.  Every edge row lives
+    in the edge store and nowhere else, so the two stores' row indices are
+    disjoint; both keep their rows in the order they first appear.
+
+    Triplets (row, col, value) are summed in the order they first appear;
+    zero values and cancelled rows are dropped, and then the edge rows are
+    filed.  Dimensions, indices and values go through operator.index, so a
+    value that is not an integer raises TypeError rather than being
+    truncated.  ``triplets`` is the view of both stores sorted by
+    (row, col).
 
     ``_adopt`` is the private path for code in this package that builds the
-    row map itself: it takes the map as given, unchecked, so the map must
-    hold only non-empty rows of nonzero ints, with every index an int in
-    range.  Nothing may change the map afterwards.
+    stores itself: it takes them as given, unchecked, so the row map must
+    hold only non-empty rows of nonzero ints, every index must be an int in
+    range, and no row index may appear twice.  Given a row map alone, it
+    files the map's edge rows itself; given an edge store too, the row map
+    must already hold no edge row.  Nothing may change the stores
+    afterwards.
     """
 
-    __slots__ = ("rows", "cols", "_row_map")
+    __slots__ = ("rows", "cols", "_row_map", "_edges")
 
     def __init__(self, rows, cols, triplets=()):
         rows, cols = index(rows), index(cols)
@@ -71,15 +103,22 @@ class SparseIntMatrix:
                 del row[c]
                 if not row:
                     del row_map[r]
+        edges = ([], [], [])
+        _file_edges(row_map, edges)
         self.rows = rows
         self.cols = cols
         self._row_map = row_map
+        self._edges = edges
 
     @classmethod
-    def _adopt(cls, rows, cols, row_map):
-        """A matrix whose row map is ``row_map`` itself (see the class doc)."""
+    def _adopt(cls, rows, cols, row_map, edges=None):
+        """A matrix whose stores are ``row_map`` and ``edges`` themselves
+        (see the class doc)."""
+        if edges is None:
+            edges = ([], [], [])
+            _file_edges(row_map, edges)
         M = cls.__new__(cls)
-        M.rows, M.cols, M._row_map = rows, cols, row_map
+        M.rows, M.cols, M._row_map, M._edges = rows, cols, row_map, edges
         return M
 
     # -- constructors ---------------------------------------------------
@@ -101,26 +140,36 @@ class SparseIntMatrix:
     # -- basic queries ----------------------------------------------------
     @property
     def triplets(self):
-        return tuple((r, c, v) for r, row in sorted(self._row_map.items())
-                     for c, v in sorted(row.items()))
+        trips = [(r, c, v) for r, row in self._row_map.items()
+                 for c, v in row.items()]
+        for r, a, b in zip(*self._edges):
+            trips += ((r, a, 1), (r, b, -1))
+        return tuple(sorted(trips))
 
     @property
     def nnz(self):
-        return sum(map(len, self._row_map.values()))
+        return sum(map(len, self._row_map.values())) + 2 * len(self._edges[0])
 
     @property
     def total_dimension(self):
         return self.rows + self.cols
 
     def is_zero(self):
-        return not self._row_map
+        return not self._row_map and not self._edges[0]
 
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
         for r, row in self._row_map.items():
             for c, v in row.items():
                 out[r][c] = v
+        for r, a, b in zip(*self._edges):
+            out[r][a] = 1
+            out[r][b] = -1
         return out
+
+    def _edge_map(self):
+        er, eh, et = self._edges
+        return dict(zip(er, zip(eh, et)))
 
     def __eq__(self, other):
         return (
@@ -128,6 +177,7 @@ class SparseIntMatrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self._row_map == other._row_map
+            and self._edge_map() == other._edge_map()
         )
 
     def __repr__(self):
@@ -152,40 +202,73 @@ def check_size_cap(f, q, size_cap):
 def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
     """Linearize an m x n ring matrix at a finite model into (m*d) x (n*d) ints.
 
-    The row map is built here, with the constructor's rules: entries are
-    summed in the order (j, k, term, w) in which they are met, and zero sums
-    and emptied rows are dropped.  Every index is in range by construction
+    Both stores are built here, in the order the constructor would give
+    them for the triplets in the order (j, k, term, w).  A row j of f whose
+    terms, over all its entries, are exactly +g and -h makes only edge rows:
+    row v*m + j joins the columns w*n + k of g and w'*n + k' of h with
+    sigma(g) w = v = sigma(h) w', so its pairs come straight from the two
+    permutations and one inverse, and a pair whose two ends coincide is the
+    zero row the constructor drops.  Every other row j is summed into row
+    dicts with the constructor's rules (zero sums and emptied rows dropped),
+    and its edge rows are filed as soon as its block is complete, which
+    keeps the constructor's order.  Every index is in range by construction
     and every coefficient is a nonzero int (RingElement holds no others), so
-    the map goes to SparseIntMatrix._adopt unchecked.
+    the stores go to SparseIntMatrix._adopt unchecked.
 
     Raises SizeCapExceeded when (m+n)*d exceeds the cap.
     """
     check_size_cap(f, q, size_cap)
     m, n, d = f.rows, f.cols, q.degree
     perms = {}
+
+    def perm(g):
+        p = perms.get(g)
+        if p is None:
+            p = perms[g] = extend_to_word(q, g)
+        return p
+
     row_map = {}
+    edges = er, eh, et = [], [], []
     for j in range(m):
-        for k in range(n):
-            cols = range(k, n * d, n)
-            for g, coeff in f.entries[j][k].terms.items():
-                p = perms.get(g)
-                if p is None:
-                    p = extend_to_word(q, g)
-                    perms[g] = p
-                for v, c in zip(p, cols):
-                    r = v * m + j
-                    row = row_map.get(r)
-                    if row is None:
-                        row_map[r] = {c: coeff}
-                        continue
-                    total = row.get(c, 0) + coeff
-                    if total:
-                        row[c] = total
-                    else:
-                        del row[c]
-                        if not row:
-                            del row_map[r]
-    return SparseIntMatrix._adopt(m * d, n * d, row_map)
+        terms = [(k, g, coeff) for k in range(n)
+                 for g, coeff in f.entries[j][k].terms.items()]
+        if (len(terms) == 2 and terms[0][2] in (1, -1)
+                and terms[0][2] + terms[1][2] == 0):
+            # edge rows, in the order the first term makes them: row
+            # p1[w]*m + j meets the first term at column w*n + k1 and the
+            # second at w'*n + k2, where p2[w'] = p1[w]
+            (k1, g1, c1), (k2, g2, _) = terms
+            p1 = perm(g1)
+            inv2 = perm_inverse(perm(g2))
+            rows = [v * m + j for v in p1]
+            firsts = range(k1, n * d, n)
+            seconds = [inv2[v] * n + k2 for v in p1]
+            if k1 == k2:
+                live = [a != b for a, b in zip(firsts, seconds)]
+                rows, firsts, seconds = (list(compress(x, live))
+                                         for x in (rows, firsts, seconds))
+            er += rows
+            eh += firsts if c1 == 1 else seconds
+            et += seconds if c1 == 1 else firsts
+            continue
+        block = {}
+        for k, g, coeff in terms:
+            for v, c in zip(perm(g), range(k, n * d, n)):
+                r = v * m + j
+                row = block.get(r)
+                if row is None:
+                    block[r] = {c: coeff}
+                    continue
+                total = row.get(c, 0) + coeff
+                if total:
+                    row[c] = total
+                else:
+                    del row[c]
+                    if not row:
+                        del block[r]
+        _file_edges(block, edges)
+        row_map.update(block)
+    return SparseIntMatrix._adopt(m * d, n * d, row_map, edges)
 
 
 # -- MatrixMarket coordinate interchange (1-based, integer field) ----------

@@ -4,18 +4,21 @@ rank_mod_p runs sparse Gaussian elimination with Markowitz-style pivoting:
 at each step the active column with the fewest nonzeros is selected (ties
 broken by lowest column index), and within it the entry whose row has the
 fewest nonzeros (ties broken by lowest row index), which minimizes the
-Markowitz fill bound (r-1)(c-1) for that column.  It reads the row dicts
+Markowitz fill bound (r-1)(c-1) for that column.  It reads both stores
 of the SparseIntMatrix in their stored order, so it is deterministic given
 the prime and the order in which the matrix's entries were given.
 
 Before that loop, rank_mod_p contracts the edge rows: rows that are
 +-(e_i - e_j) over Z, as every row of the linearized d_1 of F_k at a
-permutation model is.  A union-find over the columns takes each edge row;
-a row that joins two components is a pivot, a row whose ends are already
-joined is dependent and dropped.  Every other row has each column
-replaced by the root of its component and goes to the Markowitz loop.
-This is exact over Z: an edge row is a +-1 pivot, and eliminating with it
-substitutes one column by another in the other rows, a unimodular step.  The row space of the edge rows is the
+permutation model is.  The SparseIntMatrix holds them apart, in its edge
+store, as (row, +1 column, -1 column), so no row is tested for its shape
+here.  A union-find over the columns, a list with path halving, takes
+each edge; an edge that joins two components is a pivot, one whose ends
+are already joined is dependent and dropped.  Every row of the row map,
+the residual, has each column replaced by the root of its component and
+goes to the Markowitz loop.  This is exact over Z: an edge row is a +-1
+pivot, and eliminating with it substitutes one column by another in the
+other rows, a unimodular step.  The row space of the edge rows is the
 kernel of the map summing coordinates over each component, over any ring,
 so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
 included, and for a product of primes.
@@ -90,54 +93,44 @@ def _check_prime(p):
 
 
 def _contract_edges(M):
-    """Union-find of the columns over the edge rows of M.
+    """Union-find of the columns over the edge store of M.
 
-    Returns the number of successful unions, the forest ``parent``, and
-    the rows that are not edge rows, as (index, row dict) pairs in their
-    stored order.  A row whose two ends are already joined adds nothing.
-    When there are other rows, ``parent`` then maps each column joined to
-    another straight to the root of its component; a column that is not a
-    key is its own root.
+    Returns the number of successful unions and the forest ``parent``, a
+    list indexed by column, or None when M has no edge rows.  An edge whose
+    two ends are already joined adds nothing.  When M also has other rows,
+    ``parent`` then maps every column straight to the root of its
+    component.
     """
-    parent = {}
+    _, heads, tails = M._edges
+    if not heads:
+        return 0, None
+    parent = list(range(M.cols))
     unions = 0
-    rest = []
-    for r, row in M._row_map.items():
-        if len(row) == 2:
-            (a, u), (b, v) = row.items()
-            if u + v == 0 and (u == 1 or u == -1):
-                # both ends to their roots, halving the paths on the way
-                while a in parent:
-                    up = parent[a]
-                    if up in parent:
-                        parent[a] = up = parent[up]
-                    a = up
-                while b in parent:
-                    up = parent[b]
-                    if up in parent:
-                        parent[b] = up = parent[up]
-                    b = up
-                if a != b:
-                    parent[a] = b
-                    unions += 1
-                continue
-        rest.append((r, row))
-    if rest:
+    for a, b in zip(heads, tails):
+        # both ends to their roots, halving the paths on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            unions += 1
+    if M._row_map:
         # only the residual reads the roots: point every column at its own
-        for c, up in parent.items():
-            while up in parent:
+        for c, up in enumerate(parent):
+            while parent[up] != up:
                 up = parent[up]
             parent[c] = up
-    return unions, parent, rest
+    return unions, parent
 
 
 def rank_mod_p(M, p, stats=None):
     """Rank of M over F_p; always a lower bound for the rank over Q.
 
-    M's row dicts are read as stored.  The edge rows (+-(e_i - e_j) over Z)
-    are first contracted by a union-find over the columns, each union one
-    pivot.  The other rows, with each column replaced by the root of its
-    component and the merged coefficients summed mod p, go to Markowitz
+    M's stores are read as stored.  The edge store (rows +-(e_i - e_j) over
+    Z) is first contracted by a union-find over the columns, each union one
+    pivot.  The rows of the row map, each column read as its root
+    ``parent[c]`` and the merged coefficients summed mod p, go to Markowitz
     elimination, less every column whose residues equal those of a column
     met earlier.  Both steps are exact for every prime and for a product of
     primes (see the module docstring).
@@ -148,8 +141,8 @@ def rank_mod_p(M, p, stats=None):
     unit modulo the product (the ranks may then differ between the primes).
 
     ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
-    ``pivots`` (fill-in is peak minus initial); contracted edge rows count
-    in the nonzeros and their unions in the pivots, and dropped columns
+    ``pivots`` (fill-in is peak minus initial); each contracted edge row
+    counts two nonzeros and each union one pivot, and dropped columns
     count in the initial nonzeros.  An abandoned joint pass reports the
     pivots made before it stopped.
     """
@@ -162,18 +155,19 @@ def rank_mod_p(M, p, stats=None):
         p = prod(primes)
     else:
         p = _check_prime(p)
-    unions, parent, rest = _contract_edges(M)
-    # the residual: every other row, each column read as its root; each
-    # edge row held two nonzeros
+    unions, parent = _contract_edges(M)
+    # the residual: every row of the row map, each column read as its
+    # root; each edge row held two nonzeros
     rows = {}
-    initial_nnz = 2 * (len(M._row_map) - len(rest))
-    for r, row in rest:
+    initial_nnz = 2 * len(M._edges[0])
+    for r, row in M._row_map.items():
         merged = {}
         for c, v in row.items():
             v %= p
             if v:
                 initial_nnz += 1
-                c = parent.get(c, c)
+                if parent:
+                    c = parent[c]
                 merged[c] = (merged.get(c, 0) + v) % p
         merged = {c: v for c, v in merged.items() if v}
         if merged:

@@ -24,6 +24,7 @@ from soficrank import (
     parse_ring_element,
     parse_ring_matrix,
     random_quotient,
+    rank_dense_bareiss,
     rank_over_rationals,
     regular_quotient,
     regular_sequence,
@@ -33,6 +34,7 @@ from soficrank import (
     vrk_approximants,
 )
 from soficrank import invariants
+from conftest import build_s3_table
 from test_linearize import rational_rank
 
 
@@ -59,6 +61,17 @@ def test_free_group_example_betti_series(f2, f2_complex):
     s0 = betti_approximants(f2_complex, Q, 0)
     assert [p.value for p in s0.points] == [Fraction(1, 24), Fraction(1, 2880)]
     assert all(p.certified for p in s1.points)
+
+
+def test_free_group_closed_form_at_small_moduli(f2, f2_complex):
+    # the Schreier graph of every Sanov model is connected, so
+    # rank L(d1) = d - 1 and both j = 1 approximants are (2d - (d - 1)) / d
+    Q = sanov_sequence([3, 5, 7, 9], f2)
+    want = [Fraction(q.degree + 1, q.degree) for q in Q.quotients]
+    for series in (betti_approximants(f2_complex, Q, 1),
+                   mrk_j_approximants(f2_complex, Q, 1)):
+        assert [p.value for p in series.points] == want
+        assert all(p.certified for p in series.points)
 
 
 def test_stage_rank_against_independent_oracle(f2, f2_complex):
@@ -343,6 +356,24 @@ def test_s3_transposition_betti(s3):
     # oracle: rank of the regular block equals 6 minus the number of orbits
     # of left multiplication by s, i.e. 6 - 3 = 3
     assert finite_group_exact_betti(C) == [Fraction(3, 6), Fraction(3, 6)]
+
+
+def test_oracle_matches_bareiss_on_edge_rows(s3):
+    """Rows +g - h across two entries and inside one, beside a row that is
+    not one, against Bareiss on the dense regular-model matrix built from
+    the multiplication table by hand: P(g) sends w to table[g][w]."""
+    d1 = parse_ring_matrix("s12, -r123 ; s13 - s23, 0 ; r132 - 1, 2*s23", s3)
+    table = build_s3_table()
+    m, n, g = 3, 2, 6
+    dense = [[0] * (n * g) for _ in range(m * g)]
+    for j in range(m):
+        for k in range(n):
+            for elem, coeff in d1.entries[j][k].terms.items():
+                for w in range(g):
+                    dense[table[elem.payload][w] * m + j][w * n + k] += coeff
+    r1 = rank_dense_bareiss(dense)
+    C = build_complex(s3, (m, n), [d1])
+    assert finite_group_exact_betti(C) == [Fraction(n * g - r1, g), Fraction(m * g - r1, g)]
 
 
 def test_pipelines_match_oracle_on_regular_stage(s3):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,14 @@ def test_constructor_matches_summing_oracle(case):
     assert rank_over_rationals(Z) == RankResult(0, "dense_fraction_free", (), True)
 
 
+def test_equality_reads_both_stores():
+    edge = SparseIntMatrix(2, 3, [(0, 0, 1), (0, 1, -1)])
+    assert edge == SparseIntMatrix(2, 3, [(0, 1, -1), (0, 0, 1)])
+    for other in ([(0, 0, -1), (0, 1, 1)], [(1, 0, 1), (1, 1, -1)],
+                  [(0, 0, 1), (0, 2, -1)], [(0, 0, 1), (0, 1, 1)]):
+        assert edge != SparseIntMatrix(2, 3, other)
+
+
 def test_from_dense_rejects_ragged_rows():
     with pytest.raises(ValueError):
         SparseIntMatrix.from_dense([[1, 2], [3]])
@@ -242,9 +251,8 @@ def test_rank_invariant_under_orientation_flip(f2, s3, z1):
         assert r1 == r2
 
 
-def triplet_linearize(f, q):
-    """Oracle: the triplets of every block, in the order (j, k, term, w),
-    summed by the SparseIntMatrix constructor."""
+def block_triplets(f, q):
+    """The triplets of every block, in the order (j, k, term, w)."""
     m, n, d = f.rows, f.cols, q.degree
     trips = []
     for j in range(m):
@@ -253,13 +261,28 @@ def triplet_linearize(f, q):
                 p = extend_to_word(q, g)
                 for w in range(d):
                     trips.append((p[w] * m + j, w * n + k, coeff))
-    return SparseIntMatrix(m * d, n * d, trips)
+    return trips
+
+
+def triplet_linearize(f, q):
+    """Oracle: the block triplets summed by the SparseIntMatrix constructor."""
+    return SparseIntMatrix(f.rows * q.degree, f.cols * q.degree, block_triplets(f, q))
+
+
+def summed_dense(f, q):
+    """Oracle: the block triplets summed into a dense matrix by a plain loop."""
+    dense = [[0] * (f.cols * q.degree) for _ in range(f.rows * q.degree)]
+    for r, c, v in block_triplets(f, q):
+        dense[r][c] += v
+    return dense
 
 
 def stored_order(M):
-    """The rows and, within each row, the columns in the order rank_mod_p
-    reads them."""
-    return [(r, list(row.items())) for r, row in M._row_map.items()]
+    """Both stores as rank_mod_p reads them: the rows of the row map and,
+    within each row, the columns in stored order; then the edge rows as
+    (row, +1 column, -1 column) in stored order."""
+    return ([(r, list(row.items())) for r, row in M._row_map.items()],
+            list(zip(*M._edges)))
 
 
 def _free_words(fam):
@@ -284,15 +307,38 @@ LINEARIZE_FAMILIES = [
 
 @st.composite
 def linearize_cases(draw):
-    """A ring matrix of 1-3 x 1-3 entries of up to four terms, at the
-    family's genuine model or at a random model of degree 1-6."""
+    """A ring matrix of 1-3 x 1-3 entries at the family's genuine model or
+    at a random model of degree 1-6, where two terms often act alike at
+    some points.  Each row is drawn as one of:
+
+    - up to four random terms per entry;
+    - an edge row +g - h (or -g + h), in one entry or across two;
+    - an edge row beside a pair +x - y in one entry, which cancels at the
+      points where x and y act alike, so that only those rows are edges.
+    """
     fam, elements, genuine = draw(st.sampled_from(LINEARIZE_FAMILIES))
-    term = st.tuples(st.sampled_from(elements(fam)), st.integers(-3, 3))
+    elem = st.sampled_from(elements(fam))
+    term = st.tuples(elem, st.integers(-3, 3))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    entries = [
-        [RingElement(fam, draw(st.lists(term, max_size=4))) for _ in range(n)]
-        for _ in range(m)
-    ]
+    entries = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "edge", "cancel"]))
+        if kind == "random":
+            entries.append([RingElement(fam, draw(st.lists(term, max_size=4)))
+                            for _ in range(n)])
+            continue
+        row = [[] for _ in range(n)]
+        k1, k2 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        g = draw(elem)
+        h = draw(elem.filter(lambda h: k1 != k2 or h != g))
+        s = draw(st.sampled_from((1, -1)))
+        row[k1].append((g, s))
+        row[k2].append((h, -s))
+        if kind == "cancel":
+            x, y = draw(st.lists(elem, min_size=2, max_size=2, unique=True))
+            t = draw(st.sampled_from((1, -1, 2)))
+            row[draw(st.integers(0, n - 1))] += [(x, t), (y, -t)]
+        entries.append([RingElement(fam, terms) for terms in row])
     if draw(st.booleans()):
         q = genuine(fam)
     else:
@@ -300,14 +346,16 @@ def linearize_cases(draw):
     return RingMatrix(fam, entries), q
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(linearize_cases())
 def test_linearize_matches_triplet_oracle(case):
     f, q = case
     L, want = linearize(f, q), triplet_linearize(f, q)
     assert L == want
-    if q.genuine:
-        assert stored_order(L) == stored_order(want)
+    assert stored_order(L) == stored_order(want)
+    dense = summed_dense(f, q)
+    assert L.to_dense() == want.to_dense() == dense
+    assert L.nnz == sum(v != 0 for row in dense for v in row)
 
 
 def test_linearize_keeps_order_when_terms_cancel(f2):
@@ -320,7 +368,7 @@ def test_linearize_keeps_order_when_terms_cancel(f2):
     L, want = linearize(f, q), triplet_linearize(f, q)
     assert L == want and stored_order(L) == stored_order(want)
     # the order of a*b's image (p p), not of a's (p)
-    assert [r for r, _ in stored_order(L)] == [2, 0, 1, 3, 4]
+    assert [r for r, _ in stored_order(L)[0]] == [2, 0, 1, 3, 4]
     assert linearize(RingMatrix(f2, [[RingElement(f2, [(a, 1), (b, -1)])]]), q).is_zero()
 
 
@@ -340,3 +388,20 @@ def test_size_cap(f2):
     with pytest.raises(SizeCapExceeded):
         linearize(f, q, size_cap=1000)
 
+
+def test_sanov_edge_rows_held_compactly(f2):
+    # every row of d1 at a Sanov model is an edge row, or a zero row where
+    # a or b fixes a point; the edge store holds them in under 3 MB (about
+    # 5.7 MB as one dict per row)
+    q = sanov_quotient(21, f2)
+    d1 = parse_ring_matrix("a - 1 ; b - 1", f2)
+    tracemalloc.start()
+    try:
+        L = linearize(d1, q)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert L._row_map == {}
+    fixed = sum(p[w] == w for p in q.gen_images for w in range(q.degree))
+    assert len(L._edges[0]) == 2 * q.degree - fixed
+    assert held < 3_000_000

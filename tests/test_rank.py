@@ -360,6 +360,25 @@ def test_dropped_columns_count_in_stats(f2):
 # ---------------------------------------------------------------------------
 # rank_over_rationals
 
+def test_exact_paths_see_edge_rows():
+    # a 4-cycle of edge rows (rank 3), and the same beside a row that is
+    # not an edge and holds the only entry of column 4 (rank 4)
+    cycle = [(0, 0, 1), (0, 1, -1), (1, 1, 1), (1, 2, -1),
+             (2, 3, 1), (2, 2, -1), (3, 3, 1), (3, 0, -1)]
+    edges_only = SparseIntMatrix(4, 5, cycle)
+    mixed = SparseIntMatrix(5, 5, cycle + [(4, 4, 2), (4, 0, 1)])
+    assert not edges_only.is_zero() and edges_only._row_map == {}
+    res = rank_over_rationals(edges_only)
+    assert (res.rank, res.method, res.certified) == (3, "sparse_mod_p", True)
+    # the window [4, 8) holds two primes, never the three that certify, so
+    # the result is Bareiss's
+    policy = RankPolicy(primes_count=3, prime_bits=(2, 3))
+    for M, want in ((edges_only, 3), (mixed, 4)):
+        res = rank_over_rationals(M, policy)
+        assert (res.rank, res.method, res.certified) == (want, "dense_fraction_free", True)
+        assert sorted(res.primes_used) == [5, 7]
+
+
 def test_identity_certified():
     res = rank_over_rationals(SparseIntMatrix(6, 6, [(i, i, 1) for i in range(6)]))
     assert res.rank == 6
