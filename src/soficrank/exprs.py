@@ -141,14 +141,12 @@ class _Parser:
             # a lone '1' is the identity factor; handled by the factor loop
             pass
         elem = self.family.identity()
-        first = True
         while True:
             kind, val, pos = self.peek()
             if kind == "NAME" or (kind == "INT" and val == "1"):
                 factor = self.parse_factor()
                 elem = self.family.multiply(elem, factor)
                 have_any = True
-                first = False
                 kind, val, pos = self.peek()
                 if kind == "OP" and val == "*":
                     nkind, nval, npos = self.tokens[self.pos + 1]

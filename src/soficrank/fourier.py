@@ -20,7 +20,8 @@ Hence, with one representative a_O per orbit,
 
 and equality holds for all but finitely many p.  Each prime's value is thus
 a lower bound for the rational rank, just as a mod-p rank of L(f) is, and
-rank.multimodular_rank certifies it by the same agreement rule.
+rank.multimodular_rank certifies it by the same rule, _orbit_values giving
+up at the first orbit with a non-unit pivot just as rank_mod_p does.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def _rank_mod(rows, N):
 
 
 def _orbit_values(f, n, orbits, primes):
-    """sum_O |O| rank_p f(chi_(a_O)) for each of the distinct primes, all
-    evaluated in one pass modulo their product (roots joined by CRT); an
-    orbit whose matrix meets a non-unit pivot is ranked prime by prime."""
+    """sum_O |O| rank_p f(chi_(a_O)), common to each of the distinct primes,
+    in one pass modulo their product N (roots joined by CRT), or None at the
+    first orbit whose matrix meets a pivot that is not a unit mod N."""
     N = prod(primes)
     w = sum(_root_of_unity(n, p) * (N // p) * pow(N // p, -1, p) for p in primes) % N
     powers = [1]
@@ -113,7 +114,7 @@ def _orbit_values(f, n, orbits, primes):
         [[(c, g.payload) for g, c in x.terms.items()] for x in row]
         for row in f.entries
     ]
-    totals = [0] * len(primes)
+    total = 0
     for a, size in orbits:
         mat = [
             [sum(c * powers[sum(ai * si for ai, si in zip(a, s)) % n] for c, s in x) % N
@@ -121,10 +122,10 @@ def _orbit_values(f, n, orbits, primes):
             for row in entries
         ]
         r = _rank_mod(mat, N)
-        for i, p in enumerate(primes):
-            ri = r if r is not None else _rank_mod([[v % p for v in row] for row in mat], p)
-            totals[i] += size * ri
-    return totals
+        if r is None:
+            return None
+        total += size * r
+    return total
 
 
 def fourier_rank(f, n, orbits, policy=None):
@@ -138,5 +139,5 @@ def fourier_rank(f, n, orbits, policy=None):
     """
     policy = policy or DEFAULT_POLICY
     return multimodular_rank(
-        lambda batch: _orbit_values(f, n, orbits, batch), policy, "fourier_mod_p", modulus=n
+        lambda primes: _orbit_values(f, n, orbits, primes), policy, "fourier_mod_p", modulus=n
     )

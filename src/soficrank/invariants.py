@@ -103,9 +103,6 @@ class ApproximantSeries:
     def values(self):
         return [p.value for p in self.points]
 
-    def last(self):
-        return self.points[-1]
-
     def __iter__(self):
         return iter(self.points)
 

@@ -150,10 +150,6 @@ class SparseIntMatrix:
     def nnz(self):
         return sum(map(len, self._row_map.values())) + 2 * len(self._edges[0])
 
-    @property
-    def total_dimension(self):
-        return self.rows + self.cols
-
     def is_zero(self):
         return not self._row_map and not self._edges[0]
 

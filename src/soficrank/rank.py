@@ -33,22 +33,19 @@ product N of primes are equal modulo every prime factor of N, so the
 dropped matrix has the same rank over each F_{p_i} as the full one, and
 the joint pass below stays exact.
 
-Given a tuple of distinct primes p_1..p_k, rank_mod_p eliminates once
-modulo their product N.  While every pivot is a unit mod N, the run reduces
-mod each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
-number of pivots; a pivot that is not a unit mod N abandons the pass.
-
-multimodular_rank holds the rounds, the prime draws and the agreement rule
-once, for every engine whose value at a prime is a lower bound on the
-rational rank.  It certifies the maximum value once k primes attain it; on
-disagreement it escalates with fresh primes (the maximum observed value is
-always a valid lower bound).  rank_over_rationals runs it with the sparse
-engine, ranking each batch of k random large primes in one joint pass and
-falling back to one elimination per prime when the joint pass is
-abandoned, and finally to exact fraction-free (Bareiss) elimination when
-the matrix is small enough.  fourier.fourier_rank runs it with primes
-p = 1 (mod n) and the character split of a grid model of (Z/n)^k, whose
-value at each prime is also a lower bound (see that module).
+multimodular_rank alone holds certification, for every engine whose value
+at a prime is a lower bound on the rational rank.  Each round draws k
+distinct random primes p_1..p_k, and the engine eliminates once modulo
+their product N.  While every pivot is a unit mod N, the run reduces mod
+each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
+number of pivots; at a pivot that is not a unit the engine gives up, and
+each p_i is then ranked alone, in batch order.  The maximum value is
+certified once k of the primes used attain it; on disagreement fresh
+primes are drawn (the maximum observed value is always a valid lower
+bound).  rank_over_rationals runs the rule with rank_mod_p, and falls back
+to exact fraction-free (Bareiss) elimination when the matrix is small
+enough.  fourier.fourier_rank runs it with primes p = 1 (mod n) and the
+character split of a grid model of (Z/n)^k (see that module).
 
 rank_dense_bareiss is the exact engine, behind that fallback and behind
 invariants.finite_group_exact_betti, the finite-group oracle.  It keeps
@@ -135,10 +132,10 @@ def rank_mod_p(M, p, stats=None):
     met earlier.  Both steps are exact for every prime and for a product of
     primes (see the module docstring).
 
-    ``p`` may also be a tuple of distinct machine-word primes.  The matrix
-    is then eliminated once modulo their product, and the common rank over
-    every F_{p_i} is returned, or None when a pivot turns out not to be a
-    unit modulo the product (the ranks may then differ between the primes).
+    ``p`` is a tuple of distinct machine-word primes, one prime standing
+    for ``(p,)``.  M is eliminated once modulo their product, and the rank
+    common to every F_{p_i} is returned, or None (never for one prime) when
+    a pivot is not a unit modulo the product.
 
     ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
     ``pivots`` (fill-in is peak minus initial); each contracted edge row
@@ -146,15 +143,12 @@ def rank_mod_p(M, p, stats=None):
     count in the initial nonzeros.  An abandoned joint pass reports the
     pivots made before it stopped.
     """
-    if isinstance(p, tuple):
-        primes = [_check_prime(q) for q in p]
-        if not primes:
-            raise ValueError("need at least one prime")
-        if len(set(primes)) != len(primes):
-            raise ValueError("primes must be distinct")
-        p = prod(primes)
-    else:
-        p = _check_prime(p)
+    primes = [_check_prime(q) for q in (p if isinstance(p, tuple) else (p,))]
+    if not primes:
+        raise ValueError("need at least one prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    p = prod(primes)
     unions, parent = _contract_edges(M)
     # the residual: every row of the row map, each column read as its
     # root; each edge row held two nonzeros
@@ -306,13 +300,26 @@ def rank_dense_bareiss(dense_rows):
 
 @dataclass(frozen=True)
 class RankPolicy:
-    """Multi-modular certification policy for rank_over_rationals."""
+    """Multi-modular certification policy for multimodular_rank; every
+    field is an integer, checked on construction (primes fit a word)."""
 
     primes_count: int = 3
     prime_bits: tuple = (50, 62)
     dense_threshold: int = 500
     max_rounds: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("primes_count", "dense_threshold", "max_rounds", "seed"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        bits = tuple(map(index, self.prime_bits))
+        object.__setattr__(self, "prime_bits", bits)
+        if self.primes_count < 1 or self.max_rounds < 1:
+            raise ValueError("primes_count and max_rounds must be at least 1")
+        if self.dense_threshold < 0:
+            raise ValueError("dense_threshold must be non-negative")
+        if len(bits) != 2 or not 0 <= bits[0] < bits[1] <= 63:
+            raise ValueError("prime_bits needs two integers lo hi with 0 <= lo < hi <= 63")
 
 
 DEFAULT_POLICY = RankPolicy()
@@ -355,29 +362,31 @@ def _draw_primes(rng, bits, count, used, modulus=1):
     return out
 
 
-def multimodular_rank(rank_batch, policy, method, modulus=1):
-    """The agreement rule, shared by every engine that ranks modulo primes.
+def multimodular_rank(rank_at, policy, method, modulus=1):
+    """The certification rule, for every engine that ranks modulo primes.
 
-    ``rank_batch(primes)`` returns one value per prime, each a lower bound
-    for the rank over Q.  Rounds draw batches of ``primes_count`` fresh
-    primes p = 1 (mod ``modulus``) from the policy's window until the
-    maximum value so far is attained by ``primes_count`` of the primes
-    used; that value is then certified.  The primes of a batch differ from
-    each other and from every prime drawn before.  Any smaller value is a
-    bad-reduction artifact.  When the rounds or the window run out, the
-    best lower bound is returned uncertified.
+    ``rank_at(primes)`` takes a tuple of distinct primes and returns the
+    rank common to every F_p, each a lower bound for the rank over Q, or
+    None when one elimination modulo their product cannot give it (never
+    for one prime).  Each round draws a batch of ``primes_count`` fresh
+    primes p = 1 (mod ``modulus``) from the policy's window and calls
+    ``rank_at(batch)``, and on None ``rank_at((p,))`` for each prime in
+    batch order.  The maximum value so far is certified once
+    ``primes_count`` of the primes used attain it; when the rounds or the
+    window run out it is returned uncertified.
     """
     rng = random.Random(policy.seed)
     used = []
     ranks = {}
-    k = max(1, policy.primes_count)
-    for _ in range(max(1, policy.max_rounds)):
-        batch = _draw_primes(rng, policy.prime_bits, k, used, modulus)
+    k = policy.primes_count
+    for _ in range(policy.max_rounds):
+        batch = tuple(_draw_primes(rng, policy.prime_bits, k, used, modulus))
         if not batch:
             break
-        for p, r in zip(batch, rank_batch(batch)):
-            used.append(p)
-            ranks[p] = r
+        joint = rank_at(batch)
+        for p in batch:
+            ranks[p] = rank_at((p,)) if joint is None else joint
+        used += batch
         best = max(ranks.values())
         if sum(1 for p in used if ranks[p] == best) >= k:
             return RankResult(best, method, tuple(used), True)
@@ -385,29 +394,24 @@ def multimodular_rank(rank_batch, policy, method, modulus=1):
     return RankResult(best, method, tuple(used), False)
 
 
-def _sparse_ranks(M, batch):
-    joint = rank_mod_p(M, tuple(batch)) if len(batch) > 1 else None
-    return [rank_mod_p(M, p) if joint is None else joint for p in batch]
-
-
 def rank_over_rationals(M, policy=None):
     """Certified rank over Q of a sparse integer matrix.
 
-    Certification is the agreement rule of multimodular_rank over random
-    large primes.  Each batch, whose primes are always distinct, is ranked
-    by one joint rank_mod_p pass modulo their product; a batch of one prime,
-    or a joint pass that meets a non-unit pivot, is ranked one prime at a
-    time.  Falls back to Bareiss for small matrices;
-    policy exhaustion returns the best lower bound uncertified.
+    Certification is the rule of multimodular_rank over random large
+    primes, with rank_mod_p(M, primes) as the engine: one elimination per
+    batch modulo the product of its primes, and one per prime when that
+    meets a non-unit pivot.  Falls back to Bareiss when rows + cols is at
+    most the policy's dense_threshold; policy exhaustion beyond it returns
+    the best lower bound uncertified.
     """
     if policy is None:
         policy = DEFAULT_POLICY
-    if min(M.rows, M.cols) == 0 or M.is_zero():
+    if M.is_zero():
         return RankResult(0, "dense_fraction_free", (), True)
     result = multimodular_rank(
-        lambda batch: _sparse_ranks(M, batch), policy, "sparse_mod_p"
+        lambda primes: rank_mod_p(M, primes), policy, "sparse_mod_p"
     )
-    if result.certified or M.total_dimension > policy.dense_threshold:
+    if result.certified or M.rows + M.cols > policy.dense_threshold:
         return result
     exact = rank_dense_bareiss(M.to_dense())
     return RankResult(exact, "dense_fraction_free", result.primes_used, True)

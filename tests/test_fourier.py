@@ -10,6 +10,8 @@ from soficrank import (
     FiniteTable,
     FreeAbelian,
     ModulePresentation,
+    RankPolicy,
+    RankResult,
     RingElement,
     RingMatrix,
     SizeCapExceeded,
@@ -82,6 +84,18 @@ def test_fourier_known_rank_deficiency(z1):
     # 1 - t^3 at Z/6 vanishes exactly at the characters a with 3a = 0 mod 6
     f = parse_ring_matrix("1 - t^3", z1)
     assert fourier_rank(f, 6, character_orbits(1, 6)).rank == 6 - 3
+
+
+def test_fourier_falls_back_prime_by_prime(z1):
+    # the window [2, 8) holds 3, 5 and 7, all = 1 (mod 2); the orbit value 3
+    # of 2t + 1 is not a unit mod 15 or 21, so a batch holding 3 is ranked
+    # one prime at a time, and rank 1 mod 3 is a bad reduction
+    f = parse_ring_matrix("2*t + 1", z1)
+    orbits = character_orbits(1, 2)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
+    assert fourier_rank(f, 2, orbits, policy) == RankResult(2, "fourier_mod_p", (5, 3, 7), True)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=1, seed=1)
+    assert fourier_rank(f, 2, orbits, policy) == RankResult(2, "fourier_mod_p", (3, 7), False)
 
 
 def test_character_orbits_partition_the_group():

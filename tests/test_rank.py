@@ -18,6 +18,7 @@ from soficrank import (
     sanov_quotient,
 )
 
+from soficrank.rank import multimodular_rank
 from test_linearize import dense_product, rational_rank
 
 
@@ -140,9 +141,30 @@ def test_joint_pass_gives_the_per_prime_results(monkeypatch):
     single = rank.rank_mod_p
     monkeypatch.setattr(
         rank, "rank_mod_p",
-        lambda M, p, stats=None: None if isinstance(p, tuple) else single(M, p, stats))
+        lambda M, p, stats=None:
+            None if isinstance(p, tuple) and len(p) > 1 else single(M, p, stats))
     per_prime = [[rank_over_rationals(m, pol) for pol in policies] for m in mats]
     assert joint == per_prime
+
+
+def test_multimodular_rank_falls_back_only_after_a_failed_batch():
+    # a fake engine: a batch holding 2 cannot be ranked jointly, and 2 is a
+    # bad reduction; the window [2, 16) holds 2, 3, 5, 7, 11 and 13
+    calls = []
+
+    def rank_at(primes):
+        calls.append(primes)
+        if len(primes) > 1 and 2 in primes:
+            return None
+        return 4 if primes == (2,) else 5
+
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 4), seed=2)
+    assert multimodular_rank(rank_at, policy, "fake") == RankResult(5, "fake", (3, 2, 7, 5), True)
+    assert calls == [(3, 2), (3,), (2,), (7, 5)]
+    calls.clear()
+    policy = RankPolicy(primes_count=1, prime_bits=(1, 4), seed=2)
+    assert multimodular_rank(rank_at, policy, "fake") == RankResult(5, "fake", (3,), True)
+    assert calls == [(3,)]
 
 
 def test_joint_pass_validates_every_prime():
@@ -509,6 +531,21 @@ def test_prime_window_honored():
     assert res.primes_used == (3, 2)
     assert res.rank == 0
     assert res.certified
+
+
+def test_policy_validates_its_fields():
+    m = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
+    for bad in (
+        dict(primes_count=0), dict(primes_count=2.5), dict(max_rounds=0),
+        dict(dense_threshold=-1), dict(seed=1.5), dict(prime_bits=(62, 50)),
+        dict(prime_bits=(63, 64)), dict(prime_bits=(-1, 4)), dict(prime_bits=(3, 3)),
+        dict(prime_bits=(50.0, 62)), dict(prime_bits=(50, 62, 63)),
+    ):
+        with pytest.raises((ValueError, TypeError)):
+            rank_over_rationals(m, RankPolicy(**bad))
+    policy = RankPolicy(prime_bits=[0, 63])
+    assert policy.prime_bits == (0, 63)
+    assert rank_over_rationals(m, policy).rank == 2
 
 
 def test_deterministic_under_seed():
