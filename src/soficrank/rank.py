@@ -33,7 +33,22 @@ product N of primes are equal modulo every prime factor of N, so the
 dropped matrix has the same rank over each F_{p_i} as the full one, and
 the joint pass below stays exact.
 
-multimodular_rank alone holds certification, for every engine whose value
+rank_over_rationals first tries a proof.  Every rank mod p is a lower bound
+on the rank over Q, and the rank over Q is at most the bound B = unions +
+min(distinct nonzero residual rows, distinct nonzero residual columns),
+where the residual is taken over Z: the row map with each column read as
+its root and the merged entries summed as integers, and rows and columns
+keyed on their exact integers, never on residues.  The contraction is
+unimodular, so rank_p(M) <= rank_Q(M) <= B, and one rank_mod_p pass that
+reaches B proves the rank (method bound_mod_p).  B costs O(nnz).  With an
+empty row map there is no residual, and the pass's own unions are the rank.
+The pass runs at one fixed prime, 1073741789, the largest below 2^30: a
+CPython int holds 30 bits per digit, so every residue is a one-digit int
+and a product of two residues has at most two digits.  At a prime dividing a minor that
+decides the rank, the pass falls short of B, which is no proof; the
+agreement rule below then runs as it would without the pass.
+
+multimodular_rank holds the agreement rule, for every engine whose value
 at a prime is a lower bound on the rational rank.  Each round draws k
 distinct random primes p_1..p_k, and the engine eliminates once modulo
 their product N.  While every pivot is a unit mod N, the run reduces mod
@@ -54,7 +69,13 @@ repeated column adds nothing to the column space, so the rank over Q is
 unchanged) and runs fraction-free elimination on those, with no prime
 and no step shared with rank_mod_p.  Its key, the exact integers, is
 narrower than rank_mod_p's residues, so a wrong drop in the modular
-engine cannot be masked by the oracle.
+engine cannot be masked by the oracle.  It takes the rows in their given
+order, reduces each by the pivot rows stored so far over the columns that
+hold no pivot yet, and stores what is left as the next pivot row.  That is
+Bareiss elimination with the pivot rows moved first, so every division
+is exact.  It stops once every distinct column holds a pivot, since no
+later row can raise the rank; every entry has been read through
+operator.index before that.
 """
 
 from __future__ import annotations
@@ -78,6 +99,7 @@ __all__ = [
 ]
 
 _MACHINE_WORD = 1 << 63
+_PROOF_PRIME = 1073741789  # the largest prime below 2^30
 
 
 def _check_prime(p):
@@ -119,6 +141,46 @@ def _contract_edges(M):
                 up = parent[up]
             parent[c] = up
     return unions, parent
+
+
+def _rank_bound(M):
+    """An upper bound on the rank of M over Q, taken over Z in O(nnz).
+
+    It is the number of unions of the edge contraction, plus the smaller of
+    the numbers of distinct nonzero rows and distinct nonzero columns of
+    the residual: the row map with each column read as its root and the
+    merged entries summed over Z.  Rows and columns are keyed on their
+    exact integers, never on residues.
+    """
+    unions, parent = _contract_edges(M)
+    rows = M._row_map
+    if parent:
+        rows = {}
+        for r, row in M._row_map.items():
+            merged = {}
+            for c, v in row.items():
+                c = parent[c]
+                merged[c] = merged.get(c, 0) + v
+            merged = {c: v for c, v in merged.items() if v}
+            if merged:
+                rows[r] = merged
+    # rows of unequal supports differ: only rows that share one are compared
+    by_support = {}
+    entries = {}  # column -> its rows and values, interleaved
+    for r, row in rows.items():
+        by_support.setdefault(frozenset(row), []).append(row)
+        for c, v in row.items():
+            col = entries.get(c)
+            if col is None:
+                entries[c] = [r, v]
+            else:
+                col += r, v
+    distinct_rows = sum(
+        len(set(map(frozenset, map(dict.items, group)))) if len(group) > 1 else 1
+        for group in by_support.values()
+    )
+    distinct_cols = len(set(map(tuple, entries.values())))
+    return unions + min(distinct_rows, distinct_cols)
 
 
 def rank_mod_p(M, p, stats=None):
@@ -258,44 +320,39 @@ def rank_dense_bareiss(dense_rows):
     The working copy holds each distinct column once, in the order of its
     first occurrence: a column that exactly repeats an earlier one over Z
     adds nothing to the column space, so the rank is unchanged.
-    Fraction-free (Bareiss) elimination then runs on that copy, with no
-    prime anywhere.  Rows of unequal length raise ValueError, and an entry
-    that is not an integer raises TypeError (operator.index), since
-    truncating either would give a wrong exact rank.
+    Fraction-free (Bareiss) elimination then takes the rows in order: each
+    is reduced by the pivot rows stored so far, over the columns that hold
+    no pivot yet, and becomes the next pivot row if anything is left.  It
+    stops once every distinct column holds a pivot.  No prime is used
+    anywhere.  Rows of unequal length raise ValueError, and an entry that
+    is not an integer raises TypeError (operator.index), since truncating
+    either would give a wrong exact rank.
     """
     n = len(dense_rows[0]) if dense_rows else 0
     if any(len(r) != n for r in dense_rows):
         raise ValueError("rank_dense_bareiss needs rows of equal length")
     cols = dict.fromkeys(tuple(map(index, c)) for c in zip(*dense_rows))
-    A = [list(r) for r in zip(*cols)]
-    m = len(A)
-    n = len(cols)
-    prev = 1
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if A[i][j]), None)
-        if pivot is None:
+    # each pivot: its position among the columns free before it, its value,
+    # and the rest of its row over the columns still free after it
+    pivots = []
+    for row in zip(*cols):
+        if not any(row):
             continue
-        if pivot != r:
-            A[r], A[pivot] = A[pivot], A[r]
-        Ar = A[r]
-        pj = Ar[j]
-        for i in range(r + 1, m):
-            Ai = A[i]
-            aij = Ai[j]
-            if aij:
-                for k in range(j + 1, n):
-                    Ai[k] = (Ai[k] * pj - aij * Ar[k]) // prev
-                Ai[j] = 0
-            elif prev != 1 or pj != 1:
-                for k in range(j + 1, n):
-                    if Ai[k]:
-                        Ai[k] = Ai[k] * pj // prev
-        prev = pj
-        r += 1
-    return r
+        row = list(row)
+        prev = 1
+        for t, d, rest in pivots:
+            a = row.pop(t)
+            if a:
+                row = [(d * x - a * y) // prev for x, y in zip(row, rest)]
+            elif d != prev:
+                row = [x * d // prev for x in row]
+            prev = d
+        t = next((t for t, x in enumerate(row) if x), None)
+        if t is not None:
+            pivots.append((t, row.pop(t), row))
+            if not row:
+                break  # every distinct column holds a pivot
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -328,7 +385,10 @@ DEFAULT_POLICY = RankPolicy()
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    method: str  # sparse_mod_p | fourier_mod_p | dense_fraction_free
+    # bound_mod_p: proved, one pass at the proof prime met the bound over Z;
+    # sparse_mod_p | fourier_mod_p: the agreement rule of multimodular_rank;
+    # dense_fraction_free: exact, by Bareiss or for the zero matrix
+    method: str
     primes_used: tuple
     certified: bool
 
@@ -397,9 +457,11 @@ def multimodular_rank(rank_at, policy, method, modulus=1):
 def rank_over_rationals(M, policy=None):
     """Certified rank over Q of a sparse integer matrix.
 
-    Certification is the rule of multimodular_rank over random large
-    primes, with rank_mod_p(M, primes) as the engine: one elimination per
-    batch modulo the product of its primes, and one per prime when that
+    One rank_mod_p pass at the proof prime that reaches the bound over Z
+    (see the module docstring) proves the rank, under any policy.
+    Otherwise certification is the rule of multimodular_rank over random
+    large primes, with rank_mod_p(M, primes) as the engine: one elimination
+    per batch modulo the product of its primes, and one per prime when that
     meets a non-unit pivot.  Falls back to Bareiss when rows + cols is at
     most the policy's dense_threshold; policy exhaustion beyond it returns
     the best lower bound uncertified.
@@ -408,6 +470,11 @@ def rank_over_rationals(M, policy=None):
         policy = DEFAULT_POLICY
     if M.is_zero():
         return RankResult(0, "dense_fraction_free", (), True)
+    # a lower bound that meets an upper bound is the rank; with no residual
+    # the pass's own unions are the rank
+    rank = rank_mod_p(M, _PROOF_PRIME)
+    if not M._row_map or rank == _rank_bound(M):
+        return RankResult(rank, "bound_mod_p", (_PROOF_PRIME,), True)
     result = multimodular_rank(
         lambda primes: rank_mod_p(M, primes), policy, "sparse_mod_p"
     )

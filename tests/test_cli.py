@@ -113,7 +113,8 @@ def test_euler_ranks_each_differential_once_per_stage(tmp_path, count_calls):
 
 
 def test_euler_residual_inherits_uncertified_betti(tmp_path):
-    # 2I has rank 0 mod 2 and 3 mod 3; the window holds no other prime
+    # 2t - 2 at grid 3 has rank 2 over Q, below its bound 3, and rank 0
+    # mod 2 and 2 mod 3; the window holds no other prime
     cfg_text = """\
 [group]
 family = free_abelian
@@ -121,7 +122,7 @@ rank = 1
 
 [complex]
 ranks = 1 1
-d1 = 2
+d1 = 2*t - 2
 
 [quotients]
 provider = grid
@@ -138,8 +139,8 @@ dense_threshold = 0
     assert main(["--config", cfg, "--out", str(out), "--strict"]) == 1
     rows = (out / "series.csv").read_text().splitlines()
     assert rows[1:] == [
-        "betti[j=0],3,0,1,false",
-        "betti[j=1],3,0,1,false",
+        "betti[j=0],3,1,3,false",
+        "betti[j=1],3,1,3,false",
         "euler_residual,3,0,1,false",
     ]
 
@@ -314,7 +315,8 @@ pipeline = defect
 
 
 def test_strict_mode_flags_uncertified(tmp_path):
-    # tiny prime window plus dense_threshold 0 exhausts the policy
+    # tiny prime window plus dense_threshold 0 exhausts the policy on
+    # 2t - 2, whose rank 2 at grid 3 sits below its bound 3
     cfg_text = """\
 [group]
 family = free_abelian
@@ -322,7 +324,7 @@ rank = 1
 
 [module]
 free_rank = 1
-relations = 2
+relations = 2*t - 2
 
 [quotients]
 provider = grid

@@ -536,13 +536,15 @@ def test_literal_window_over_infinite_family(z1):
 def test_literal_point_carries_both_rank_flags():
     z2 = FiniteTable.cyclic(2)
     q = regular_quotient(z2)
-    M = ModulePresentation(z2, 1, RingMatrix(z2, [[2]]))
+    M = ModulePresentation(z2, 1, parse_ring_matrix("2*e - 2*t", z2))
     A = one_spec(z2)
     point = literal_mean_rank_point(M, A, A, z2.elements(), q)
     assert point.certified and point.degree == 2
     assert point.value == literal_mean_rank_point(M, A, A, z2.elements(), q).value
-    # the relation rows 2*e have rank 0 mod 2 and full rank mod 3, and the
-    # window holds no other prime: the relation rank stays uncertified
+    # the relation rows 2*(e - t), beside the translation edges, have rank
+    # 3 over Q, below their bound 4; they have rank 2 mod 2 and 3 mod 3,
+    # and the window holds no other prime: the relation rank stays
+    # uncertified
     tiny = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
     assert not literal_mean_rank_point(M, A, A, z2.elements(), q, policy=tiny).certified
 
@@ -601,12 +603,19 @@ TINY_WINDOW = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
 
 
 def _pipeline_and_matrices(name, fam, a, b):
-    """The series of one pipeline over matrices with entries a and b, and
-    the matrices whose ranks are behind each of its points."""
+    """The series of one pipeline over matrices with entries a*t - a and
+    b*t - b, and the matrices whose ranks are behind each of its points.
+
+    At grid 3, k*t - k has rank 2 over Q, below the bound 3 of
+    rank_over_rationals, so TINY_WINDOW's primes 2 and 3 decide it: for
+    k = 1 its rows are edge rows, exact modulo every prime, and for k = 2
+    the rank mod 2 is 0.
+    """
     Q = grid_sequence(1, [3], fam)
-    ab = parse_ring_matrix("%d, 0 ; 0, %d" % (a, b), fam)
-    top = parse_ring_matrix("%d, 0" % a, fam)
-    bottom = parse_ring_matrix("0 ; %d" % b, fam)
+    ea, eb = "%d*t - %d" % (a, a), "%d*t - %d" % (b, b)
+    ab = parse_ring_matrix("%s, 0 ; 0, %s" % (ea, eb), fam)
+    top = parse_ring_matrix("%s, 0" % ea, fam)
+    bottom = parse_ring_matrix("0 ; %s" % eb, fam)
     if name in ("betti", "mrk_j"):
         C = build_complex(fam, (1, 2, 1), [top, bottom])
         pipeline = betti_approximants if name == "betti" else mrk_j_approximants
@@ -616,7 +625,7 @@ def _pipeline_and_matrices(name, fam, a, b):
         return vrk_approximants(M, Q, TINY_WINDOW), [ab]
     if name == "relative_vrk":
         M = ModulePresentation(fam, 2, top)
-        zero, gen = parse_ring_element("0", fam), parse_ring_element(str(b), fam)
+        zero, gen = parse_ring_element("0", fam), parse_ring_element(eb, fam)
         gens = FiniteSubgroupSpec(fam, 2, ((zero, gen),))
         return relative_vrk_approximants(M, gens, Q, TINY_WINDOW), [top, ab]
     C = build_complex(fam, (2, 1), [bottom])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import index
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +19,16 @@ from soficrank import (
     sanov_quotient,
 )
 
-from soficrank.rank import multimodular_rank
+from soficrank.rank import _PROOF_PRIME, _rank_bound, multimodular_rank
 from test_linearize import dense_product, rational_rank
+
+
+def scaled_cycle(k, n):
+    """k * (1 - t) at the n-cycle: rows k*(e_i - e_(i+1)).  For k > 1 none
+    is an edge row, and the rank over Q, n - 1, sits below the bound n of
+    rank_over_rationals, so a policy decides it."""
+    return SparseIntMatrix(n, n, [(i, c, v) for i in range(n)
+                                  for c, v in ((i, k), ((i + 1) % n, -k))])
 
 
 def random_sparse(rng, m, n, per_row=3, lo=-9, hi=9):
@@ -117,6 +126,13 @@ def test_joint_pass_gives_up_on_a_non_unit_pivot():
     assert rank_mod_p(m, (2, 3)) is None
     assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1)
+    # m sits at its bound, so the proof pass decides it before any policy
+    assert rank_over_rationals(m, policy) == RankResult(2, "bound_mod_p", (_PROOF_PRIME,), True)
+    # 3 * (1 - t) at the 3-cycle, rank 2 below its bound 3: the first pivot
+    # is a 3, not a unit modulo 6, and the two primes disagree
+    m = scaled_cycle(3, 3)
+    assert rank_mod_p(m, (2, 3)) is None
+    assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 0)
     assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (3, 2), False)
 
 
@@ -390,22 +406,96 @@ def test_exact_paths_see_edge_rows():
     edges_only = SparseIntMatrix(4, 5, cycle)
     mixed = SparseIntMatrix(5, 5, cycle + [(4, 4, 2), (4, 0, 1)])
     assert not edges_only.is_zero() and edges_only._row_map == {}
-    res = rank_over_rationals(edges_only)
-    assert (res.rank, res.method, res.certified) == (3, "sparse_mod_p", True)
-    # the window [4, 8) holds two primes, never the three that certify, so
-    # the result is Bareiss's
+    # the window [4, 8) holds two primes, never the three that certify
     policy = RankPolicy(primes_count=3, prime_bits=(2, 3))
+    # both sit at their bound: the proof pass decides them under any policy
     for M, want in ((edges_only, 3), (mixed, 4)):
-        res = rank_over_rationals(M, policy)
-        assert (res.rank, res.method, res.certified) == (want, "dense_fraction_free", True)
-        assert sorted(res.primes_used) == [5, 7]
+        for pol in (None, policy):
+            assert rank_over_rationals(M, pol) == RankResult(
+                want, "bound_mod_p", (_PROOF_PRIME,), True)
+        assert rank_dense_bareiss(M.to_dense()) == want
+    # the cycle beside rows 2*(e_0 - e_4), 2*(e_4 - e_5), 2*(e_5 - e_0),
+    # rank 2 below their bound 3 once column 0 reads as its root: rank 5,
+    # and the result is Bareiss's
+    below = SparseIntMatrix(7, 6, cycle + [(4, 0, 2), (4, 4, -2), (5, 4, 2), (5, 5, -2),
+                                           (6, 5, 2), (6, 0, -2)])
+    res = rank_over_rationals(below, policy)
+    assert (res.rank, res.method, res.certified) == (5, "dense_fraction_free", True)
+    assert sorted(res.primes_used) == [5, 7]
 
 
 def test_identity_certified():
     res = rank_over_rationals(SparseIntMatrix(6, 6, [(i, i, 1) for i in range(6)]))
-    assert res.rank == 6
+    assert res == RankResult(6, "bound_mod_p", (_PROOF_PRIME,), True)
+    # below its bound, three random primes certify the rank
+    res = rank_over_rationals(scaled_cycle(2, 6))
+    assert res.rank == 5
     assert res.certified
+    assert res.method == "sparse_mod_p"
     assert len(res.primes_used) == 3
+
+
+# ---------------------------------------------------------------------------
+# the proof: a pass at the proof prime that meets the rank's bound over Z
+
+P = _PROOF_PRIME
+
+
+@pytest.mark.parametrize("M, want", [
+    # rank 2 over Q, rank 1 mod P
+    pytest.param(SparseIntMatrix.from_dense([[1, 1], [0, P]]), 2, id="entry-P"),
+    # two columns equal mod P that differ over Z
+    pytest.param(SparseIntMatrix.from_dense([[1, 1 + P], [1, 1]]), 2, id="columns-equal-mod-P"),
+    # the edge e_0 - e_1 beside the row e_0 + (P - 1) e_1: read through the
+    # roots, that row is P times the root's column, zero mod P
+    pytest.param(SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, -1), (1, 0, 1), (1, 1, P - 1)]), 2,
+                 id="edge-beside-row"),
+    # rank 1, one below the bound 2, and rank 1 mod P
+    pytest.param(SparseIntMatrix.from_dense([[1, 2], [2, 4]]), 1, id="one-below-bound"),
+])
+def test_proof_pass_below_the_bound_is_no_proof(M, want):
+    assert rank_mod_p(M, P) < _rank_bound(M)
+    res = rank_over_rationals(M)
+    assert res.rank == want == rational_rank(M.to_dense())
+    assert res.certified
+    assert res.method != "bound_mod_p"
+
+
+def test_bound_reads_columns_through_their_roots():
+    # the edge e_0 - e_1 beside the rows e_0 and e_1: through the roots both
+    # rows are one column, so the bound is 1 + 1, the rank
+    M = SparseIntMatrix(3, 2, [(0, 0, 1), (0, 1, -1), (1, 0, 1), (2, 1, 1)])
+    assert _rank_bound(M) == 2
+    assert rank_over_rationals(M) == RankResult(2, "bound_mod_p", (P,), True)
+
+
+def test_all_edge_matrix_is_proved_by_its_unions(f2, monkeypatch):
+    from soficrank import rank
+
+    L = linearize(parse_ring_matrix("a - 1 ; b - 1", f2), sanov_quotient(5, f2))
+    assert L._row_map == {}
+    monkeypatch.setattr(rank, "_rank_bound", None)  # never needed here
+    assert rank_over_rationals(L) == RankResult(L.cols - 1, "bound_mod_p", (P,), True)
+
+
+def near_p_matrices():
+    """Small dense matrices whose entries are 0, +-1, 2 or near a multiple
+    of the proof prime, with edge rows among them."""
+    entry = st.sampled_from((0, 0, 1, -1, 2, P, -P, P - 1, P + 1, 2 * P))
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.one_of(st.lists(entry, min_size=n, max_size=n),
+                  st.permutations([1, -1] + [0] * (n - 2)) if n > 1 else st.just([1])),
+        min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_p_matrices())
+def test_proof_never_certifies_a_wrong_rank(dense):
+    M = SparseIntMatrix.from_dense(dense)
+    want = rational_rank(dense)
+    assert _rank_bound(M) >= want
+    res = rank_over_rationals(M)
+    assert res.rank == want and res.certified
 
 
 def test_circulant_rank(z1):
@@ -470,6 +560,89 @@ def test_bareiss_repeated_columns_match_fraction_gauss(dense):
     assert rank_dense_bareiss(dense) == rational_rank(dense)
 
 
+def column_bareiss(dense_rows):
+    """Reference: fraction-free elimination column by column, with a pivot
+    search down each column, over the distinct columns."""
+    n = len(dense_rows[0]) if dense_rows else 0
+    if any(len(r) != n for r in dense_rows):
+        raise ValueError("column_bareiss needs rows of equal length")
+    cols = dict.fromkeys(tuple(map(index, c)) for c in zip(*dense_rows))
+    A = [list(r) for r in zip(*cols)]
+    m = len(A)
+    n = len(cols)
+    prev = 1
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if A[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            A[r], A[pivot] = A[pivot], A[r]
+        Ar = A[r]
+        pj = Ar[j]
+        for i in range(r + 1, m):
+            Ai = A[i]
+            aij = Ai[j]
+            if aij:
+                for k in range(j + 1, n):
+                    Ai[k] = (Ai[k] * pj - aij * Ar[k]) // prev
+                Ai[j] = 0
+            elif prev != 1 or pj != 1:
+                for k in range(j + 1, n):
+                    if Ai[k]:
+                        Ai[k] = Ai[k] * pj // prev
+        prev = pj
+        r += 1
+    return r
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Tall, wide and rank-deficient integer matrices (a product of an
+    m x r and an r x n factor), with zero rows and repeated rows and
+    columns put in, shuffled."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.integers(-4, 4)
+    a = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b else [0] * n
+            for row in a]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero row", "repeat row", "repeat column"]))
+        if kind == "zero row":
+            rows.append([0] * n)
+        elif kind == "repeat row" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "repeat column" and rows and n:
+            c = draw(st.integers(0, n - 1))
+            rows = [row + [row[c]] for row in rows]
+            n += 1
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(n)))
+    return [[row[c] for c in order] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrices())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[1, 1, 2], [2, 2, 4], [3, 3, 6], [0, 0, 0]])
+def test_bareiss_matches_column_bareiss(dense):
+    assert rank_dense_bareiss(dense) == column_bareiss(dense)
+
+
+def test_bareiss_checks_rows_past_its_stop():
+    # two distinct columns hold pivots after two rows; the third row is
+    # still read
+    with pytest.raises(TypeError):
+        rank_dense_bareiss([[1, 0], [0, 1], [0.5, 1]])
+    with pytest.raises(ValueError):
+        rank_dense_bareiss([[1, 0], [0, 1], [1]])
+
+
 def test_bareiss_rejects_ragged_rows():
     # a width read from the first row would give rank 0; the true rank is 1
     with pytest.raises(ValueError):
@@ -502,35 +675,41 @@ def test_rank_deficient_products():
 
 
 def test_disagreement_falls_back_to_bareiss():
-    # 2I has rank 0 mod 2 and rank 3 mod 3; tiny prime window forces the clash
+    # 2I sits at its bound, so the proof pass decides it
     m = SparseIntMatrix.from_dense([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     policy = RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, seed=0)
-    res = rank_over_rationals(m, policy)
-    assert res.rank == 3
+    assert rank_over_rationals(m, policy) == RankResult(3, "bound_mod_p", (_PROOF_PRIME,), True)
+    # 2(1 - t) at the 3-cycle has rank 0 mod 2 and rank 2 mod 3, below its
+    # bound 3; tiny prime window forces the clash
+    res = rank_over_rationals(scaled_cycle(2, 3), policy)
+    assert res.rank == 2
     assert res.certified
     assert res.method == "dense_fraction_free"
 
 
 def test_policy_exhaustion_returns_lower_bound_uncertified():
-    m = SparseIntMatrix.from_dense([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    m = scaled_cycle(2, 3)
     policy = RankPolicy(
         primes_count=2, prime_bits=(1, 2), max_rounds=2, seed=0, dense_threshold=0
     )
     res = rank_over_rationals(m, policy)
-    assert res.rank == 3  # max over {rank mod 2 = 0, rank mod 3 = 3}
+    assert res.rank == 2  # max over {rank mod 2 = 0, rank mod 3 = 2}
     assert not res.certified
 
 
 def test_prime_window_honored():
     # the window [2, 4) holds only 2 and 3; with both dividing every entry,
     # the k-prime agreement rule certifies a wrong rank: this is why the
-    # default window is 50-62 bits
-    m = SparseIntMatrix.from_dense([[6]])
+    # default window is 50-62 bits.  6(1 - t) at the 3-cycle (rank 2) sits
+    # below its bound 3, so the rule decides it
     policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1)
-    res = rank_over_rationals(m, policy)
+    res = rank_over_rationals(scaled_cycle(6, 3), policy)
     assert res.primes_used == (3, 2)
     assert res.rank == 0
     assert res.certified
+    # [[6]] sits at its bound: the proof pass gives its rank, 1
+    res = rank_over_rationals(SparseIntMatrix.from_dense([[6]]), policy)
+    assert res == RankResult(1, "bound_mod_p", (_PROOF_PRIME,), True)
 
 
 def test_policy_validates_its_fields():
