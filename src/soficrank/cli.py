@@ -5,7 +5,8 @@ Config format: line-oriented sections with ``key = value`` entries.
     [group]
     family = free              # free | free_abelian | finite_table
     rank = 2                   # free / free_abelian: >= 1
-    names = a b                # optional generator (or element) names
+    names = a b                # optional generator (or element) names:
+                               # identifiers, 'e' only for the identity
     table = s3.txt             # finite_table: table file path
 
     [complex]                  # betti / mrk_j / euler / defect / oracle
@@ -31,7 +32,7 @@ Config format: line-oriented sections with ``key = value`` entries.
     [run]                      # the values shown are the defaults
     pipeline = betti           # betti|vrk|relative|mrk_j|euler|defect|meanrank|soficity|oracle
     j = 0                      # degree index, >= 0
-    pairs = a, b ; ab, ba      # soficity
+    pairs = a, b ; ab, ba      # soficity: no pair twice
     primes = 3                 # certification primes per round, >= 1
     prime_bits = 50 62         # primes in [2^lo, 2^hi), 0 <= lo < hi <= 63
     dense_threshold = 500      # Bareiss fallback up to this dimension, >= 0
@@ -189,7 +190,11 @@ def _pairs(text, family):
         sides = part.split(",")
         if len(sides) != 2:
             raise ValueError("each pair needs two elements")
-        pairs.append((_element(sides[0], family), _element(sides[1], family)))
+        pair = (_element(sides[0], family), _element(sides[1], family))
+        # a repeated pair would repeat its series
+        if pair in pairs:
+            raise ValueError("pair %r, %r repeats an earlier pair" % pair)
+        pairs.append(pair)
     return pairs
 
 

@@ -41,7 +41,26 @@ __all__ = [
     "perm_power",
 ]
 
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# default generator names; 'e' is the identity in the expression grammar
+_ALPHABET = "abcdfghijklmnopqrstuvwxyz"
+
+
+def _check_names(names, count, what, identity=None):
+    """``names`` as a tuple of ``count`` distinct names that the expression
+    grammar (see exprs) reads back as themselves: identifiers, with 'e'
+    naming the element at index ``identity`` or nothing."""
+    names = tuple(names)
+    if len(names) != count or len(set(names)) != count:
+        raise ValueError("need %d distinct %s names" % (count, what))
+    for i, name in enumerate(names):
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+            raise ValueError(
+                "%s name %r is not a letter or '_' followed by letters, digits"
+                " or '_'" % (what, name)
+            )
+        if name == "e" and i != identity:
+            raise ValueError("%s name 'e' is reserved for the identity" % what)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +210,8 @@ class FreeAbelian(GroupFamily):
                 gen_names = tuple("xyz"[:rank])
             else:
                 gen_names = tuple("x%d" % (i + 1) for i in range(rank))
-        gen_names = tuple(gen_names)
-        if len(gen_names) != rank or len(set(gen_names)) != rank:
-            raise ValueError("need %d distinct generator names" % rank)
         self.rank = rank
-        self.gen_names = gen_names
+        self.gen_names = _check_names(gen_names, rank, "generator")
 
     def __eq__(self, other):
         return (
@@ -214,6 +230,8 @@ class FreeAbelian(GroupFamily):
         return self._wrap((0,) * self.rank)
 
     def generator(self, i):
+        if not 0 <= i < self.rank:
+            raise IndexError("generator index out of range")
         v = [0] * self.rank
         v[i] = 1
         return self._wrap(tuple(v))
@@ -256,15 +274,12 @@ class Free(GroupFamily):
         if rank < 1:
             raise ValueError("rank must be positive")
         if gen_names is None:
-            if rank <= 26:
+            if rank <= len(_ALPHABET):
                 gen_names = tuple(_ALPHABET[:rank])
             else:
                 gen_names = tuple("g%d" % (i + 1) for i in range(rank))
-        gen_names = tuple(gen_names)
-        if len(gen_names) != rank or len(set(gen_names)) != rank:
-            raise ValueError("need %d distinct generator names" % rank)
         self.rank = rank
-        self.gen_names = gen_names
+        self.gen_names = _check_names(gen_names, rank, "generator")
 
     def __eq__(self, other):
         return (
@@ -399,9 +414,7 @@ class FiniteTable(GroupFamily):
             names = tuple(
                 "e" if i == e else "g%d" % (i + 1) for i in range(g)
             )
-        names = tuple(str(n) for n in names)
-        if len(names) != g or len(set(names)) != g:
-            raise ValueError("need %d distinct element names" % g)
+        names = _check_names(map(str, names), g, "element", e)
         self.table = table
         self.inverse_table = inverse
         self.identity_index = e

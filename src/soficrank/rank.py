@@ -8,7 +8,8 @@ Markowitz fill bound (r-1)(c-1) for that column.  It reads both stores
 of the SparseIntMatrix in their stored order, so it is deterministic given
 the prime and the order in which the matrix's entries were given.
 
-Before that loop, rank_mod_p contracts the edge rows: rows that are
+Before that loop, one preprocessing step over Z, _residual, shared by
+rank_mod_p and the bound below, contracts the edge rows: rows that are
 +-(e_i - e_j) over Z, as every row of the linearized d_1 of F_k at a
 permutation model is.  The SparseIntMatrix holds them apart, in its edge
 store, as (row, +1 column, -1 column), so no row is tested for its shape
@@ -16,37 +17,38 @@ here.  A union-find over the columns, a list with path halving, takes
 each edge; an edge that joins two components is a pivot, one whose ends
 are already joined is dependent and dropped.  Every row of the row map,
 the residual, has each column replaced by the root of its component and
-goes to the Markowitz loop.  This is exact over Z: an edge row is a +-1
-pivot, and eliminating with it substitutes one column by another in the
-other rows, a unimodular step.  The row space of the edge rows is the
-kernel of the map summing coordinates over each component, over any ring,
-so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
+the merged entries summed as integers.  This is exact over Z: an edge row
+is a +-1 pivot, and eliminating with it substitutes one column by another
+in the other rows, a unimodular step.  The row space of the edge rows is
+the kernel of the map summing coordinates over each component, over any
+ring, so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
 included, and for a product of primes.
 
-Next, every residual column whose residues mod the modulus in use equal
-those of an earlier column is dropped: a column that repeats another adds
-nothing to the column space, so the rank is unchanged.  At a regular model
-a differential that is a right multiple of a norm element N_H has columns
-constant on H-orbits, and all but one of each orbit's copies would
-otherwise be carried through every row operation.  Columns equal modulo a
-product N of primes are equal modulo every prime factor of N, so the
-dropped matrix has the same rank over each F_{p_i} as the full one, and
-the joint pass below stays exact.
+The same step then drops every residual column that exactly repeats an
+earlier one over Z: a repeated column adds nothing to the column space,
+so the rank is unchanged.  At a regular model a differential that is a
+right multiple of a norm element N_H has columns constant on H-orbits,
+and all but one of each orbit's copies would otherwise be carried through
+every row operation.  Columns equal over Z are equal modulo every prime
+and every product of primes, so the drop is exact for one prime and for
+the joint pass below alike.  Columns that agree only modulo the prime in
+use are kept.  rank_mod_p reduces the kept entries modulo its modulus and
+runs the Markowitz loop on them.
 
 rank_over_rationals first tries a proof.  Every rank mod p is a lower bound
 on the rank over Q, and the rank over Q is at most the bound B = unions +
 min(distinct nonzero residual rows, distinct nonzero residual columns),
-where the residual is taken over Z: the row map with each column read as
-its root and the merged entries summed as integers, and rows and columns
-keyed on their exact integers, never on residues.  The contraction is
+where the residual is the one above, taken over Z, and rows and columns
+are keyed on their exact integers, never on residues.  The contraction is
 unimodular, so rank_p(M) <= rank_Q(M) <= B, and one rank_mod_p pass that
 reaches B proves the rank (method bound_mod_p).  B costs O(nnz).  With an
 empty row map there is no residual, and the pass's own unions are the rank.
 The pass runs at one fixed prime, 1073741789, the largest below 2^30: a
 CPython int holds 30 bits per digit, so every residue is a one-digit int
-and a product of two residues has at most two digits.  At a prime dividing a minor that
-decides the rank, the pass falls short of B, which is no proof; the
-agreement rule below then runs as it would without the pass.
+and a product of two residues has at most two digits.  At a prime
+dividing a minor that decides the rank, the pass falls short of B, which
+is no proof; the agreement rule below then runs as it would without the
+pass, and the pass's value still counts as a lower bound.
 
 multimodular_rank holds the agreement rule, for every engine whose value
 at a prime is a lower bound on the rational rank.  Each round draws k
@@ -67,12 +69,12 @@ invariants.finite_group_exact_betti, the finite-group oracle.  It keeps
 each column that is not an exact repeat over Z of an earlier one (a
 repeated column adds nothing to the column space, so the rank over Q is
 unchanged) and runs fraction-free elimination on those, with no prime
-and no step shared with rank_mod_p.  Its key, the exact integers, is
-narrower than rank_mod_p's residues, so a wrong drop in the modular
-engine cannot be masked by the oracle.  It takes the rows in their given
-order, reduces each by the pivot rows stored so far over the columns that
-hold no pivot yet, and stores what is left as the next pivot row.  That is
-Bareiss elimination with the pivot rows moved first, so every division
+and no step shared with rank_mod_p.  It keys the columns on their exact
+integers as _residual does, but by its own code, so a wrong drop in the
+modular engine cannot be masked by the oracle.  It takes the rows in
+their given order, reduces each by the pivot rows stored so far over the
+columns that hold no pivot yet, and stores what is left as the next pivot
+row.  That is Bareiss elimination with the pivot rows moved first, so every division
 is exact.  It stops once every distinct column holds a pivot, since no
 later row can raise the rank; every entry has been read through
 operator.index before that.
@@ -111,99 +113,96 @@ def _check_prime(p):
     return p
 
 
-def _contract_edges(M):
-    """Union-find of the columns over the edge store of M.
+def _residual(M):
+    """The edge contraction of M and its residual over Z, in O(nnz).
 
-    Returns the number of successful unions and the forest ``parent``, a
-    list indexed by column, or None when M has no edge rows.  An edge whose
-    two ends are already joined adds nothing.  When M also has other rows,
-    ``parent`` then maps every column straight to the root of its
-    component.
+    Returns ``(unions, rows, kept)``.  A union-find over the columns, a
+    list with path halving, takes the edge store; ``unions`` counts the
+    edges that join two components.  ``rows`` is the row map with every
+    column read as the root of its component and the merged entries summed
+    over Z, less the rows that cancel and less every column that exactly
+    repeats an earlier one; ``kept`` is the number of columns left.
+    ``rows`` may be M's own row map, which nothing may change.  Two kept
+    columns may still agree modulo a prime: a drop keyed over Z leaves the
+    rank modulo every prime and every product of primes that of the full
+    residual.
     """
     _, heads, tails = M._edges
-    if not heads:
-        return 0, None
-    parent = list(range(M.cols))
+    rows = M._row_map
     unions = 0
-    for a, b in zip(heads, tails):
-        # both ends to their roots, halving the paths on the way
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            unions += 1
-    if M._row_map:
+    if heads:
+        parent = list(range(M.cols))
+        for a, b in zip(heads, tails):
+            # both ends to their roots, halving the paths on the way
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                unions += 1
+    if heads and rows:
         # only the residual reads the roots: point every column at its own
         for c, up in enumerate(parent):
             while parent[up] != up:
                 up = parent[up]
             parent[c] = up
-    return unions, parent
-
-
-def _rank_bound(M):
-    """An upper bound on the rank of M over Q, taken over Z in O(nnz).
-
-    It is the number of unions of the edge contraction, plus the smaller of
-    the numbers of distinct nonzero rows and distinct nonzero columns of
-    the residual: the row map with each column read as its root and the
-    merged entries summed over Z.  Rows and columns are keyed on their
-    exact integers, never on residues.
-    """
-    unions, parent = _contract_edges(M)
-    rows = M._row_map
-    if parent:
-        rows = {}
-        for r, row in M._row_map.items():
+        merged_rows = {}
+        for r, row in rows.items():
             merged = {}
             for c, v in row.items():
                 c = parent[c]
                 merged[c] = merged.get(c, 0) + v
             merged = {c: v for c, v in merged.items() if v}
             if merged:
-                rows[r] = merged
-    # rows of unequal supports differ: only rows that share one are compared
-    by_support = {}
+                merged_rows[r] = merged
+        rows = merged_rows
     entries = {}  # column -> its rows and values, interleaved
     for r, row in rows.items():
-        by_support.setdefault(frozenset(row), []).append(row)
         for c, v in row.items():
             col = entries.get(c)
             if col is None:
                 entries[c] = [r, v]
             else:
                 col += r, v
-    distinct_rows = sum(
-        len(set(map(frozenset, map(dict.items, group)))) if len(group) > 1 else 1
-        for group in by_support.values()
-    )
-    distinct_cols = len(set(map(tuple, entries.values())))
-    return unions + min(distinct_rows, distinct_cols)
+    # a column that repeats an earlier one adds nothing to the column space
+    first = {}
+    for c, col in entries.items():
+        first.setdefault(tuple(col), c)
+    if len(first) < len(entries):
+        kept = set(first.values())
+        rows = {r: {c: v for c, v in row.items() if c in kept} for r, row in rows.items()}
+    return unions, rows, len(first)
+
+
+def _rank_bound(M):
+    """An upper bound on the rank of M over Q, taken over Z in O(nnz):
+    the unions of _residual plus the smaller of the numbers of distinct
+    rows and of columns of its residual, all keyed on exact integers."""
+    unions, rows, kept = _residual(M)
+    distinct_rows = len(set(map(frozenset, map(dict.items, rows.values()))))
+    return unions + min(distinct_rows, kept)
 
 
 def rank_mod_p(M, p, stats=None):
     """Rank of M over F_p; always a lower bound for the rank over Q.
 
-    M's stores are read as stored.  The edge store (rows +-(e_i - e_j) over
-    Z) is first contracted by a union-find over the columns, each union one
-    pivot.  The rows of the row map, each column read as its root
-    ``parent[c]`` and the merged coefficients summed mod p, go to Markowitz
-    elimination, less every column whose residues equal those of a column
-    met earlier.  Both steps are exact for every prime and for a product of
-    primes (see the module docstring).
+    M's stores are read as stored.  _residual contracts the edge store
+    (rows +-(e_i - e_j)), each union one pivot, merges the rows of the row
+    map through the roots and drops every column that exactly repeats an
+    earlier one, all over Z; the kept entries, reduced mod p, go to
+    Markowitz elimination.  Every step is exact for every prime and for a
+    product of primes (see the module docstring).
 
     ``p`` is a tuple of distinct machine-word primes, one prime standing
     for ``(p,)``.  M is eliminated once modulo their product, and the rank
     common to every F_{p_i} is returned, or None (never for one prime) when
     a pivot is not a unit modulo the product.
 
-    ``stats``, if a dict, receives ``initial_nnz``, ``peak_nnz`` and
-    ``pivots`` (fill-in is peak minus initial); each contracted edge row
-    counts two nonzeros and each union one pivot, and dropped columns
-    count in the initial nonzeros.  An abandoned joint pass reports the
-    pivots made before it stopped.
+    ``stats``, if a dict, receives ``initial_nnz``, which is ``M.nnz``,
+    ``peak_nnz`` and ``pivots`` (fill-in is peak minus initial); each union
+    counts one pivot.  An abandoned joint pass reports the pivots made
+    before it stopped.
     """
     primes = [_check_prime(q) for q in (p if isinstance(p, tuple) else (p,))]
     if not primes:
@@ -211,41 +210,17 @@ def rank_mod_p(M, p, stats=None):
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     p = prod(primes)
-    unions, parent = _contract_edges(M)
-    # the residual: every row of the row map, each column read as its
-    # root; each edge row held two nonzeros
+    unions, residual, _ = _residual(M)
     rows = {}
-    initial_nnz = 2 * len(M._edges[0])
-    for r, row in M._row_map.items():
-        merged = {}
-        for c, v in row.items():
-            v %= p
-            if v:
-                initial_nnz += 1
-                if parent:
-                    c = parent[c]
-                merged[c] = (merged.get(c, 0) + v) % p
-        merged = {c: v for c, v in merged.items() if v}
-        if merged:
-            rows[r] = merged
-    entries = {}  # column -> its rows and residues, interleaved
-    for r, row in rows.items():
-        for c, v in row.items():
-            entries.setdefault(c, []).extend((r, v))
-    # a column equal mod p to an earlier one adds nothing to the rank: drop it
     cols = {}
-    seen = set()
-    for c, col in entries.items():
-        key = tuple(col)
-        if key in seen:
-            for r in col[::2]:
-                del rows[r][c]
-        else:
-            seen.add(key)
-            cols[c] = set(col[::2])
-    del entries, seen
+    for r, row in residual.items():
+        row = {c: w for c, v in row.items() if (w := v % p)}
+        if row:
+            rows[r] = row
+            for c in row:
+                cols.setdefault(c, set()).add(r)
     nnz = sum(len(row) for row in rows.values())
-    peak_nnz = initial_nnz
+    initial_nnz = peak_nnz = M.nnz
     heap = []
     for c, s in cols.items():
         heappush(heap, (len(s), c))
@@ -464,7 +439,8 @@ def rank_over_rationals(M, policy=None):
     per batch modulo the product of its primes, and one per prime when that
     meets a non-unit pivot.  Falls back to Bareiss when rows + cols is at
     most the policy's dense_threshold; policy exhaustion beyond it returns
-    the best lower bound uncertified.
+    the best lower bound uncertified: the rule's value, or the proof pass's
+    when that is larger, with the proof prime first in primes_used.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -478,8 +454,12 @@ def rank_over_rationals(M, policy=None):
     result = multimodular_rank(
         lambda primes: rank_mod_p(M, primes), policy, "sparse_mod_p"
     )
-    if result.certified or M.rows + M.cols > policy.dense_threshold:
+    if result.certified:
         return result
-    exact = rank_dense_bareiss(M.to_dense())
-    return RankResult(exact, "dense_fraction_free", result.primes_used, True)
+    if M.rows + M.cols <= policy.dense_threshold:
+        exact = rank_dense_bareiss(M.to_dense())
+        return RankResult(exact, "dense_fraction_free", result.primes_used, True)
+    if rank > result.rank:
+        return RankResult(rank, result.method, (_PROOF_PRIME,) + result.primes_used, False)
+    return result
 

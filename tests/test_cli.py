@@ -535,6 +535,38 @@ def test_bad_override_is_located_at_its_flag(tmp_path, capsys, flag, value, mess
     assert not re.search(r"o\.cfg:\d", err)  # no line of the file is blamed
 
 
+@pytest.mark.parametrize(
+    "text, section_key, bad_line",
+    [
+        # 'e' reads as the identity, so d1 would be [-1 + d; 0]
+        (
+            _replace(
+                _replace(F2_BETTI_CONFIG, "rank = 2\n", "rank = 2\nnames = d e\n"),
+                "d1 = a - 1 ; b - 1", "d1 = d - 1 ; e - 1",
+            ),
+            "[group] names",
+            "names = d e",
+        ),
+        # a repeated pair, here equal as group elements, not as text
+        (
+            _replace(SOFICITY_CONFIG, "pairs = a, b", "pairs = a, b ; a*e, b"),
+            "[run] pairs",
+            "pairs = a, b ; a*e, b",
+        ),
+    ],
+    ids=["names", "pairs"],
+)
+def test_misread_names_and_repeated_pairs_are_config_errors(
+    tmp_path, capsys, text, section_key, bad_line
+):
+    line = text.splitlines().index(bad_line) + 1
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s:%d: %s: " % (cfg, line, section_key))
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.cfg")
     assert main(["--config", missing, "--out", str(tmp_path / "out")]) == 2

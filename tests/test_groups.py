@@ -20,6 +20,7 @@ from soficrank import (
     extend_to_word,
     grid_quotient,
     grid_sequence,
+    parse_ring_element,
     random_quotient,
     regular_quotient,
     regular_sequence,
@@ -74,6 +75,44 @@ def test_family_mismatch_rejected(f2):
     other = Free(2, gen_names=("u", "v"))
     with pytest.raises(ValueError):
         f2.generators()[0] * other.generators()[0]
+
+
+NAME_BUILDERS = {
+    "free": lambda names: Free(2, gen_names=names),
+    "free_abelian": lambda names: FreeAbelian(2, gen_names=names),
+    # element 0 is the identity of the cyclic group
+    "finite_table": lambda names: FiniteTable.cyclic(3, names=("one",) + names),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NAME_BUILDERS))
+@pytest.mark.parametrize(
+    "names",
+    [("d", "e"), ("a", "2"), ("a", "1x"), ("a", "b c"), ("a", "b-1"), ("a", ""), ("a", "b^2")],
+)
+def test_names_the_grammar_reads_otherwise_are_rejected(family, names):
+    with pytest.raises(ValueError):
+        NAME_BUILDERS[family](names)
+
+
+def test_names_are_identifiers_and_e_is_the_identity():
+    f = Free(2, gen_names=("_u1", "V"))
+    assert parse_ring_element("_u1*V", f).terms == {f.generator(0) * f.generator(1): 1}
+    # the identity of a table may be 'e' or any other identifier
+    for names in (("e", "t", "t2"), ("one", "t", "t2")):
+        z3 = FiniteTable.cyclic(3, names=names)
+        assert parse_ring_element(names[0], z3).terms == {z3.identity(): 1}
+    # default names skip 'e', so a fifth free generator is reachable by name
+    f5 = Free(5)
+    assert f5.gen_names == ("a", "b", "c", "d", "f")
+    assert parse_ring_element("f", f5).terms == {f5.generator(4): 1}
+
+
+@pytest.mark.parametrize("family", [Free(2), FreeAbelian(2)], ids=["free", "free_abelian"])
+@pytest.mark.parametrize("i", [-1, 2])
+def test_generator_index_is_checked(family, i):
+    with pytest.raises(IndexError):
+        family.generator(i)
 
 
 def test_group_axioms_randomized(f2, s3):

@@ -19,7 +19,7 @@ from soficrank import (
     sanov_quotient,
 )
 
-from soficrank.rank import _PROOF_PRIME, _rank_bound, multimodular_rank
+from soficrank.rank import _PROOF_PRIME, _rank_bound, _residual, multimodular_rank
 from test_linearize import dense_product, rational_rank
 
 
@@ -84,6 +84,15 @@ def test_stats_reporting():
     assert stats["pivots"] == 2
     assert stats["initial_nnz"] == 3
     assert stats["peak_nnz"] >= 3
+
+
+def test_initial_nnz_is_the_matrix_nnz():
+    # the 5 is 0 mod 5 and still counts: initial_nnz is M.nnz, at any prime
+    m = SparseIntMatrix.from_dense([[1, 5], [0, 1], [1, -1]])
+    for p in (5, (5, 7)):
+        stats = {}
+        assert rank_mod_p(m, p, stats) == 2
+        assert stats["initial_nnz"] == m.nnz == 5
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,7 @@ def test_contracted_rows_count_in_stats(f2):
 
 
 # ---------------------------------------------------------------------------
-# repeated columns: a column equal mod p to an earlier one is dropped
+# repeated columns: a column equal over Z to an earlier one is dropped
 
 @st.composite
 def repeated_column_matrices(draw):
@@ -372,6 +381,23 @@ def test_repeated_columns_match_dense_elimination(M):
     else:
         assert joint is None
     assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
+
+
+@pytest.mark.parametrize("p", [2, 5, P50])
+@pytest.mark.parametrize("edge", [False, True], ids=["plain", "edge"])
+def test_columns_equal_only_mod_p_are_kept(p, edge):
+    # (1, 1) and (1 + p, 1) differ over Z and agree mod p: both are kept;
+    # the third column repeats the first over Z, once an edge row joins
+    # the first two columns in the second case, and is dropped
+    if edge:
+        dense = [[1, 0, 1 + p, 1], [0, 1, 1, 1], [1, -1, 0, 0]]
+    else:
+        dense = [[1, 1 + p, 1], [1, 1, 1]]
+    M = SparseIntMatrix.from_dense(dense)
+    unions, _, kept = _residual(M)
+    assert (unions, kept) == (int(edge), 2)
+    assert rank_mod_p(M, p) == dense_rank_mod(dense, p) == 1 + int(edge)
+    assert rank_dense_bareiss(dense) == 2 + int(edge)
 
 
 def test_dropped_columns_count_in_stats(f2):
@@ -695,6 +721,14 @@ def test_policy_exhaustion_returns_lower_bound_uncertified():
     res = rank_over_rationals(m, policy)
     assert res.rank == 2  # max over {rank mod 2 = 0, rank mod 3 = 2}
     assert not res.certified
+
+
+def test_uncertified_result_keeps_the_proof_pass_value():
+    # 2(1 - t) at the 6-cycle: the pass finds the rank, 5, below the bound
+    # 6, and the window [1, 2) holds no prime for the rule
+    policy = RankPolicy(prime_bits=(0, 1), dense_threshold=0)
+    res = rank_over_rationals(scaled_cycle(2, 6), policy)
+    assert res == RankResult(5, "sparse_mod_p", (_PROOF_PRIME,), False)
 
 
 def test_prime_window_honored():
