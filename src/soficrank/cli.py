@@ -66,6 +66,7 @@ from .groups import (
     Free,
     FreeAbelian,
     QuotientSequence,
+    _check_names,
     grid_sequence,
     random_quotient,
     regular_sequence,
@@ -89,7 +90,7 @@ from .invariants import (
     vrk_approximants,
 )
 from .linearize import DEFAULT_SIZE_CAP, linearize, write_matrix_market
-from .rank import RankPolicy
+from .rank import DEFAULT_POLICY, RankPolicy
 from .ring import RingMatrix, build_complex
 
 __all__ = ["ConfigError", "JobConfig", "load_config", "run", "main"]
@@ -166,11 +167,15 @@ def _boolean(text, family=None):
 
 
 def _prime_bits(text, family=None):
-    # primes must fit a machine word
-    bits = tuple(_integers(text))
-    if len(bits) != 2 or not 0 <= bits[0] < bits[1] <= 63:
-        raise ValueError("needs two integers lo hi with 0 <= lo < hi <= 63")
-    return bits
+    # RankPolicy holds the rule: primes must fit a machine word
+    return RankPolicy(prime_bits=_integers(text)).prime_bits
+
+
+def _element_names(text, family=None):
+    # the syntax of a table's element names, checked before the table is
+    # read; the table then checks that there is one name per element
+    names = text.split()
+    return _check_names(names, len(names), "element", 0)
 
 
 def _element(text, family):
@@ -205,11 +210,11 @@ _RUN_KEYS = {
     "pipeline": (_one_of(*PIPELINES), _REQUIRED, None),
     "j": (_at_least(0), 0, None),
     "pairs": (_pairs, None, None),
-    "primes": (_at_least(1), 3, "primes_count"),
-    "prime_bits": (_prime_bits, (50, 62), "prime_bits"),
-    "dense_threshold": (_at_least(0), 500, "dense_threshold"),
-    "max_rounds": (_at_least(1), 3, "max_rounds"),
-    "seed": (_integer, 0, "seed"),
+    "primes": (_at_least(1), DEFAULT_POLICY.primes_count, "primes_count"),
+    "prime_bits": (_prime_bits, DEFAULT_POLICY.prime_bits, "prime_bits"),
+    "dense_threshold": (_at_least(0), DEFAULT_POLICY.dense_threshold, "dense_threshold"),
+    "max_rounds": (_at_least(1), DEFAULT_POLICY.max_rounds, "max_rounds"),
+    "seed": (_integer, DEFAULT_POLICY.seed, "seed"),
     "size_cap": (_at_least(0), DEFAULT_SIZE_CAP, None),
     "dump_matrices": (_boolean, False, None),
 }
@@ -305,7 +310,11 @@ class JobConfig:
     def _build(self):
         # ---- group ----
         kind = self._value("group", "family", _one_of("free", "free_abelian", "finite_table"))
-        names = self._value("group", "names", lambda text, _: tuple(text.split()), None)
+        names = self._value(
+            "group", "names",
+            _element_names if kind == "finite_table" else lambda text, _: tuple(text.split()),
+            None,
+        )
         if kind == "finite_table":
             path = self._value(
                 "group", "table",

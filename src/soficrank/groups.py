@@ -10,6 +10,7 @@ from an actual homomorphism onto a finite group acting on itself.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -44,16 +45,20 @@ __all__ = [
 # default generator names; 'e' is the identity in the expression grammar
 _ALPHABET = "abcdfghijklmnopqrstuvwxyz"
 
+# a name, here and as a token of the expression grammar (see exprs)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 def _check_names(names, count, what, identity=None):
     """``names`` as a tuple of ``count`` distinct names that the expression
-    grammar (see exprs) reads back as themselves: identifiers, with 'e'
-    naming the element at index ``identity`` or nothing."""
+    grammar (see exprs) reads back as themselves: ASCII identifiers
+    (``_NAME``), with 'e' naming the element at index ``identity`` or
+    nothing."""
     names = tuple(names)
     if len(names) != count or len(set(names)) != count:
         raise ValueError("need %d distinct %s names" % (count, what))
     for i, name in enumerate(names):
-        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
             raise ValueError(
                 "%s name %r is not a letter or '_' followed by letters, digits"
                 " or '_'" % (what, name)

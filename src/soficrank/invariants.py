@@ -107,13 +107,10 @@ class ApproximantSeries:
         return iter(self.points)
 
 
-def series_to_csv(series_list, f):
-    """Write series rows: invariant_label, degree, value_num, value_den, certified."""
-    close = False
-    if isinstance(f, str):
-        f = open(f, "w", newline="")
-        close = True
-    try:
+def series_to_csv(series_list, path):
+    """Write series rows to the file at ``path``: invariant_label, degree,
+    value_num, value_den, certified."""
+    with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["invariant_label", "degree", "value_num", "value_den", "certified"])
         for s in series_list:
@@ -127,9 +124,6 @@ def series_to_csv(series_list, f):
                         "true" if p.certified else "false",
                     ]
                 )
-    finally:
-        if close:
-            f.close()
 
 
 @dataclass(frozen=True)

@@ -269,16 +269,9 @@ def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
 
 # -- MatrixMarket coordinate interchange (1-based, integer field) ----------
 
-def write_matrix_market(M, f):
-    close = False
-    if isinstance(f, str):
-        f = open(f, "w")
-        close = True
-    try:
+def write_matrix_market(M, path):
+    with open(path, "w") as f:
         f.write("%%MatrixMarket matrix coordinate integer general\n")
         f.write("%d %d %d\n" % (M.rows, M.cols, M.nnz))
         for r, c, v in M.triplets:
             f.write("%d %d %d\n" % (r + 1, c + 1, v))
-    finally:
-        if close:
-            f.close()

@@ -553,18 +553,29 @@ def test_bad_override_is_located_at_its_flag(tmp_path, capsys, flag, value, mess
             "[run] pairs",
             "pairs = a, b ; a*e, b",
         ),
+        # a table's names are checked at their own key, before the table
+        (
+            _replace(ORACLE_Z2_CONFIG, "table = z2.txt\n", "table = z2.txt\nnames = one e\n"),
+            "[group] names",
+            "names = one e",
+        ),
     ],
-    ids=["names", "pairs"],
+    ids=["names", "pairs", "table_names"],
 )
 def test_misread_names_and_repeated_pairs_are_config_errors(
-    tmp_path, capsys, text, section_key, bad_line
+    tmp_path, capsys, count_calls, text, section_key, bad_line
 ):
+    from soficrank.groups import FiniteTable
+
+    write(tmp_path, "z2.txt", "2\n1 2\n2 1\n1 2\n")
     line = text.splitlines().index(bad_line) + 1
     cfg = write(tmp_path, "bad.cfg", text)
+    calls = count_calls(FiniteTable, "__init__")
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: %s:%d: %s: " % (cfg, line, section_key))
     assert not (tmp_path / "out").exists()
+    assert calls == []  # no table is built for a job with a bad name
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

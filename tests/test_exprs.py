@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficrank import (
     Free,
@@ -10,6 +12,8 @@ from soficrank import (
     parse_ring_element,
     parse_ring_matrix,
 )
+from soficrank.exprs import _TOKEN
+from soficrank.groups import _check_names
 from conftest import free_word
 
 
@@ -71,6 +75,49 @@ def test_syntax_errors_carry_positions(f2):
         with pytest.raises(ParseError) as err:
             parse_ring_element(text, f2)
         assert err.value.position == position
+    # one input per error, with its message and position
+    for text, message, position in (
+        ("\u00b2", "unexpected character '\u00b2'", 0),
+        ("a^\u00b2", "unexpected character '\u00b2'", 2),
+        ("\u0663a", "unexpected character '\u0663'", 0),
+        ("a + q", "unknown generator name 'q'", 4),
+        ("3*", "expected a factor after '*', got 'end'", 2),
+        ("a^-", "expected an integer exponent", 3),
+        ("a^99999999", "exponent overflow (|exp| > 1048576)", 2),
+        ("a + -b", "expected a term, got '-'", 4),
+        ("a 2", "expected '+' or '-', got '2'", 2),
+        ("a*2", "expected '+' or '-', got '*'", 1),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_ring_element(text, f2)
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+        assert err.value.position == position
+    with pytest.raises(ParseError) as err:
+        parse_ring_matrix("a, b ; a", f2)
+    assert str(err.value) == "ragged matrix rows (at position 0)"
+
+
+@settings(deadline=None)
+@given(st.text())
+def test_any_text_parses_or_is_a_located_parse_error(text):
+    try:
+        f = parse_ring_element(text, Free(2))
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert isinstance(f, RingElement)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="ab_19\u00e9\u0663\u00b2\u00aa \n")))
+def test_a_name_token_is_exactly_a_valid_name(text):
+    # groups holds the one rule for names, and the tokenizer reads it
+    match = _TOKEN.fullmatch(text)
+    try:
+        _check_names([text], 1, "generator", 0)
+    except ValueError:
+        assert match is None or match.lastgroup != "NAME"
+    else:
+        assert match.lastgroup == "NAME"
 
 
 def test_unknown_generator(f2):

@@ -657,6 +657,9 @@ def test_series_csv_schema(tmp_path, f2, f2_complex):
     lines = open(path).read().splitlines()
     assert lines[0] == "invariant_label,degree,value_num,value_den,certified"
     assert lines[1] == "betti[j=1],24,25,24,true"
+    # a pathlib.Path writes the same bytes
+    series_to_csv([s], tmp_path / "path.csv")
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "series.csv").read_bytes()
 
 
 def test_series_independent_of_prime_choices(f2, f2_complex):

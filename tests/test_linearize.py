@@ -149,6 +149,9 @@ def test_matrix_market_round_trip(tmp_path):
     assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
     assert lines[1] == "2 3 3"
     assert lines[2:] == ["1 2 5", "1 3 3", "2 1 -7"]
+    # a pathlib.Path writes the same bytes
+    write_matrix_market(m, tmp_path / "path.mtx")
+    assert (tmp_path / "path.mtx").read_bytes() == (tmp_path / "m.mtx").read_bytes()
 
 
 # ---------------------------------------------------------------------------
