@@ -11,13 +11,14 @@ A token is a name (an ASCII letter or '_', then ASCII letters, digits or
 '_'), an integer (ASCII digits) or one of '+', '-', '*', '^'; whitespace
 separates tokens and any other character is an error.  A name token is
 read as a run of generator names, longest match first ('ab' is a*b unless
-'ab' is itself a name).  Integers are arbitrary precision; juxtaposed
-factors multiply in the group ('*' is accepted between factors as well).
-For free abelian families generators commute and the normal form sorts
-them.  Free-group exponents are capped (|exp| <= 2^20, else "exponent
-overflow") since the reduced word must be materialized; other families
-take arbitrary exponents.  Canonical printing (``str`` on a RingElement)
-round-trips through this parser.
+'ab' is itself a name).  Integers are arbitrary precision up to the digit
+limit of int() (sys.get_int_max_str_digits, 4300 by default; a longer one
+is a ParseError); juxtaposed factors multiply in the group ('*' is
+accepted between factors as well).  For free abelian families generators
+commute and the normal form sorts them.  Free-group exponents are capped
+(|exp| <= 2^20, else "exponent overflow") since the reduced word must be
+materialized; other families take arbitrary exponents.  Canonical
+printing (``str`` on a RingElement) round-trips through this parser.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ def parse_ring_element(text, family):
     def got(i):
         return tokens[i][1] or "end"
 
+    def integer(i):
+        """The INT token at i; int() refuses one beyond its digit limit."""
+        try:
+            return int(tokens[i][1])
+        except ValueError:
+            raise ParseError(
+                "integer too long (%d digits)" % len(tokens[i][1]), tokens[i][2]
+            ) from None
+
     def segments(name, pos):
         """The group elements that ``name`` spells, longest name first."""
         elements, j = [], 0
@@ -87,7 +97,7 @@ def parse_ring_element(text, family):
         start, coeff, elem = i, 1, family.identity()
         kind, val, pos = tokens[i]
         if kind == "INT" and val != "1":
-            coeff, i = int(val), i + 1
+            coeff, i = integer(i), i + 1
             if tokens[i][1] == "*":
                 i += 1
                 if not factor_at(i):
@@ -105,7 +115,7 @@ def parse_ring_element(text, family):
                 kind, val, pos = tokens[i]
                 if kind != "INT":
                     raise ParseError("expected an integer exponent", pos)
-                exponent, i = -int(val) if negative else int(val), i + 1
+                exponent, i = -integer(i) if negative else integer(i), i + 1
                 if free and abs(exponent) > MAX_FREE_EXPONENT:
                     raise ParseError(
                         "exponent overflow (|exp| > %d)" % MAX_FREE_EXPONENT, pos

@@ -164,9 +164,28 @@ class GroupElement:
 
 
 class GroupFamily:
-    """Base class; concrete families implement the group law on payloads."""
+    """Base class; concrete families implement the group law on payloads.
+
+    A family is identified by a key tuple, set once with its hash by the
+    constructor through ``_identify``: ``(rank, gen_names)`` for FreeAbelian
+    and Free, ``(table, identity_index, gen_names)`` for FiniteTable.  Two
+    families are equal when they are the same object, or of the same type
+    with equal keys, and then their elements are interchangeable.  A payload
+    is its own sort key unless the family says otherwise (Free).
+    """
 
     gen_names: tuple
+
+    def _identify(self, *key):
+        self._key = key
+        # every GroupElement hash hashes its family; a table's key is O(g^2)
+        self._hash = hash((type(self).__name__,) + key)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._key == other._key)
+
+    def __hash__(self):
+        return self._hash
 
     def _wrap(self, payload):
         return GroupElement(self, payload)
@@ -200,6 +219,17 @@ class GroupFamily:
                 base = self.multiply(base, base)
         return result
 
+    def sort_key(self, payload):
+        return payload
+
+    def element_str(self, payload):
+        """The word families' spelling: one name^exponent per run (_runs)."""
+        parts = []
+        for i, e in self._runs(payload):
+            name = self.gen_names[i]
+            parts.append(name if e == 1 else "%s^%d" % (name, e))
+        return "*".join(parts) or "e"
+
 
 class FreeAbelian(GroupFamily):
     """Z^d with elements stored as integer vectors; generators commute."""
@@ -217,16 +247,7 @@ class FreeAbelian(GroupFamily):
                 gen_names = tuple("x%d" % (i + 1) for i in range(rank))
         self.rank = rank
         self.gen_names = _check_names(gen_names, rank, "generator")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeAbelian)
-            and self.rank == other.rank
-            and self.gen_names == other.gen_names
-        )
-
-    def __hash__(self):
-        return hash(("FreeAbelian", self.rank, self.gen_names))
+        self._identify(rank, self.gen_names)
 
     def __repr__(self):
         return "FreeAbelian(%d)" % self.rank
@@ -250,21 +271,9 @@ class FreeAbelian(GroupFamily):
         self.check_member(a)
         return self._wrap(tuple(-x for x in a.payload))
 
-    def power(self, a, k):
-        self.check_member(a)
-        k = index(k)
-        return self._wrap(tuple(x * k for x in a.payload))
-
-    def sort_key(self, payload):
-        return payload
-
-    def element_str(self, payload):
-        parts = []
-        for name, e in zip(self.gen_names, payload):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts) if parts else "e"
+    def _runs(self, vector):
+        """(generator index, exponent) of each nonzero coordinate."""
+        return [(i, e) for i, e in enumerate(vector) if e]
 
 
 class Free(GroupFamily):
@@ -285,16 +294,7 @@ class Free(GroupFamily):
                 gen_names = tuple("g%d" % (i + 1) for i in range(rank))
         self.rank = rank
         self.gen_names = _check_names(gen_names, rank, "generator")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Free)
-            and self.rank == other.rank
-            and self.gen_names == other.gen_names
-        )
-
-    def __hash__(self):
-        return hash(("Free", self.rank, self.gen_names))
+        self._identify(rank, self.gen_names)
 
     def __repr__(self):
         return "Free(%d)" % self.rank
@@ -326,21 +326,12 @@ class Free(GroupFamily):
         # length first, then letters; inverses sort after positives
         return (len(payload), tuple((abs(l), l < 0) for l in payload))
 
-    def element_str(self, payload):
-        if not payload:
-            return "e"
-        runs = []
-        for l in payload:
-            if runs and runs[-1][0] == l:
-                runs[-1][1] += 1
-            else:
-                runs.append([l, 1])
-        parts = []
-        for l, n in runs:
-            name = self.gen_names[abs(l) - 1]
-            e = n if l > 0 else -n
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
+    def _runs(self, word):
+        """(generator index, exponent) of each run of equal letters."""
+        return [
+            (abs(l) - 1, len(list(run)) * (1 if l > 0 else -1))
+            for l, run in groupby(word)
+        ]
 
 
 def _generating_set(table, e):
@@ -379,31 +370,28 @@ class FiniteTable(GroupFamily):
         g = len(table)
         if g < 1 or any(len(row) != g for row in table):
             raise ValueError("table must be square and nonempty")
-        for row in table:
-            for x in row:
-                if not 0 <= x < g:
-                    raise ValueError("table entry out of range")
+        if min(map(min, table)) < 0 or max(map(max, table)) >= g:
+            raise ValueError("table entry out of range")
         e = index(identity_index)
         if not 0 <= e < g:
             raise ValueError("identity index out of range")
-        for j in range(g):
-            if table[e][j] != j or table[j][e] != j:
-                raise ValueError("index %d is not a two-sided identity" % e)
+        elements = tuple(range(g))
+        if table[e] != elements or tuple(row[e] for row in table) != elements:
+            raise ValueError("index %d is not a two-sided identity" % e)
+        wrong = "inverse table wrong at element %d"
         if inverse is None:
-            inverse = []
-            for i in range(g):
-                inv_i = next((j for j in range(g) if table[i][j] == e), None)
-                if inv_i is None or table[inv_i][i] != e:
-                    raise ValueError("element %d has no two-sided inverse" % i)
-                inverse.append(inv_i)
+            # each element's first right inverse; a row without e fails the
+            # two-sided check below whatever stands in for its inverse
+            wrong = "element %d has no two-sided inverse"
+            inverse = [row.index(e) if e in row else e for row in table]
         inverse = tuple(map(index, inverse))
         if len(inverse) != g:
             raise ValueError("inverse table has wrong length")
-        if not all(0 <= x < g for x in inverse):
+        if min(inverse) < 0 or max(inverse) >= g:
             raise ValueError("inverse table entry out of range")
-        for i in range(g):
-            if table[i][inverse[i]] != e or table[inverse[i]][i] != e:
-                raise ValueError("inverse table wrong at element %d" % i)
+        for i, j in enumerate(inverse):
+            if table[i][j] != e or table[j][i] != e:
+                raise ValueError(wrong % i)
         # Light's test: the s with (x*s)*y == x*(s*y) for all x, y are closed
         # under products, so checking s over a generating set suffices
         for s in _generating_set(table, e):
@@ -425,8 +413,7 @@ class FiniteTable(GroupFamily):
         self.identity_index = e
         self.order = g
         self.gen_names = names
-        # every GroupElement hash hashes its family; the table is O(g^2)
-        self._hash = hash(("FiniteTable", table, e, names))
+        self._identify(table, e, names)
 
     @classmethod
     def cyclic(cls, n, names=None):
@@ -446,35 +433,33 @@ class FiniteTable(GroupFamily):
 
         First line: g.  Then g lines of g 1-based indices (row i, column j
         holds the index of element i*j).  Then one line of 1-based inverse
-        indices.  Identity is index 1.
+        indices.  Identity is index 1.  '#' starts a comment and blank lines
+        are skipped; an entry that is not an integer is named with its line.
         """
+        # (line number in the text, content), comments and blank lines dropped
         lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-        lines = [l for l in lines if l]
+        lines = [(n, l) for n, l in enumerate(lines, 1) if l]
         if not lines:
             raise ValueError("empty table file")
         try:
-            g = int(lines[0])
+            g = int(lines[0][1])
         except ValueError:
             raise ValueError("first line must be the group order") from None
         if len(lines) != g + 2:
             raise ValueError("expected %d lines, got %d" % (g + 2, len(lines)))
-        table = []
-        for l in lines[1 : g + 1]:
-            row = [int(x) - 1 for x in l.split()]
-            table.append(row)
-        inverse = [int(x) - 1 for x in lines[g + 1].split()]
+        rows = []
+        for n, l in lines[1:]:
+            row = []
+            for x in l.split():
+                try:
+                    row.append(int(x) - 1)
+                except ValueError:
+                    raise ValueError(
+                        "table line %d: %r is not an integer" % (n, x)
+                    ) from None
+            rows.append(row)
+        table, inverse = rows[:g], rows[g]
         return cls(table, inverse=inverse, identity_index=0, names=names)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteTable)
-            and self.table == other.table
-            and self.identity_index == other.identity_index
-            and self.gen_names == other.gen_names
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "FiniteTable(order=%d)" % self.order
@@ -501,9 +486,6 @@ class FiniteTable(GroupFamily):
     def inverse(self, a):
         self.check_member(a)
         return self._wrap(self.inverse_table[a.payload])
-
-    def sort_key(self, payload):
-        return payload
 
     def element_str(self, payload):
         return self.gen_names[payload]
@@ -597,8 +579,12 @@ class FiniteQuotient:
 def extend_to_word(q, w):
     """Compose the quotient's gen_images along the normal form of w.
 
-    Returns the identity permutation for the identity element.  For genuine
-    quotients the result depends only on the group element, not its spelling.
+    A Free or FreeAbelian element costs one perm_power per (generator
+    index, exponent) run of its normal form, composed left to right (the
+    last run applies first), so a^(2^20) is one perm_power, not 2^20
+    compositions; a FiniteTable element's image is looked up.  Returns the
+    identity permutation for the identity element.  For genuine quotients
+    the result depends only on the group element, not its spelling.
     """
     fam = q.family
     fam.check_member(w)
@@ -606,18 +592,9 @@ def extend_to_word(q, w):
         if w.payload == fam.identity_index:
             return identity_perm(q.degree)
         return q.gen_images[w.payload]
-    if isinstance(fam, FreeAbelian):
-        result = identity_perm(q.degree)
-        for i, e in enumerate(w.payload):
-            if e:
-                result = perm_compose(result, perm_power(q.gen_images[i], e))
-        return result
-    # Free: compose run images left to right (apply the last run first);
-    # a run of e equal letters costs one perm_power, not e compositions
     result = None
-    for l, run in groupby(w.payload):
-        e = len(list(run))
-        p = perm_power(q.gen_images[abs(l) - 1], e if l > 0 else -e)
+    for i, e in fam._runs(w.payload):
+        p = perm_power(q.gen_images[i], e)
         result = p if result is None else perm_compose(result, p)
     return result if result is not None else identity_perm(q.degree)
 

@@ -50,7 +50,7 @@ from .groups import (
 from .linearize import (
     DEFAULT_SIZE_CAP, SizeCapExceeded, SparseIntMatrix, check_size_cap, linearize,
 )
-from .rank import DEFAULT_POLICY, RankResult, rank_dense_bareiss, rank_over_rationals
+from .rank import _ZERO_MAP, DEFAULT_POLICY, rank_dense_bareiss, rank_over_rationals
 from .ring import RingElement, RingMatrix
 
 __all__ = [
@@ -175,9 +175,6 @@ class FiniteSubgroupSpec:
 
 # ---------------------------------------------------------------------------
 # one rank table per stage
-
-_ZERO_MAP = RankResult(0, "dense_fraction_free", (), True)
-
 
 def _stage_ranks(q, matrices, policy, size_cap):
     """The RankResult over Q of linearize(f, q) for each f in ``matrices``,

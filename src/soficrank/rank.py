@@ -368,6 +368,10 @@ class RankResult:
     certified: bool
 
 
+# the rank of a zero matrix, and of the zero map a stage never linearizes
+_ZERO_MAP = RankResult(0, "dense_fraction_free", (), True)
+
+
 def _prime_in_class(x, hi, modulus):
     """Smallest prime p >= x with p < hi and p = 1 (mod modulus), or None."""
     x += (1 - x) % modulus
@@ -445,7 +449,7 @@ def rank_over_rationals(M, policy=None):
     if policy is None:
         policy = DEFAULT_POLICY
     if M.is_zero():
-        return RankResult(0, "dense_fraction_free", (), True)
+        return _ZERO_MAP
     # a lower bound that meets an upper bound is the rank; with no residual
     # the pass's own unions are the rank
     rank = rank_mod_p(M, _PROOF_PRIME)

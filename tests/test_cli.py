@@ -460,6 +460,15 @@ def test_bad_inverse_table_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "inverse table entry out of range" in err
 
 
+def test_bad_table_entry_is_located_at_the_table_and_its_line(tmp_path, capsys):
+    write(tmp_path, "z2.txt", "2\n1 x\n2 1\n1 2\n")
+    cfg = write(tmp_path, "oracle.cfg", ORACLE_Z2_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:3: [group] table: table line 2: 'x' is not an integer\n" % cfg
+    )
+
+
 def test_overrides_build_the_job_once(tmp_path, capsys, count_calls):
     from soficrank.groups import FiniteTable
 

@@ -87,6 +87,9 @@ def test_syntax_errors_carry_positions(f2):
         ("a + -b", "expected a term, got '-'", 4),
         ("a 2", "expected '+' or '-', got '2'", 2),
         ("a*2", "expected '+' or '-', got '*'", 1),
+        # past int()'s digit limit (sys.get_int_max_str_digits, 4300)
+        ("1" * 5000 + "a", "integer too long (5000 digits)", 0),
+        ("a^" + "1" * 5000, "integer too long (5000 digits)", 2),
     ):
         with pytest.raises(ParseError) as err:
             parse_ring_element(text, f2)

@@ -239,6 +239,105 @@ def test_table_text_round_trip(s3):
     assert FiniteTable.from_text(S3_TABLE_TEXT, names=s3.gen_names) == s3
 
 
+@pytest.mark.parametrize(
+    "text, line, word",
+    [
+        ("2\n1 x\n2 1\n1 2\n", 2, "x"),
+        # file lines count comments and blank lines
+        ("# Z/2\n2\n\n1 2\n2 1  # row 2\n1 2.0\n", 6, "2.0"),
+    ],
+)
+def test_table_text_names_the_line_of_a_bad_entry(text, line, word):
+    with pytest.raises(ValueError) as err:
+        FiniteTable.from_text(text)
+    assert str(err.value) == "table line %d: %r is not an integer" % (line, word)
+
+
+@pytest.mark.parametrize(
+    "inverse, message",
+    [
+        # the inverse row given, then computed from the table
+        ((0, 2, 1), "inverse table wrong at element 1"),
+        (None, "element 1 has no two-sided inverse"),
+    ],
+)
+def test_inverse_messages_name_the_element(inverse, message):
+    # element 1 has a right inverse (1*2 = 0) but 2*1 = 2
+    table = [[0, 1, 2], [1, 2, 0], [2, 2, 2]]
+    with pytest.raises(ValueError, match="^%s$" % message):
+        FiniteTable(table, inverse=inverse)
+
+
+# ---------------------------------------------------------------------------
+# family identity: equal families are interchangeable
+
+EQUAL_FAMILIES = {
+    "free": lambda: Free(2),
+    "free_abelian": lambda: FreeAbelian(2, "xy"),
+    "finite_table": lambda: FiniteTable.from_text(S3_TABLE_TEXT),
+}
+
+
+@pytest.mark.parametrize("build", EQUAL_FAMILIES.values(), ids=list(EQUAL_FAMILIES))
+def test_families_built_twice_are_interchangeable(build):
+    one, two = build(), build()
+    assert one is not two
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    counts = {g: 1 for g in one.generators()}
+    for g in two.generators():
+        counts[g] += 1
+    assert list(counts.values()) == [2] * len(one.gen_names)
+    # an element of one multiplies with the other's, and ranks as its own
+    a, b = one.generators()[1], two.generators()[1]
+    assert a * b == two.multiply(b, a) == one.power(b, 2)
+
+
+@pytest.mark.parametrize(
+    "one, two",
+    [
+        (Free(2, "xy"), FreeAbelian(2, "xy")),
+        (Free(2), Free(3)),
+        (FreeAbelian(2), FreeAbelian(3)),
+        (Free(2, "ab"), Free(2, "ba")),
+        (FreeAbelian(2, "xy"), FreeAbelian(2, "uv")),
+        (FiniteTable.cyclic(3, names=("one", "t", "u")), FiniteTable.cyclic(3)),
+        # Z/2 with its identity at index 1 and at index 0 (a group table
+        # fixes its identity, so the index cannot differ alone)
+        (FiniteTable([[1, 0], [0, 1]], identity_index=1, names=("a", "b")),
+         FiniteTable([[0, 1], [1, 0]], names=("a", "b"))),
+        (FiniteTable.cyclic(2, names=("e", "t")), FiniteTable.cyclic(3, names=("e", "t", "u"))),
+    ],
+)
+def test_families_differing_in_type_rank_names_or_identity_are_unequal(one, two):
+    assert one != two and two != one
+    assert not one == two
+    with pytest.raises(ValueError, match="does not belong"):
+        one.generators()[-1] * two.generators()[-1]
+
+
+def sample_element(fam, draw):
+    if isinstance(fam, Free):
+        letters = draw(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6))
+        return free_word(fam, letters)
+    if isinstance(fam, FreeAbelian):
+        return fam._wrap(tuple(draw(st.integers(-3, 3)) for _ in range(fam.rank)))
+    return fam.element(draw(st.integers(0, fam.order - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EQUAL_FAMILIES)), st.data())
+def test_power_is_repeated_multiplication(kind, data):
+    fam = EQUAL_FAMILIES[kind]()
+    a = sample_element(fam, data.draw)
+    for base, sign in ((a, 1), (~a, -1)):
+        product = fam.identity()
+        assert fam.power(a, 0) == product
+        for k in range(1, 21):
+            product = product * base
+            assert fam.power(a, sign * k) == product
+
+
 # ---------------------------------------------------------------------------
 # extend_to_word
 
