@@ -19,6 +19,7 @@ from .groups import (
     grid_quotient,
     grid_sequence,
     random_quotient,
+    random_sequence,
     regular_quotient,
     regular_sequence,
     sanov_quotient,

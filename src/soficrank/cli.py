@@ -38,7 +38,7 @@ Config format: line-oriented sections with ``key = value`` entries.
     dense_threshold = 500      # Bareiss fallback up to this dimension, >= 0
     max_rounds = 3             # prime-drawing rounds, >= 1
     seed = 0                   # any integer
-    size_cap = 200000          # linearized dimension bound, >= 0
+    size_cap = 200000          # model degree and linearized dimension bound, >= 0
     dump_matrices = false      # true | false
 
 ``pipeline``, ``family``, ``provider`` and the keys without a default are
@@ -47,6 +47,12 @@ read is an error: a typo, ``d3`` in a two-term complex, ``moduli`` under
 ``provider = regular``.  So is a pipeline whose inputs are missing.  Every
 config error names the file, and the line of its key (of its section when
 the key is missing), or the command-line flag that set the value.
+
+``size_cap`` bounds every model a job builds, soficity included: the degree
+of each grid, Sanov or random stage follows from ``moduli`` or ``degrees``
+and is checked at load, with the strict increase of the degrees, before any
+image is built (a regular model is the table the job has already read).  It
+also bounds each matrix the job linearizes: (rows + columns) times degree.
 
 Outputs: ``series.csv`` (invariant_label, degree, value_num, value_den,
 certified), ``summary.txt``, and optional ``matrix_*.mtx`` dumps.  Decimal
@@ -65,10 +71,10 @@ from .groups import (
     FiniteTable,
     Free,
     FreeAbelian,
-    QuotientSequence,
+    SizeCapExceeded,
     _check_names,
     grid_sequence,
-    random_quotient,
+    random_sequence,
     regular_sequence,
     sanov_sequence,
     soficity_defect,
@@ -366,6 +372,14 @@ class JobConfig:
             self.f_set = self._value("module", "f_set", _elements, None)
             self.window = self._value("module", "window", _elements, None)
 
+        # ---- run ----
+        # read before [quotients]: the size cap bounds the models built there
+        self.options = {
+            key: self._value("run", key, parse, default)
+            for key, (parse, default, _) in _RUN_KEYS.items()
+        }
+        cap = self.options["size_cap"]
+
         # ---- quotients ----
         if self.sections.get("quotients"):
             provider = self._value(
@@ -379,14 +393,8 @@ class JobConfig:
                 degrees = self._value("quotients", "degrees", _integers)
                 seed = self._value("quotients", "seed", _integer, 0)
                 try:
-                    self.quotients = QuotientSequence(
-                        tuple(
-                            random_quotient(self.family, dd, seed + i)
-                            for i, dd in enumerate(degrees)
-                        ),
-                        chain=False,
-                    )
-                except ValueError as exc:
+                    self.quotients = random_sequence(self.family, degrees, seed, cap)
+                except (ValueError, SizeCapExceeded) as exc:
                     self._fail("quotients", "degrees", str(exc))
             else:
                 moduli = self._value("quotients", "moduli", _integers)
@@ -394,17 +402,13 @@ class JobConfig:
                     self._fail("quotients", "provider", "grid needs a free_abelian family")
                 try:
                     if provider == "grid":
-                        self.quotients = grid_sequence(self.family.rank, moduli, self.family)
+                        self.quotients = grid_sequence(
+                            self.family.rank, moduli, self.family, cap
+                        )
                     else:
-                        self.quotients = sanov_sequence(moduli, self.family)
-                except ValueError as exc:
+                        self.quotients = sanov_sequence(moduli, self.family, cap)
+                except (ValueError, SizeCapExceeded) as exc:
                     self._fail("quotients", "moduli", str(exc))
-
-        # ---- run ----
-        self.options = {
-            key: self._value("run", key, parse, default)
-            for key, (parse, default, _) in _RUN_KEYS.items()
-        }
 
         # ---- every key read, every input of the pipeline given ----
         for section, values in self.sections.items():
@@ -581,7 +585,7 @@ def main(argv=None):
     parser.add_argument("--primes", type=int, help="override certification prime count")
     parser.add_argument("--seed", type=int, help="override policy/model seed")
     parser.add_argument("--strict", action="store_true", help="fail on uncertified ranks")
-    parser.add_argument("--size-cap", type=int, help="override linearization size cap")
+    parser.add_argument("--size-cap", type=int, help="override model and linearization size cap")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
         "--dump-normalized",

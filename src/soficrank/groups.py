@@ -36,6 +36,7 @@ __all__ = [
     "grid_sequence",
     "sanov_sequence",
     "regular_sequence",
+    "random_sequence",
     "identity_perm",
     "perm_compose",
     "perm_inverse",
@@ -634,12 +635,22 @@ def soficity_defect(q, pairs):
 # ---------------------------------------------------------------------------
 # providers
 
+class SizeCapExceeded(RuntimeError):
+    """Raised when a model or a linearization would exceed the configured
+    size cap (a resource guard, not a mathematical failure)."""
+
+
+def _positive(value, what):
+    n = index(value)
+    if n < 1:
+        raise ValueError("%s must be positive" % what)
+    return n
+
+
 def grid_quotient(rank, modulus, family=None):
     """Z^rank acting by translation on (Z/modulus)^rank; genuine, degree modulus^rank."""
     rank = index(rank)
-    n = index(modulus)
-    if n < 1:
-        raise ValueError("modulus must be positive")
+    n = _positive(modulus, "modulus")
     if family is None:
         family = FreeAbelian(rank)
     elif not isinstance(family, FreeAbelian) or family.rank != rank:
@@ -674,6 +685,13 @@ def _sl2_size(m):
     return size
 
 
+def _sanov_modulus(modulus):
+    m = index(modulus)
+    if m < 3 or m % 2 == 0:
+        raise ValueError("sanov modulus must be odd and >= 3")
+    return m
+
+
 def sanov_quotient(modulus, family=None):
     """F_2 -> SL_2(Z/m) via a -> [[1,2],[0,1]], b -> [[1,0],[2,1]], m odd >= 3.
 
@@ -681,39 +699,54 @@ def sanov_quotient(modulus, family=None):
     the two images generate the whole group (2 is a unit, so powers of the
     images give all elementary matrices).  Kernels form a chain with trivial
     intersection along divisibility of the moduli.
+
+    Points are the elements in sorted order of their entry tuples
+    (p, q, r, s).  The search codes each element as the int
+    ((p*m + q)*m + r)*m + s, whose base-m digits are the entries, most
+    significant first, so numeric order on codes is tuple order.  It runs
+    from the identity in discovery order, records the ``a`` and ``b``
+    neighbours of each element as discovery indices, then relabels by one
+    sort of the codes.  A search that does not reach |SL_2(Z/m)| elements
+    raises RuntimeError: the images are shown to generate, not assumed to.
     """
-    m = index(modulus)
-    if m < 3 or m % 2 == 0:
-        raise ValueError("sanov modulus must be odd and >= 3")
+    m = _sanov_modulus(modulus)
     if family is None:
         family = Free(2)
     elif not isinstance(family, Free) or family.rank != 2:
         raise ValueError("sanov quotient needs a rank-2 free family")
     # left multiplication by a = [[1,2],[0,1]] adds twice the second row to
     # the first, by b = [[1,0],[2,1]] twice the first row to the second.  In
-    # a finite group the positive words already reach every element.
-    identity = (1, 0, 0, 1)
-    steps = {}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            p, q, r, s = x
-            ax = ((p + 2 * r) % m, (q + 2 * s) % m, r, s)
-            bx = (p, q, (r + 2 * p) % m, (s + 2 * q) % m)
-            steps[x] = ax, bx
-            for y in (ax, bx):
-                if y not in steps:
-                    steps[y] = None  # seen; its steps are set next round
-                    nxt.append(y)
-        frontier = nxt
-    elements = sorted(steps)
-    d = len(elements)
+    # a finite group the positive words already reach every element.  A code
+    # splits as hi = p*m + q (first row) and lo = r*m + s (second row).
+    m2 = m * m
+    codes = [m2 * m + 1]  # the identity (1, 0, 0, 1)
+    found = {codes[0]: 0}  # code -> discovery index
+    step_a, step_b = [], []  # discovery index -> that of its a- and b-neighbour
+    for x in codes:
+        hi, lo = divmod(x, m2)
+        p, q = divmod(hi, m)
+        r, s = divmod(lo, m)
+        y = ((p + 2 * r) % m * m + (q + 2 * s) % m) * m2 + lo
+        i = found.get(y)
+        if i is None:
+            i = found[y] = len(codes)
+            codes.append(y)
+        step_a.append(i)
+        y = hi * m2 + (r + 2 * p) % m * m + (s + 2 * q) % m
+        i = found.get(y)
+        if i is None:
+            i = found[y] = len(codes)
+            codes.append(y)
+        step_b.append(i)
+    d = len(codes)
     if d != _sl2_size(m):
         raise RuntimeError("Sanov images failed to generate SL2(Z/%d)" % m)
-    position = {x: i for i, x in enumerate(elements)}
-    img_a = tuple(position[steps[x][0]] for x in elements)
-    img_b = tuple(position[steps[x][1]] for x in elements)
+    order = sorted(range(d), key=codes.__getitem__)  # point -> discovery index
+    point = [0] * d  # discovery index -> point
+    for i, k in enumerate(order):
+        point[k] = i
+    img_a = tuple([point[step_a[k]] for k in order])
+    img_b = tuple([point[step_b[k]] for k in order])
     return FiniteQuotient._adopt(family, d, (img_a, img_b), True, "Sanov mod %d" % m)
 
 
@@ -728,9 +761,7 @@ def regular_quotient(family):
 
 def random_quotient(family, degree, seed):
     """Uniformly random permutation per generator; heuristic (genuine = False)."""
-    d = index(degree)
-    if d < 1:
-        raise ValueError("degree must be positive")
+    d = _positive(degree, "degree")
     rng = random.Random(seed)
     images = []
     for i in range(len(family.gen_names)):
@@ -769,9 +800,7 @@ class QuotientSequence:
         for q in qs:
             if q.family != fam:
                 raise ValueError("all quotients must share one family")
-        degrees = [q.degree for q in qs]
-        if any(a >= b for a, b in zip(degrees, degrees[1:])):
-            raise ValueError("degrees must strictly increase")
+        _check_degrees([q.degree for q in qs])
 
     @property
     def family(self):
@@ -784,20 +813,43 @@ class QuotientSequence:
         return len(self.quotients)
 
 
+def _check_degrees(degrees, size_cap=None):
+    """The stage degrees of a sequence strictly increase, and none exceeds
+    size_cap (None means no cap).  The sequence builders check the degrees
+    they compute from their parameters before they build any model."""
+    for d in degrees:
+        if size_cap is not None and d > size_cap:
+            raise SizeCapExceeded("degree %d exceeds cap %d" % (d, size_cap))
+    if any(a >= b for a, b in zip(degrees, degrees[1:])):
+        raise ValueError("degrees must strictly increase")
+
+
 def _divisibility_chain(moduli):
     return all(b % a == 0 for a, b in zip(moduli, moduli[1:]))
 
 
-def grid_sequence(rank, moduli, family=None):
-    moduli = list(map(index, moduli))
-    qs = tuple(grid_quotient(rank, m, family) for m in moduli)
+def grid_sequence(rank, moduli, family=None, size_cap=None):
+    rank = index(rank)
+    moduli = [_positive(n, "modulus") for n in moduli]
+    _check_degrees([n ** rank for n in moduli], size_cap)
+    qs = tuple(grid_quotient(rank, n, family) for n in moduli)
     return QuotientSequence(qs, chain=_divisibility_chain(moduli))
 
 
-def sanov_sequence(moduli, family=None):
-    moduli = list(map(index, moduli))
+def sanov_sequence(moduli, family=None, size_cap=None):
+    moduli = list(map(_sanov_modulus, moduli))
+    _check_degrees(list(map(_sl2_size, moduli)), size_cap)
     qs = tuple(sanov_quotient(m, family) for m in moduli)
     return QuotientSequence(qs, chain=_divisibility_chain(moduli))
+
+
+def random_sequence(family, degrees, seed, size_cap=None):
+    """One random model per degree, the i-th drawn with seed + i; the
+    models are heuristic, so the sequence asserts no kernel chain."""
+    degrees = [_positive(d, "degree") for d in degrees]
+    _check_degrees(degrees, size_cap)
+    qs = tuple(random_quotient(family, d, seed + i) for i, d in enumerate(degrees))
+    return QuotientSequence(qs, chain=False)
 
 
 def regular_sequence(family):

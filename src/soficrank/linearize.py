@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import index
 
-from .groups import extend_to_word, perm_inverse
+from .groups import SizeCapExceeded, extend_to_word, perm_inverse
 from .ring import RingMatrix
 
 __all__ = [
@@ -27,10 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 200_000
-
-
-class SizeCapExceeded(RuntimeError):
-    """Raised when a linearization would exceed the configured size cap."""
 
 
 def _file_edges(row_map, edges):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from soficrank import groups
 from soficrank.cli import ConfigError, load_config, main
 from soficrank.linearize import linearize
 
@@ -380,9 +381,52 @@ def test_invalid_provider_constraints(tmp_path):
     assert main(["--config", bad, "--out", str(tmp_path)]) == 2
 
 
-def test_size_cap_flag(tmp_path):
+def test_size_cap_flag(tmp_path, capsys):
     cfg = write(tmp_path, "job.cfg", F2_BETTI_CONFIG)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--size-cap", "100"]) == 2
+    # Sanov 15 has degree |SL2(Z/15)| = 2880; blamed on the moduli, not the flag
+    line = F2_BETTI_CONFIG.splitlines().index("moduli = 3 15") + 1
+    assert capsys.readouterr().err == (
+        "config error: %s:%d: [quotients] moduli: degree 2880 exceeds cap 100\n" % (cfg, line)
+    )
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a model was built")
+
+    for builder in ("grid_quotient", "sanov_quotient", "random_quotient"):
+        monkeypatch.setattr(groups, builder, refuse)
+
+
+@pytest.mark.parametrize(
+    "text, bad_line, degree, cap",
+    [
+        (F2_BETTI_CONFIG, "moduli = 3 15", 2880, 100),
+        (KOSZUL_EULER_CONFIG, "moduli = 2 3 5", 25, 10),
+        (SOFICITY_CONFIG, "degrees = 100", 100, 99),
+    ],
+    ids=["sanov", "grid", "random"],
+)
+def test_model_degree_is_capped_at_load(tmp_path, monkeypatch, text, bad_line, degree, cap):
+    cfg = write(tmp_path, "cap.cfg", text + "size_cap = %d\n" % cap)
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    line = text.splitlines().index(bad_line) + 1
+    key = bad_line.split()[0]
+    assert str(err.value) == "%s:%d: [quotients] %s: degree %d exceeds cap %d" % (
+        cfg, line, key, degree, cap,
+    )
+
+
+@pytest.mark.parametrize("moduli", ["21 15", "15 15"])
+def test_degrees_not_increasing_fail_at_load(tmp_path, monkeypatch, moduli):
+    text = _replace(F2_BETTI_CONFIG, "moduli = 3 15", "moduli = " + moduli)
+    cfg = write(tmp_path, "order.cfg", text)
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(ConfigError, match=r"\[quotients\] moduli: degrees must strictly increase"):
+        load_config(cfg)
 
 
 def test_seed_flag_drives_random_models(tmp_path):

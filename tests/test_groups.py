@@ -353,7 +353,8 @@ def test_extend_grid_shift(z1):
     assert p == tuple((v + 3) % 5 for v in range(5))
 
 
-@pytest.mark.parametrize("m", [3, 5, 7, 9])
+# 15 and 21 are the benchmark's moduli and the first composite ones
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21])
 def test_extend_sanov_matches_matrix_oracle(f2, m):
     # oracle: arithmetic in SL2(Z/m) done directly in the test
     a, b = f2.generators()
@@ -538,6 +539,15 @@ def test_sanov_degree_by_enumeration(f2):
     assert sanov_quotient(3, f2).degree == 24
     assert sanov_quotient(5, f2).degree == 120
     assert sanov_quotient(15, f2).degree == 2880
+
+
+def test_sanov_search_must_reach_the_whole_group(monkeypatch, f2):
+    # the search reaches |SL2(Z/m)| elements only if the images generate; a
+    # build that expects one more element must refuse, not return a model
+    size = _sl2_size
+    monkeypatch.setattr(groups, "_sl2_size", lambda m: size(m) + 1)
+    with pytest.raises(RuntimeError, match="failed to generate SL2"):
+        sanov_quotient(15, f2)
 
 
 def test_sanov_rejects_even_or_small_modulus():
