@@ -43,7 +43,6 @@ from .rank import (
 )
 from .invariants import (
     ApproximantSeries,
-    FiniteSubgroupSpec,
     ModulePresentation,
     SeriesPoint,
     betti_approximants,

@@ -81,7 +81,6 @@ from .groups import (
 )
 from .invariants import (
     ApproximantSeries,
-    FiniteSubgroupSpec,
     ModulePresentation,
     SeriesPoint,
     betti_approximants,
@@ -228,16 +227,14 @@ _RUN_KEYS = {
 
 def _show(value):
     """Config text that parses back to ``value``: a flag, a scalar, a list
-    of integers or names joined by spaces, or rows (a matrix, vectors,
-    elements, pairs) joined by ';' with their entries joined by ','."""
+    of integers or names joined by spaces, or rows (a matrix, elements,
+    pairs) joined by ';' with their entries joined by ','."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, str)):
         return str(value)
     if isinstance(value, RingMatrix):
         value = value.entries
-    elif isinstance(value, FiniteSubgroupSpec):
-        value = value.generators
     if all(isinstance(x, (int, str)) for x in value):
         return " ".join(map(str, value))
     return " ; ".join(
@@ -298,10 +295,10 @@ class JobConfig:
 
     def _value(self, section, key, parse, default=_REQUIRED):
         """``parse(text, family)`` of [section] key, or ``default`` when it
-        is absent; a bad value is a located ConfigError.  Records the read
-        and the value, which normalized_text prints."""
+        is absent or empty; a bad value is a located ConfigError.  Records
+        the read and the value, which normalized_text prints."""
         text = self.sections.get(section, {}).get(key)
-        if text is None or (not text and default is None):
+        if not text:
             if default is _REQUIRED:
                 self._fail(section, key, "missing")
             value = default
@@ -364,7 +361,7 @@ class JobConfig:
                 mat = parse_ring_matrix(text, family)
                 if mat.cols != n:
                     raise ValueError("vectors must have %d components" % n)
-                return FiniteSubgroupSpec(family, n, tuple(tuple(r) for r in mat.entries))
+                return mat
 
             self.generators = self._value("module", "generators", vectors, None)
             self.a_gens = self._value("module", "a_gens", vectors, None)

@@ -432,10 +432,11 @@ class FiniteTable(GroupFamily):
     def from_text(cls, text, names=None):
         """Parse the plain-text table format.
 
-        First line: g.  Then g lines of g 1-based indices (row i, column j
-        holds the index of element i*j).  Then one line of 1-based inverse
-        indices.  Identity is index 1.  '#' starts a comment and blank lines
-        are skipped; an entry that is not an integer is named with its line.
+        First line: the order g >= 1.  Then g lines of g 1-based indices
+        (row i, column j holds the index of element i*j).  Then one line of
+        1-based inverse indices.  Identity is index 1.  '#' starts a comment
+        and blank lines are skipped; an entry that is not an integer is
+        named with its line.
         """
         # (line number in the text, content), comments and blank lines dropped
         lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
@@ -446,6 +447,8 @@ class FiniteTable(GroupFamily):
             g = int(lines[0][1])
         except ValueError:
             raise ValueError("first line must be the group order") from None
+        if g < 1:
+            raise ValueError("group order must be positive, got %d" % g)
         if len(lines) != g + 2:
             raise ValueError("expected %d lines, got %d" % (g + 2, len(lines)))
         rows = []

@@ -57,7 +57,6 @@ __all__ = [
     "SeriesPoint",
     "ApproximantSeries",
     "ModulePresentation",
-    "FiniteSubgroupSpec",
     "betti_approximants",
     "vrk_approximants",
     "relative_vrk_approximants",
@@ -152,25 +151,15 @@ class ModulePresentation:
                 )
 
 
-@dataclass(frozen=True)
-class FiniteSubgroupSpec:
-    """Finitely many generators of an abelian subgroup of a presented module;
-    each generator is a length-n vector of ring elements."""
-
-    family: object
-    length: int
-    generators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "length", index(self.length))
-        gens = tuple(tuple(v) for v in self.generators)
-        object.__setattr__(self, "generators", gens)
-        for vec in gens:
-            if len(vec) != self.length:
-                raise ValueError("generator vectors must have length %d" % self.length)
-            for x in vec:
-                if not isinstance(x, RingElement) or x.family != self.family:
-                    raise ValueError("generator entries must be ring elements")
+def _check_generators(M, *gens):
+    """Check that each of ``gens`` is a RingMatrix whose rows are vectors
+    of the module M: over its family, with free_rank columns."""
+    for g in gens:
+        if not isinstance(g, RingMatrix) or g.family != M.family or g.cols != M.free_rank:
+            raise ValueError(
+                "generators must be a RingMatrix of %d-column rows over the "
+                "module's family" % M.free_rank
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +263,13 @@ def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
 def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Rank density of a submodule relative to its ambient module.
 
-    The submodule is given by generating vectors inside the presented
-    module; the value is vrk(M2) - vrk(M2/M1) stage by stage, where M2/M1
-    appends the generators as extra relation rows, so it is
-    (rank L(relations of M2/M1) - rank L(relations of M2)) / d.
+    The submodule is generated by the rows of the RingMatrix ``gens``,
+    vectors of the presented module; the value is vrk(M2) - vrk(M2/M1)
+    stage by stage, where M2/M1 appends those rows as extra relation rows,
+    so it is (rank L(relations of M2/M1) - rank L(relations of M2)) / d.
     """
-    if gens.family != M2.family or gens.length != M2.free_rank:
-        raise ValueError("generators do not live in the ambient module")
-    quotient = M2.relations
-    if gens.generators:
-        extra = RingMatrix(M2.family, [list(vec) for vec in gens.generators])
-        quotient = extra if quotient is None else quotient.vstack(extra)
+    _check_generators(M2, gens)
+    quotient = gens if M2.relations is None else M2.relations.vstack(gens)
     return _series(
         "relative_vrk", M2.family, Q, (M2.relations, quotient),
         lambda d, r_outer, r_quotient: Fraction(r_quotient - r_outer, d),
@@ -407,10 +392,11 @@ def literal_mean_rank_point(
 ):
     """Literal rank density of the measured subgroup at one finite model.
 
+    A and B are RingMatrix objects whose rows are vectors of the module.
     Constructs the integer presentation of the d-fold sum of the module
     modulo the translation relations delta_v (x) b - delta_{sigma(s) v} (x) sb
-    for b in B, s in F, v in [d], stacks the images of the A generators as
-    extra rows, and returns (rank[A | relations] - rank[relations]) / d.
+    for b a row of B, s in F, v in [d], stacks the images of the rows of A
+    as extra rows, and returns (rank[A | relations] - rank[relations]) / d.
 
     Module elements are truncated to supports inside a finite ``window`` of
     group elements and relation instances leaving it are skipped.  A finite
@@ -428,8 +414,7 @@ def literal_mean_rank_point(
     fam = M.family
     if not isinstance(q, FiniteQuotient) or q.family != fam:
         raise ValueError("model family mismatch")
-    if A.family != fam or B.family != fam or A.length != M.free_rank or B.length != M.free_rank:
-        raise ValueError("subgroup specs must live in the presented module")
+    _check_generators(M, A, B)
     finite = isinstance(fam, FiniteTable)
     if finite:
         window = fam.elements()
@@ -471,7 +456,7 @@ def literal_mean_rank_point(
     N = M.free_rank * slot
     big_cols = d * N
     # d rows per relation row, per (b, s) pair and per A generator, at most
-    max_rows = d * (len(rel_rows) + len(B.generators) * len(F) + len(A.generators))
+    max_rows = d * (len(rel_rows) + B.rows * len(F) + A.rows)
     if size_cap is not None and max_rows + big_cols > size_cap:
         raise SizeCapExceeded(
             "literal mean-rank matrix of %d rows and %d columns exceeds cap %d"
@@ -487,7 +472,7 @@ def literal_mean_rank_point(
         for v in range(d):
             rows.append(place(v, small))
     # translation relations from B and F
-    for b in B.generators:
+    for b in B.entries:
         if not in_window(b):
             continue
         bvec = vecify(b)
@@ -511,7 +496,7 @@ def literal_mean_rank_point(
                     rows.append(row)
     rel_count = len(rows)
     # measured generators from A
-    for a in A.generators:
+    for a in A.entries:
         if not in_window(a):
             raise ValueError("A generator has support outside the window")
         avec = vecify(a)

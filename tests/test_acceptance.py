@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from soficrank import (
-    FiniteSubgroupSpec,
     FiniteTable,
     Free,
     FreeAbelian,
@@ -288,7 +287,7 @@ def test_criterion_8_literal_mean_rank():
         q = regular_quotient(fam)
         M = ModulePresentation(fam, 1, None)
         one_vec = (RingElement.one(fam),)
-        spec = FiniteSubgroupSpec(fam, 1, (one_vec,))
+        spec = RingMatrix(fam, [one_vec])
         value = literal_mean_rank_point(M, spec, spec, fam.elements(), q).value
         oracle = vrk_approximants(M, regular_sequence(fam)).points[0].value
         assert value == oracle == 1
@@ -301,6 +300,6 @@ def test_criterion_8_literal_mean_rank():
         zero = RingElement.zero(fam)
         one = RingElement.one(fam)
         Msum = ModulePresentation(fam, 2, RingMatrix(fam, [[zero, norm]]))
-        AB = FiniteSubgroupSpec(fam, 2, ((one, zero), (zero, one)))
+        AB = RingMatrix(fam, [[one, zero], [zero, one]])
         vsum = literal_mean_rank_point(Msum, AB, AB, fam.elements(), q).value
         assert vsum == v1 + v2

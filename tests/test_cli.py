@@ -513,6 +513,15 @@ def test_bad_table_entry_is_located_at_the_table_and_its_line(tmp_path, capsys):
     )
 
 
+def test_bad_table_order_is_located_at_the_table(tmp_path, capsys):
+    write(tmp_path, "z2.txt", "-1\n")
+    cfg = write(tmp_path, "oracle.cfg", ORACLE_Z2_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:3: [group] table: group order must be positive, got -1\n" % cfg
+    )
+
+
 def test_overrides_build_the_job_once(tmp_path, capsys, count_calls):
     from soficrank.groups import FiniteTable
 
@@ -569,6 +578,39 @@ def test_bad_values_are_located_config_errors(tmp_path, capsys, case):
     assert "config error" in err and "bad.cfg:%d" % line in err
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+# an optional key left empty reads as absent: the job runs at the default
+EMPTY_OPTIONAL_VALUES = {
+    "run_seed": (F2_BETTI_CONFIG + "seed =\n", "run", "seed = 0"),
+    "run_j": (_replace(F2_BETTI_CONFIG, "j = 1", "j ="), "run", "j = 0"),
+    "size_cap": (F2_BETTI_CONFIG + "size_cap =\n", "run", "size_cap = 200000"),
+    "max_rounds": (F2_BETTI_CONFIG + "max_rounds =\n", "run", "max_rounds = 3"),
+    "dump_matrices": (F2_BETTI_CONFIG + "dump_matrices =\n", "run", "dump_matrices = false"),
+    "quotients_seed": (_replace(SOFICITY_CONFIG, "seed = 7", "seed ="), "quotients", "seed = 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_OPTIONAL_VALUES))
+def test_empty_optional_value_is_absent(tmp_path, capsys, case):
+    text, section, shown = EMPTY_OPTIONAL_VALUES[case]
+    cfg = write(tmp_path, "job.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["--config", cfg, "--dump-normalized"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    (block,) = [b.splitlines() for b in blocks if b.startswith("[%s]" % section)]
+    assert shown in block
+
+
+def test_empty_required_value_is_missing(tmp_path, capsys):
+    text = _replace(F2_BETTI_CONFIG, "pipeline = betti", "pipeline =")
+    line = text.splitlines().index("pipeline =") + 1
+    cfg = write(tmp_path, "job.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:%d: [run] pipeline: missing\n" % (cfg, line)
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from soficrank import (
     ChainComplex,
     FiniteQuotient,
-    FiniteSubgroupSpec,
     FiniteTable,
     Free,
     FreeAbelian,
@@ -239,6 +238,30 @@ def test_table_text_round_trip(s3):
     assert FiniteTable.from_text(S3_TABLE_TEXT, names=s3.gen_names) == s3
 
 
+# one table-file token: an index, a word that is not one, or a comment
+TABLE_TOKENS = st.one_of(
+    st.integers(-3, 7).map(str), st.sampled_from(["x", "2.0", "1e3", "-", "#", "# c"])
+)
+
+
+@st.composite
+def table_texts(draw):
+    """Short table text: an order in -3..5, then ragged rows of tokens."""
+    rows = draw(st.lists(st.lists(TABLE_TOKENS, max_size=6), max_size=8))
+    return "\n".join([str(draw(st.integers(-3, 5)))] + [" ".join(r) for r in rows]) + "\n"
+
+
+@settings(deadline=None)
+@given(table_texts())
+def test_any_table_text_parses_or_is_a_value_error(text):
+    try:
+        fam = FiniteTable.from_text(text)
+    except ValueError:
+        pass
+    else:
+        assert isinstance(fam, FiniteTable)
+
+
 @pytest.mark.parametrize(
     "text, line, word",
     [
@@ -251,6 +274,13 @@ def test_table_text_names_the_line_of_a_bad_entry(text, line, word):
     with pytest.raises(ValueError) as err:
         FiniteTable.from_text(text)
     assert str(err.value) == "table line %d: %r is not an integer" % (line, word)
+
+
+@pytest.mark.parametrize("order", [-1, 0])
+def test_table_order_must_be_positive(order):
+    # the line count fits the order: g rows and the inverse line
+    with pytest.raises(ValueError, match="^group order must be positive, got %d$" % order):
+        FiniteTable.from_text("%d\n" % order + "1\n" * (order + 1))
 
 
 @pytest.mark.parametrize(
@@ -691,7 +721,6 @@ NON_INTEGER_COUNTS = {
     "complex_rank": lambda: ChainComplex(Free(1), (1.5,), ()),
     "prime": lambda: rank_mod_p(SparseIntMatrix.from_dense([[1]]), 7.9),
     "module_free_rank": lambda: ModulePresentation(FreeAbelian(1), Fraction(3, 2)),
-    "subgroup_length": lambda: FiniteSubgroupSpec(Free(1), 1.0, ()),
 }
 
 

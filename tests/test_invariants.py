@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from soficrank import (
-    FiniteSubgroupSpec,
     FiniteTable,
     ModulePresentation,
     RankPolicy,
@@ -147,7 +146,7 @@ def test_free_group_example_vrk(f2):
 
 def test_relative_of_zero_submodule(f2):
     M = ModulePresentation(f2, 1, None)
-    zero = FiniteSubgroupSpec(f2, 1, ((RingElement.zero(f2),),))
+    zero = RingMatrix(f2, [[RingElement.zero(f2)]])
     Q = sanov_sequence([3, 5], f2)
     rel = relative_vrk_approximants(M, zero, Q)
     assert [p.value for p in rel.points] == [0, 0]
@@ -155,14 +154,7 @@ def test_relative_of_zero_submodule(f2):
 
 def test_relative_of_full_module_equals_vrk(f2):
     M = ModulePresentation(f2, 2, None)
-    basis = FiniteSubgroupSpec(
-        f2,
-        2,
-        (
-            (RingElement.one(f2), RingElement.zero(f2)),
-            (RingElement.zero(f2), RingElement.one(f2)),
-        ),
-    )
+    basis = RingMatrix.identity(f2, 2)
     Q = sanov_sequence([3, 5], f2)
     rel = relative_vrk_approximants(M, basis, Q)
     outer = vrk_approximants(M, Q)
@@ -171,14 +163,7 @@ def test_relative_of_full_module_equals_vrk(f2):
 
 def test_augmentation_ideal_relative_series(f2):
     M = ModulePresentation(f2, 1, None)
-    gens = FiniteSubgroupSpec(
-        f2,
-        1,
-        (
-            (parse_ring_element("a - 1", f2),),
-            (parse_ring_element("b - 1", f2),),
-        ),
-    )
+    gens = parse_ring_matrix("a - 1 ; b - 1", f2)
     Q = sanov_sequence([3, 15], f2)
     rel = relative_vrk_approximants(M, gens, Q)
     assert [p.value for p in rel.points] == [
@@ -444,17 +429,15 @@ def test_oracle_is_exact_over_z_without_primes(s3, count_calls):
 # ---------------------------------------------------------------------------
 # literal mean rank
 
-def one_spec(fam, n=1):
-    vec = tuple(
-        RingElement.one(fam) if i == 0 else RingElement.zero(fam) for i in range(n)
-    )
-    return FiniteSubgroupSpec(fam, n, (vec,))
+def one_vector(fam, n=1):
+    """The first basis vector of ZG^n, as the one row of a RingMatrix."""
+    return RingMatrix(fam, [[1] + [0] * (n - 1)])
 
 
 def test_literal_zero_subgroups():
     z2 = FiniteTable.cyclic(2)
     M = ModulePresentation(z2, 1, None)
-    zero = FiniteSubgroupSpec(z2, 1, ((RingElement.zero(z2),),))
+    zero = RingMatrix(z2, [[RingElement.zero(z2)]])
     q = regular_quotient(z2)
     assert literal_mean_rank_point(M, zero, zero, z2.elements(), q).value == 0
 
@@ -463,8 +446,8 @@ def test_literal_full_group_ring_density_one():
     for n in (2, 4):
         fam = FiniteTable.cyclic(n)
         M = ModulePresentation(fam, 1, None)
-        A = one_spec(fam)
-        B = one_spec(fam)
+        A = one_vector(fam)
+        B = one_vector(fam)
         q = regular_quotient(fam)
         assert literal_mean_rank_point(M, A, B, fam.elements(), q).value == 1
 
@@ -474,8 +457,8 @@ def test_literal_z2_small_f_set_brute_force():
     # compute ranks with the test-local rational elimination
     z2 = FiniteTable.cyclic(2)
     M = ModulePresentation(z2, 1, None)
-    A = one_spec(z2)
-    B = one_spec(z2)
+    A = one_vector(z2)
+    B = one_vector(z2)
     t = z2.element(1)
     q = regular_quotient(z2)
     value = literal_mean_rank_point(M, A, B, [t], q).value
@@ -504,7 +487,7 @@ def test_literal_direct_sum_additivity():
         # M1 = ZG free, M2 = ZG / (norm element)
         M1 = ModulePresentation(fam, 1, None)
         M2 = ModulePresentation(fam, 1, RingMatrix(fam, [[norm]]))
-        A1 = B1 = one_spec(fam)
+        A1 = B1 = one_vector(fam)
         v1 = literal_mean_rank_point(M1, A1, B1, F, q).value
         v2 = literal_mean_rank_point(M2, A1, B1, F, q).value
         Msum = ModulePresentation(
@@ -512,7 +495,7 @@ def test_literal_direct_sum_additivity():
         )
         zero = RingElement.zero(fam)
         one = RingElement.one(fam)
-        AB = FiniteSubgroupSpec(fam, 2, ((one, zero), (zero, one)))
+        AB = RingMatrix(fam, [[one, zero], [zero, one]])
         vsum = literal_mean_rank_point(Msum, AB, AB, F, q).value
         assert vsum == v1 + v2
 
@@ -521,7 +504,7 @@ def test_literal_window_over_infinite_family(z1):
     t = z1.generators()[0]
     window = [t ** k for k in range(-2, 3)]
     M = ModulePresentation(z1, 1, None)
-    A = B = one_spec(z1)
+    A = B = one_vector(z1)
     from soficrank import grid_quotient
 
     q = grid_quotient(1, 3, z1)
@@ -537,7 +520,7 @@ def test_literal_point_carries_both_rank_flags():
     z2 = FiniteTable.cyclic(2)
     q = regular_quotient(z2)
     M = ModulePresentation(z2, 1, parse_ring_matrix("2*e - 2*t", z2))
-    A = one_spec(z2)
+    A = one_vector(z2)
     point = literal_mean_rank_point(M, A, A, z2.elements(), q)
     assert point.certified and point.degree == 2
     assert point.value == literal_mean_rank_point(M, A, A, z2.elements(), q).value
@@ -553,7 +536,7 @@ def test_literal_windowed_point_is_uncertified(z1):
     t = z1.generators()[0]
     window = [t ** k for k in range(-2, 3)]
     M = ModulePresentation(z1, 1, None)
-    A = one_spec(z1)
+    A = one_vector(z1)
     from soficrank import grid_quotient
 
     q = grid_quotient(1, 3, z1)
@@ -566,7 +549,7 @@ def test_literal_size_cap_counts_rows_and_columns(count_calls):
     z2 = FiniteTable.cyclic(2)
     q = regular_quotient(z2)
     M = ModulePresentation(z2, 1, RingMatrix(z2, [[2]]))
-    A = one_spec(z2)
+    A = one_vector(z2)
     F = z2.elements()
     # d = 2 rows for each of 2 relation rows, 2 (b, s) pairs and 1 A
     # generator, plus d*N = 4 columns: 14
@@ -584,12 +567,42 @@ def test_literal_window_rejects_outside_generators(z1):
     t = z1.generators()[0]
     window = [z1.identity(), t]
     M = ModulePresentation(z1, 1, None)
-    outside = FiniteSubgroupSpec(z1, 1, ((RingElement.monomial(t ** 5),),))
+    outside = RingMatrix(z1, [[RingElement.monomial(t ** 5)]])
     from soficrank import grid_quotient
 
     q = grid_quotient(1, 3, z1)
     with pytest.raises(ValueError):
-        literal_mean_rank_point(M, outside, one_spec(z1), [t], q, window=window)
+        literal_mean_rank_point(M, outside, one_vector(z1), [t], q, window=window)
+
+
+# generator arguments that are not rows of vectors of a rank-1 module over Z/4
+GENERATOR_MISFITS = {
+    "not_a_matrix": lambda fam: ((RingElement.one(fam),),),
+    "other_family": lambda fam: RingMatrix(FiniteTable.cyclic(3), [[1]]),
+    "wrong_columns": lambda fam: RingMatrix(fam, [[1, 0]]),
+}
+
+
+@pytest.mark.parametrize("misfit", GENERATOR_MISFITS.values(), ids=list(GENERATOR_MISFITS))
+def test_generators_must_be_rows_of_module_vectors(misfit):
+    fam = FiniteTable.cyclic(4)
+    M = ModulePresentation(fam, 1, None)
+    bad, good = misfit(fam), one_vector(fam)
+    message = "^generators must be a RingMatrix of 1-column rows over the module's family$"
+    with pytest.raises(ValueError, match=message):
+        relative_vrk_approximants(M, bad, regular_sequence(fam))
+    q = regular_quotient(fam)
+    for A, B in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=message):
+            literal_mean_rank_point(M, A, B, fam.elements(), q)
+
+
+def test_integer_generator_entries_coerce():
+    fam = FiniteTable.cyclic(4)
+    M = ModulePresentation(fam, 1, None)
+    ones = RingMatrix(fam, [[1]])
+    point = literal_mean_rank_point(M, ones, ones, fam.elements(), regular_quotient(fam))
+    assert point.value == 1 and point.certified
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +639,7 @@ def _pipeline_and_matrices(name, fam, a, b):
     if name == "relative_vrk":
         M = ModulePresentation(fam, 2, top)
         zero, gen = parse_ring_element("0", fam), parse_ring_element(eb, fam)
-        gens = FiniteSubgroupSpec(fam, 2, ((zero, gen),))
+        gens = RingMatrix(fam, [[zero, gen]])
         return relative_vrk_approximants(M, gens, Q, TINY_WINDOW), [top, ab]
     C = build_complex(fam, (2, 1), [bottom])
     return juzvinskii_defect(C, Q, top, TINY_WINDOW), [top, bottom]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficrank import (
-    FiniteSubgroupSpec,
     FiniteTable,
     ModulePresentation,
     RingElement,
@@ -117,7 +116,7 @@ def test_module_ranks_match_bareiss(M):
     assert point.value == expected and point.certified
     one, zero = RingElement.one(fam), RingElement.zero(fam)
     basis = [[one if i == k else zero for k in range(n)] for i in range(n)]
-    std = FiniteSubgroupSpec(fam, n, basis)
+    std = RingMatrix(fam, basis)
     literal = literal_mean_rank_point(M, std, std, fam.elements(), q)
     assert literal.value == expected and literal.certified
 
@@ -165,6 +164,6 @@ def test_relative_rank_matches_bareiss(M, data):
         return rank_dense_bareiss(linearize(RingMatrix(fam, rows), q).to_dense()) if rows else 0
 
     expected = Fraction(rank(relations + gens) - rank(relations), fam.order)
-    spec = FiniteSubgroupSpec(fam, n, gens)
+    spec = RingMatrix(fam, gens)
     (point,) = relative_vrk_approximants(M, spec, Q).points
     assert point.value == expected and point.certified
