@@ -1,12 +1,23 @@
 """Exact rank over Q and over F_p for sparse integer matrices.
 
-rank_mod_p runs sparse Gaussian elimination with Markowitz-style pivoting:
-at each step the active column with the fewest nonzeros is selected (ties
-broken by lowest column index), and within it the entry whose row has the
-fewest nonzeros (ties broken by lowest row index), which minimizes the
-Markowitz fill bound (r-1)(c-1) for that column.  It reads both stores
-of the SparseIntMatrix in their stored order, so it is deterministic given
-the prime and the order in which the matrix's entries were given.
+rank_mod_p runs sparse Gaussian elimination row by row.  It reads the rows
+of the residual below in increasing row index and reduces each, modulo the
+prime or the product of primes, by the pivot rows stored so far, in the
+order they were made: a heap of their ordinals, onto which the ordinal of
+a pivot column that fills in is pushed.  A stored pivot row holds no
+earlier pivot column, so each is applied at most once.  A nonempty
+remainder becomes the next pivot row, pivoting on its column with the
+fewest entries in the residual, counted once, ties going to the lowest
+column index.  The loop stops once the pivots reach the bound B below:
+rank_p(M) <= rank_Q(M) <= B for every prime, and modulo a product of
+primes the pivots are the rank at each of them, so no later row can raise
+the rank.  Row index order matters at a linearized matrix, whose row
+v*m + j is block row j at point v of the model: in index order the block
+rows interleave, while in linearize's order the first rows all come from
+block row 0, whose rank alone may fall short of B.  The residual reads
+both stores of the SparseIntMatrix in their stored order, so the pass is
+deterministic given the prime and the order in which the matrix's entries
+were given.
 
 Before that loop, one preprocessing step over Z, _residual, shared by
 rank_mod_p and the bound below, contracts the edge rows: rows that are
@@ -32,8 +43,8 @@ and all but one of each orbit's copies would otherwise be carried through
 every row operation.  Columns equal over Z are equal modulo every prime
 and every product of primes, so the drop is exact for one prime and for
 the joint pass below alike.  Columns that agree only modulo the prime in
-use are kept.  rank_mod_p reduces the kept entries modulo its modulus and
-runs the Markowitz loop on them.
+use are kept.  rank_mod_p reduces the kept entries modulo its modulus as
+it reads them.
 
 rank_over_rationals first tries a proof.  Every rank mod p is a lower bound
 on the rank over Q, and the rank over Q is at most the bound B = unions +
@@ -84,7 +95,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 from math import prod
 from operator import index
 
@@ -175,24 +186,32 @@ def _residual(M):
     return unions, rows, len(first)
 
 
-def _rank_bound(M):
-    """An upper bound on the rank of M over Q, taken over Z in O(nnz):
-    the unions of _residual plus the smaller of the numbers of distinct
-    rows and of columns of its residual, all keyed on exact integers."""
-    unions, rows, kept = _residual(M)
+def _bound(unions, rows, kept):
+    """unions plus the smaller of the numbers of distinct rows and of kept
+    columns of a residual of _residual, rows keyed on exact integers."""
     distinct_rows = len(set(map(frozenset, map(dict.items, rows.values()))))
     return unions + min(distinct_rows, kept)
+
+
+def _rank_bound(M):
+    """An upper bound on the rank of M over Q, taken over Z in O(nnz):
+    _bound of the residual of M."""
+    return _bound(*_residual(M))
 
 
 def rank_mod_p(M, p, stats=None):
     """Rank of M over F_p; always a lower bound for the rank over Q.
 
-    M's stores are read as stored.  _residual contracts the edge store
-    (rows +-(e_i - e_j)), each union one pivot, merges the rows of the row
-    map through the roots and drops every column that exactly repeats an
-    earlier one, all over Z; the kept entries, reduced mod p, go to
-    Markowitz elimination.  Every step is exact for every prime and for a
-    product of primes (see the module docstring).
+    _residual contracts the edge store (rows +-(e_i - e_j)), each union one
+    pivot, merges the rows of the row map through the roots and drops every
+    column that exactly repeats an earlier one, all over Z.  The residual
+    rows are then read in increasing row index, each reduced mod p by the
+    pivot rows stored so far, in the order they were made; a nonempty
+    remainder becomes the next pivot row, pivoting on its column with the
+    fewest entries in the residual, then the lowest index.  The loop stops
+    once the pivots reach the bound B of _bound, which no rank modulo any
+    prime exceeds.  Every step is exact for every prime and for a product
+    of primes (see the module docstring).
 
     ``p`` is a tuple of distinct machine-word primes, one prime standing
     for ``(p,)``.  M is eliminated once modulo their product, and the rank
@@ -200,9 +219,10 @@ def rank_mod_p(M, p, stats=None):
     a pivot is not a unit modulo the product.
 
     ``stats``, if a dict, receives ``initial_nnz``, which is ``M.nnz``,
-    ``peak_nnz`` and ``pivots`` (fill-in is peak minus initial); each union
-    counts one pivot.  An abandoned joint pass reports the pivots made
-    before it stopped.
+    ``peak_nnz``, the larger of ``M.nnz`` and the entries held in the
+    stored pivot rows, and ``pivots``, the rank; each union counts one
+    pivot.  An abandoned joint pass reports the pivots made before it
+    stopped.
     """
     primes = [_check_prime(q) for q in (p if isinstance(p, tuple) else (p,))]
     if not primes:
@@ -210,81 +230,54 @@ def rank_mod_p(M, p, stats=None):
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     p = prod(primes)
-    unions, residual, _ = _residual(M)
-    rows = {}
-    cols = {}
-    for r, row in residual.items():
-        row = {c: w for c, v in row.items() if (w := v % p)}
-        if row:
-            rows[r] = row
-            for c in row:
-                cols.setdefault(c, set()).add(r)
-    nnz = sum(len(row) for row in rows.values())
-    initial_nnz = peak_nnz = M.nnz
-    heap = []
-    for c, s in cols.items():
-        heappush(heap, (len(s), c))
+    unions, residual, kept = _residual(M)
+    bound = _bound(unions, residual, kept)
+    count = {}  # column -> its entries in the residual
+    for row in residual.values():
+        for c in row:
+            count[c] = count.get(c, 0) + 1
+    pivots = []  # (pivot column, rest of the row divided by minus the pivot)
+    ordinal = {}  # pivot column -> its place in pivots
+    held = 0
     rank = unions
     abandoned = False
-    while heap:
-        cnt, c = heappop(heap)
-        colset = cols.get(c)
-        if colset is None or len(colset) != cnt:
-            continue  # stale entry
-        # pivot row: fewest nonzeros, then lowest index
-        pr = min(colset, key=lambda r: (len(rows[r]), r))
-        prow = rows.pop(pr)
+    for r in sorted(residual):
+        row = {c: w for c, v in residual[r].items() if (w := v % p)}
+        heap = [ordinal[c] for c in row if c in ordinal]
+        heapify(heap)
+        while heap:
+            c, rest = pivots[heappop(heap)]
+            f = row.pop(c, 0)
+            if not f:
+                continue  # pushed twice, or cancelled since its push
+            for cc, v in rest:
+                if cc in row:
+                    nv = (row[cc] + f * v) % p
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        del row[cc]
+                elif nv := f * v % p:
+                    row[cc] = nv
+                    if cc in ordinal:
+                        heappush(heap, ordinal[cc])
+        if not row:
+            continue
+        c = min(row, key=lambda c: (count[c], c))
         try:
-            inv = pow(prow[c], -1, p)
+            inv = pow(row.pop(c), -1, p)
         except ValueError:  # not a unit modulo a product of primes
             abandoned = True
             break
-        # detach the pivot row from the column index
-        touched = set()
-        for cc in prow:
-            s = cols[cc]
-            s.discard(pr)
-            if s:
-                touched.add(cc)
-            else:
-                del cols[cc]
-        nnz -= len(prow)
-        piv = [(cc, v * inv % p) for cc, v in prow.items() if cc != c]
-        colset = cols.get(c)
-        if colset:
-            for r in list(colset):
-                row = rows[r]
-                f = row.pop(c)
-                nnz -= 1
-                for cc, v in piv:
-                    nv = (row.get(cc, p) - f * v) % p
-                    if nv:
-                        if cc not in row:
-                            cols.setdefault(cc, set()).add(r)
-                            nnz += 1
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
-                        cols[cc].discard(r)
-                        nnz -= 1
-                        if not cols[cc]:
-                            del cols[cc]
-                if not row:
-                    del rows[r]
-            del cols[c]
-            touched.discard(c)
-            for cc, _ in piv:
-                touched.add(cc)
-        if nnz > peak_nnz:
-            peak_nnz = nnz
-        for cc in touched:
-            s = cols.get(cc)
-            if s:
-                heappush(heap, (len(s), cc))
+        ordinal[c] = len(pivots)
+        pivots.append((c, [(cc, -v * inv % p) for cc, v in row.items()]))
+        held += 1 + len(row)
         rank += 1
+        if rank == bound:
+            break  # no later row can raise the rank
     if stats is not None:
-        stats["initial_nnz"] = initial_nnz
-        stats["peak_nnz"] = peak_nnz
+        stats["initial_nnz"] = nnz = M.nnz
+        stats["peak_nnz"] = max(nnz, held)
         stats["pivots"] = rank
     return None if abandoned else rank
 

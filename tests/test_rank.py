@@ -145,6 +145,16 @@ def test_joint_pass_gives_up_on_a_non_unit_pivot():
     assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (3, 2), False)
 
 
+def test_joint_pass_stops_at_the_bound():
+    # two kept columns bound the rank by 2 over Z; rows in index order reach
+    # it on the units -1 and 1, and the 2 of row 2, no unit modulo 6, is
+    # never read
+    m = SparseIntMatrix.from_dense([[-1, 0, -1], [0, 0, 1], [2, 0, 0]])
+    assert _rank_bound(m) == 2
+    assert rank_mod_p(m, (2, 3)) == 2
+    assert rank_mod_p(m, 2) == rank_mod_p(m, 3) == 2
+
+
 def test_joint_pass_gives_the_per_prime_results(monkeypatch):
     from soficrank import rank
 
@@ -290,10 +300,61 @@ def test_edge_phase_matches_dense_elimination(M):
     assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
 
 
+@st.composite
+def tall_matrices(draw):
+    """More rows than columns, so the rank is settled before the last row
+    is read: rows drawn whole, exact repeats of earlier rows and edge rows,
+    then columns that repeat earlier ones over Z; rows shuffled."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from((-6, -3, -2, -1, 1, 2, 3, 4))
+    rows = []
+    for _ in range(draw(st.integers(n + 4, n + 10))):
+        kind = draw(st.sampled_from(["whole", "repeat", "edge"]))
+        if kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "edge" and n > 1:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            s = draw(st.sampled_from((1, -1)))
+            rows.append({i: s, j: -s})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, n - 1), entry, min_size=1, max_size=n)))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    for row in rows:
+        for k, c in enumerate(copies):
+            if c in row:
+                row[n + k] = row[c]
+    order = draw(st.permutations(range(len(rows))))
+    trips = [(r, c, v) for r, k in enumerate(order) for c, v in rows[k].items()]
+    return SparseIntMatrix(len(rows), n + len(copies), trips)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_matrices())
+def test_tall_matrices_match_dense_elimination(M):
+    dense = M.to_dense()
+    ranks = [dense_rank_mod(dense, p) for p in (2, 3, P50)]
+    for p, rank in zip((2, 3, P50), ranks):
+        stats = {}
+        assert rank_mod_p(M, p, stats) == rank
+        assert stats["pivots"] == rank
+        assert stats["peak_nnz"] >= stats["initial_nnz"] == M.nnz
+    stats = {}
+    joint = rank_mod_p(M, (2, 3, P50), stats)
+    if len(set(ranks)) == 1:
+        assert joint in (None, ranks[0])
+    else:
+        assert joint is None
+    if joint is not None:
+        assert stats["pivots"] == joint
+    assert stats["peak_nnz"] >= stats["initial_nnz"] == M.nnz
+    assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
+
+
 @settings(max_examples=100, deadline=None)
 @given(edge_mixed_matrices(), st.randoms(use_true_random=False))
 def test_ranks_do_not_depend_on_input_order(M, rnd):
-    # rank_mod_p reads the rows in the order their entries were given
+    # the edge contraction and the column drop read the entries in the
+    # order they were given
     trips = list(M.triplets)
     rnd.shuffle(trips)
     S = SparseIntMatrix(M.rows, M.cols, trips)
