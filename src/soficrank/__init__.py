@@ -28,12 +28,7 @@ from .groups import (
 )
 from .ring import ChainComplex, RingElement, RingMatrix, augmentation, build_complex
 from .exprs import ParseError, parse_ring_element, parse_ring_matrix
-from .linearize import (
-    SizeCapExceeded,
-    SparseIntMatrix,
-    linearize,
-    write_matrix_market,
-)
+from .linearize import SizeCapExceeded, SparseIntMatrix, write_matrix_market
 from .rank import (
     RankPolicy,
     RankResult,

@@ -20,8 +20,9 @@ Hence, with one representative a_O per orbit,
 
 and equality holds for all but finitely many p.  Each prime's value is thus
 a lower bound for the rational rank, just as a mod-p rank of L(f) is, and
-rank.multimodular_rank certifies it by the same rule, _orbit_values giving
-up at the first orbit with a non-unit pivot just as rank_mod_p does.
+rank.multimodular_rank certifies it by the same rule.  _orbit_values ranks
+every orbit once modulo the product of a batch's primes, and at the first
+orbit with a pivot that is not a unit there it ranks each prime alone.
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ def character_orbits(k, n):
 
 
 def _root_of_unity(n, p):
-    """A primitive n-th root of unity mod a prime p = 1 (mod n)."""
-    e = (p - 1) // n
+    """A primitive n-th root of unity mod a prime p = 1 (mod n); ValueError
+    for any other p, which holds none."""
+    e, r = divmod(p - 1, n)
+    if r:
+        raise ValueError("%d is not 1 mod %d" % (p, n))
     factors = prime_factors(n)
-    for x in range(2, p):
+    for x in range(1, p):  # x = 1 gives w = 1, the root for n = 1
         w = pow(x, e, p)
         if all(pow(w, n // l, p) != 1 for l in factors):
             return w
-    return 1  # p = 2, n = 1
 
 
 def _rank_mod(rows, N):
@@ -90,8 +93,7 @@ def _rank_mod(rows, N):
             continue
         A[rank], A[pr] = A[pr], A[rank]
         prow = A[rank]
-        piv = prow[c]
-        if gcd(piv, N) != 1:
+        if gcd(piv := prow[c], N) != 1:
             return None
         for i in range(rank + 1, len(A)):
             f = A[i][c]
@@ -102,9 +104,10 @@ def _rank_mod(rows, N):
 
 
 def _orbit_values(f, n, orbits, primes):
-    """sum_O |O| rank_p f(chi_(a_O)), common to each of the distinct primes,
-    in one pass modulo their product N (roots joined by CRT), or None at the
-    first orbit whose matrix meets a pivot that is not a unit mod N."""
+    """[sum_O |O| rank_p f(chi_(a_O)) for p in primes], distinct primes, in
+    one pass modulo their product N (roots joined by CRT); once an orbit's
+    matrix meets a pivot that is not a unit mod N, by one pass per prime
+    instead, where every nonzero pivot is a unit."""
     N = prod(primes)
     w = sum(_root_of_unity(n, p) * (N // p) * pow(N // p, -1, p) for p in primes) % N
     powers = [1]
@@ -123,9 +126,9 @@ def _orbit_values(f, n, orbits, primes):
         ]
         r = _rank_mod(mat, N)
         if r is None:
-            return None
+            return [_orbit_values(f, n, orbits, (p,))[0] for p in primes]
         total += size * r
-    return total
+    return [total] * len(primes)
 
 
 def fourier_rank(f, n, orbits, policy=None):

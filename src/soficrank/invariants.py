@@ -366,7 +366,10 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
     fraction-free ranks over Z (rank_dense_bareiss: exact repeated columns
     dropped, no primes); a single exact stage, no limit involved.  Serves
     as the brute-force oracle for the approximant pipelines, and shares no
-    step with their modular engine.
+    step with their modular engine.  ``size_cap`` bounds the total
+    dimension (m + n) * g of each linearized differential, and so the dense
+    copy and the memory; it does not bound the Bareiss time, which grows
+    with the cube of that dimension and with the length of the integers.
     """
     fam = C.family
     if not isinstance(fam, FiniteTable):

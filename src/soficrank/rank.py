@@ -1,23 +1,21 @@
 """Exact rank over Q and over F_p for sparse integer matrices.
 
-rank_mod_p runs sparse Gaussian elimination row by row.  It reads the rows
-of the residual below in increasing row index and reduces each, modulo the
-prime or the product of primes, by the pivot rows stored so far, in the
-order they were made: a heap of their ordinals, onto which the ordinal of
-a pivot column that fills in is pushed.  A stored pivot row holds no
-earlier pivot column, so each is applied at most once.  A nonempty
-remainder becomes the next pivot row, pivoting on its column with the
-fewest entries in the residual, counted once, ties going to the lowest
-column index.  The loop stops once the pivots reach the bound B below:
-rank_p(M) <= rank_Q(M) <= B for every prime, and modulo a product of
-primes the pivots are the rank at each of them, so no later row can raise
-the rank.  Row index order matters at a linearized matrix, whose row
-v*m + j is block row j at point v of the model: in index order the block
-rows interleave, while in linearize's order the first rows all come from
-block row 0, whose rank alone may fall short of B.  The residual reads
-both stores of the SparseIntMatrix in their stored order, so the pass is
-deterministic given the prime and the order in which the matrix's entries
-were given.
+rank_mod_p runs sparse Gaussian elimination modulo one prime, row by row.
+It reads the rows of the residual below in increasing row index and reduces
+each by the pivot rows stored so far, in the order they were made: a heap
+of their ordinals, onto which the ordinal of a pivot column that fills in
+is pushed.  A stored pivot row holds no earlier pivot column, so each is
+applied at most once.  A nonempty remainder becomes the next pivot row,
+pivoting on its column with the fewest entries in the residual, counted
+once, ties going to the lowest column index.  The loop stops once the
+pivots reach the bound B below: rank_p(M) <= rank_Q(M) <= B for every prime
+p, so no later row can raise the rank.  Row index order matters at a
+linearized matrix, whose row v*m + j is block row j at point v of the
+model: in index order the block rows interleave, while in linearize's order
+the first rows all come from block row 0, whose rank alone may fall short
+of B.  The residual reads both stores of the SparseIntMatrix in their
+stored order, so the pass is deterministic given the prime and the order in
+which the matrix's entries were given.
 
 Before that loop, one preprocessing step over Z, _residual, shared by
 rank_mod_p and the bound below, contracts the edge rows: rows that are
@@ -33,18 +31,17 @@ is a +-1 pivot, and eliminating with it substitutes one column by another
 in the other rows, a unimodular step.  The row space of the edge rows is
 the kernel of the map summing coordinates over each component, over any
 ring, so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
-included, and for a product of primes.
+included.
 
 The same step then drops every residual column that exactly repeats an
 earlier one over Z: a repeated column adds nothing to the column space,
 so the rank is unchanged.  At a regular model a differential that is a
 right multiple of a norm element N_H has columns constant on H-orbits,
 and all but one of each orbit's copies would otherwise be carried through
-every row operation.  Columns equal over Z are equal modulo every prime
-and every product of primes, so the drop is exact for one prime and for
-the joint pass below alike.  Columns that agree only modulo the prime in
-use are kept.  rank_mod_p reduces the kept entries modulo its modulus as
-it reads them.
+every row operation.  Columns equal over Z are equal modulo every prime,
+so the drop is exact at each.  Columns that agree only modulo the prime in
+use are kept.  rank_mod_p reduces the kept entries modulo p as it reads
+them.
 
 rank_over_rationals first tries a proof.  Every rank mod p is a lower bound
 on the rank over Q, and the rank over Q is at most the bound B = unions +
@@ -61,19 +58,17 @@ dividing a minor that decides the rank, the pass falls short of B, which
 is no proof; the agreement rule below then runs as it would without the
 pass, and the pass's value still counts as a lower bound.
 
-multimodular_rank holds the agreement rule, for every engine whose value
-at a prime is a lower bound on the rational rank.  Each round draws k
-distinct random primes p_1..p_k, and the engine eliminates once modulo
-their product N.  While every pivot is a unit mod N, the run reduces mod
-each p_i to a valid elimination over F_{p_i}, so all k ranks equal the
-number of pivots; at a pivot that is not a unit the engine gives up, and
-each p_i is then ranked alone, in batch order.  The maximum value is
-certified once k of the primes used attain it; on disagreement fresh
-primes are drawn (the maximum observed value is always a valid lower
-bound).  rank_over_rationals runs the rule with rank_mod_p, and falls back
-to exact fraction-free (Bareiss) elimination when the matrix is small
-enough.  fourier.fourier_rank runs it with primes p = 1 (mod n) and the
-character split of a grid model of (Z/n)^k (see that module).
+multimodular_rank holds the agreement rule, for every engine whose value at
+a prime is a lower bound on the rational rank.  Each round draws k distinct
+random primes p_1..p_k, and the engine gives its value at each, in batch
+order.  The maximum value is certified once k of the primes used attain it;
+on disagreement fresh primes are drawn (the maximum observed value is
+always a valid lower bound).  rank_over_rationals runs the rule with one
+rank_mod_p pass per prime, and falls back to exact fraction-free (Bareiss)
+elimination when the matrix is small enough.  fourier.fourier_rank runs it
+with primes p = 1 (mod n) and the character split of a grid model of
+(Z/n)^k; that engine alone eliminates once modulo the product of a batch's
+primes (see that module).
 
 rank_dense_bareiss is the exact engine, behind that fallback and behind
 invariants.finite_group_exact_betti, the finite-group oracle.  It keeps
@@ -96,7 +91,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import prod
 from operator import index
 
 from .primes import isprime
@@ -135,8 +129,7 @@ def _residual(M):
     repeats an earlier one; ``kept`` is the number of columns left.
     ``rows`` may be M's own row map, which nothing may change.  Two kept
     columns may still agree modulo a prime: a drop keyed over Z leaves the
-    rank modulo every prime and every product of primes that of the full
-    residual.
+    rank modulo every prime that of the full residual.
     """
     _, heads, tails = M._edges
     rows = M._row_map
@@ -210,26 +203,16 @@ def rank_mod_p(M, p, stats=None):
     remainder becomes the next pivot row, pivoting on its column with the
     fewest entries in the residual, then the lowest index.  The loop stops
     once the pivots reach the bound B of _bound, which no rank modulo any
-    prime exceeds.  Every step is exact for every prime and for a product
-    of primes (see the module docstring).
-
-    ``p`` is a tuple of distinct machine-word primes, one prime standing
-    for ``(p,)``.  M is eliminated once modulo their product, and the rank
-    common to every F_{p_i} is returned, or None (never for one prime) when
-    a pivot is not a unit modulo the product.
+    prime exceeds.  Every step is exact for every prime (see the module
+    docstring).  ``p`` is one prime below 2^63; a value that is not an
+    integer, a tuple of primes included, raises TypeError.
 
     ``stats``, if a dict, receives ``initial_nnz``, which is ``M.nnz``,
     ``peak_nnz``, the larger of ``M.nnz`` and the entries held in the
     stored pivot rows, and ``pivots``, the rank; each union counts one
-    pivot.  An abandoned joint pass reports the pivots made before it
-    stopped.
+    pivot.
     """
-    primes = [_check_prime(q) for q in (p if isinstance(p, tuple) else (p,))]
-    if not primes:
-        raise ValueError("need at least one prime")
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    p = prod(primes)
+    p = _check_prime(p)
     unions, residual, kept = _residual(M)
     bound = _bound(unions, residual, kept)
     count = {}  # column -> its entries in the residual
@@ -240,7 +223,6 @@ def rank_mod_p(M, p, stats=None):
     ordinal = {}  # pivot column -> its place in pivots
     held = 0
     rank = unions
-    abandoned = False
     for r in sorted(residual):
         row = {c: w for c, v in residual[r].items() if (w := v % p)}
         heap = [ordinal[c] for c in row if c in ordinal]
@@ -264,11 +246,7 @@ def rank_mod_p(M, p, stats=None):
         if not row:
             continue
         c = min(row, key=lambda c: (count[c], c))
-        try:
-            inv = pow(row.pop(c), -1, p)
-        except ValueError:  # not a unit modulo a product of primes
-            abandoned = True
-            break
+        inv = pow(row.pop(c), -1, p)
         ordinal[c] = len(pivots)
         pivots.append((c, [(cc, -v * inv % p) for cc, v in row.items()]))
         held += 1 + len(row)
@@ -279,7 +257,7 @@ def rank_mod_p(M, p, stats=None):
         stats["initial_nnz"] = nnz = M.nnz
         stats["peak_nnz"] = max(nnz, held)
         stats["pivots"] = rank
-    return None if abandoned else rank
+    return rank
 
 
 def rank_dense_bareiss(dense_rows):
@@ -397,13 +375,11 @@ def _draw_primes(rng, bits, count, used, modulus=1):
 def multimodular_rank(rank_at, policy, method, modulus=1):
     """The certification rule, for every engine that ranks modulo primes.
 
-    ``rank_at(primes)`` takes a tuple of distinct primes and returns the
-    rank common to every F_p, each a lower bound for the rank over Q, or
-    None when one elimination modulo their product cannot give it (never
-    for one prime).  Each round draws a batch of ``primes_count`` fresh
-    primes p = 1 (mod ``modulus``) from the policy's window and calls
-    ``rank_at(batch)``, and on None ``rank_at((p,))`` for each prime in
-    batch order.  The maximum value so far is certified once
+    ``rank_at(batch)`` takes a tuple of distinct primes and returns the
+    rank at each, in batch order, each a lower bound for the rank over Q.
+    Each round draws a batch of ``primes_count`` fresh primes
+    p = 1 (mod ``modulus``) from the policy's window and calls
+    ``rank_at(batch)`` once.  The maximum value so far is certified once
     ``primes_count`` of the primes used attain it; when the rounds or the
     window run out it is returned uncertified.
     """
@@ -415,9 +391,7 @@ def multimodular_rank(rank_at, policy, method, modulus=1):
         batch = tuple(_draw_primes(rng, policy.prime_bits, k, used, modulus))
         if not batch:
             break
-        joint = rank_at(batch)
-        for p in batch:
-            ranks[p] = rank_at((p,)) if joint is None else joint
+        ranks.update(zip(batch, rank_at(batch), strict=True))
         used += batch
         best = max(ranks.values())
         if sum(1 for p in used if ranks[p] == best) >= k:
@@ -432,12 +406,11 @@ def rank_over_rationals(M, policy=None):
     One rank_mod_p pass at the proof prime that reaches the bound over Z
     (see the module docstring) proves the rank, under any policy.
     Otherwise certification is the rule of multimodular_rank over random
-    large primes, with rank_mod_p(M, primes) as the engine: one elimination
-    per batch modulo the product of its primes, and one per prime when that
-    meets a non-unit pivot.  Falls back to Bareiss when rows + cols is at
-    most the policy's dense_threshold; policy exhaustion beyond it returns
-    the best lower bound uncertified: the rule's value, or the proof pass's
-    when that is larger, with the proof prime first in primes_used.
+    large primes, with one rank_mod_p pass per drawn prime as the engine.
+    Falls back to Bareiss when rows + cols is at most the policy's
+    dense_threshold; policy exhaustion beyond it returns the best lower
+    bound uncertified: the rule's value, or the proof pass's when that is
+    larger, with the proof prime first in primes_used.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -449,7 +422,7 @@ def rank_over_rationals(M, policy=None):
     if not M._row_map or rank == _rank_bound(M):
         return RankResult(rank, "bound_mod_p", (_PROOF_PRIME,), True)
     result = multimodular_rank(
-        lambda primes: rank_mod_p(M, primes), policy, "sparse_mod_p"
+        lambda batch: [rank_mod_p(M, p) for p in batch], policy, "sparse_mod_p"
     )
     if result.certified:
         return result

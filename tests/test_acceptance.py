@@ -36,7 +36,6 @@ from soficrank import (
     soficity_defect,
     vrk_approximants,
 )
-from soficrank.bench import benchmark_matrix
 from soficrank.linearize import SparseIntMatrix
 from soficrank.rank import _draw_primes
 
@@ -204,6 +203,28 @@ def test_criterion_5_finite_group_oracle():
                 assert mrk_j_approximants(C, Q, j).points[0].value == oracle[j]
             total += 1
     assert total >= 20
+
+
+def benchmark_matrix(total_dim=100_000, block=40, nnz_per_row=10, seed=0):
+    """Block-diagonal sparse square matrix with rows+cols == total_dim.
+
+    Each block is a dense-ish random integer block; rows carry at most
+    ``nnz_per_row`` nonzeros (well under the 50/row contract).
+    """
+    n = total_dim // 2
+    rng = random.Random(seed)
+    trips = []
+    start = 0
+    while start < n:
+        size = min(block, n - start)
+        for i in range(size):
+            cols = rng.sample(range(size), min(nnz_per_row, size))
+            for c in cols:
+                v = rng.randint(-9, 9)
+                if v:
+                    trips.append((start + i, start + c, v))
+        start += size
+    return SparseIntMatrix(n, n, trips)
 
 
 @criterion(6, "rank engine: 200+ random matrices match Bareiss; 1e5-dim benchmark under 10 min, prime-independent")

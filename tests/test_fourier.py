@@ -18,7 +18,6 @@ from soficrank import (
     build_complex,
     grid_quotient,
     grid_sequence,
-    linearize,
     parse_ring_matrix,
     random_quotient,
     rank_over_rationals,
@@ -29,6 +28,7 @@ from soficrank import (
 from soficrank import invariants
 from soficrank.fourier import _root_of_unity, character_orbits, fourier_rank
 from soficrank.groups import perm_compose, perm_inverse
+from soficrank.linearize import linearize
 from soficrank.primes import isprime
 from conftest import build_s3_table
 
@@ -185,3 +185,9 @@ def test_root_of_unity_has_exact_order():
         for p in primes:
             w = _root_of_unity(n, p)
             assert [k for k in range(1, n + 1) if pow(w, k, p) == 1] == [n]
+
+
+def test_root_of_unity_needs_p_one_mod_n():
+    # 7 = 3 (mod 4): F_7 holds no primitive 4th root of unity
+    with pytest.raises(ValueError):
+        _root_of_unity(4, 7)

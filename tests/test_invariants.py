@@ -17,7 +17,6 @@ from soficrank import (
     grid_quotient,
     grid_sequence,
     juzvinskii_defect,
-    linearize,
     literal_mean_rank_point,
     mrk_j_approximants,
     parse_ring_element,
@@ -32,6 +31,7 @@ from soficrank import (
     series_to_csv,
     vrk_approximants,
 )
+from soficrank.linearize import linearize
 from soficrank import invariants
 from conftest import build_s3_table
 from test_linearize import rational_rank

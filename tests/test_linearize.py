@@ -17,7 +17,6 @@ from soficrank import (
     SparseIntMatrix,
     extend_to_word,
     grid_quotient,
-    linearize,
     parse_ring_matrix,
     random_quotient,
     rank_over_rationals,
@@ -25,6 +24,7 @@ from soficrank import (
     sanov_quotient,
     write_matrix_market,
 )
+from soficrank.linearize import linearize
 from soficrank.groups import perm_inverse
 from conftest import build_s3_table
 

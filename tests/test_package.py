@@ -18,6 +18,13 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_package_attribute_is_the_submodule(name):
+    # a re-export named like its submodule would shadow it on the package
+    module = importlib.import_module(name)
+    assert getattr(soficrank, name.rsplit(".", 1)[1]) is module
+
+
 def test_every_module_declares_all():
     undeclared = [n for n in MODULES if not hasattr(importlib.import_module(n), "__all__")]
     assert undeclared == []

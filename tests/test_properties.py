@@ -17,7 +17,6 @@ from soficrank import (
     euler_approximants,
     finite_group_exact_betti,
     juzvinskii_defect,
-    linearize,
     literal_mean_rank_point,
     mrk_j_approximants,
     rank_dense_bareiss,
@@ -25,6 +24,7 @@ from soficrank import (
     relative_vrk_approximants,
     vrk_approximants,
 )
+from soficrank.linearize import linearize
 from conftest import build_s3_table
 
 GROUPS = [FiniteTable.cyclic(n) for n in range(1, 7)] + [

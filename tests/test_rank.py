@@ -11,14 +11,13 @@ from soficrank import (
     RankResult,
     SparseIntMatrix,
     grid_quotient,
-    linearize,
     parse_ring_matrix,
     rank_dense_bareiss,
     rank_mod_p,
     rank_over_rationals,
     sanov_quotient,
 )
-
+from soficrank.linearize import linearize
 from soficrank.rank import _PROOF_PRIME, _rank_bound, _residual, multimodular_rank
 from test_linearize import dense_product, rational_rank
 
@@ -89,134 +88,57 @@ def test_stats_reporting():
 def test_initial_nnz_is_the_matrix_nnz():
     # the 5 is 0 mod 5 and still counts: initial_nnz is M.nnz, at any prime
     m = SparseIntMatrix.from_dense([[1, 5], [0, 1], [1, -1]])
-    for p in (5, (5, 7)):
+    for p in (5, 7):
         stats = {}
         assert rank_mod_p(m, p, stats) == 2
         assert stats["initial_nnz"] == m.nnz == 5
 
 
-# ---------------------------------------------------------------------------
-# joint elimination modulo a product of primes
-
-JOINT_PRIMES = ((1 << 61) - 1, 2305843009213693921, 1152921504606846883)
-
-
-def joint_corpus(rng):
-    """Fill-free bidiagonal matrices (like the linearized a - 1) and
-    fill-heavy dense-ish ones, some rank-deficient."""
-    out = []
-    for _ in range(15):
-        n = rng.randrange(2, 40)
-        trips = [(i, i, rng.choice((1, -1, 2))) for i in range(n)]
-        trips += [(i, i + 1, -1) for i in range(n - 1)]
-        out.append(SparseIntMatrix(n, n, trips))
-    for _ in range(15):
-        n = rng.randrange(30, 60)
-        out.append(random_sparse(rng, n + rng.randrange(-5, 6), n, per_row=rng.randrange(6, 11)))
-    for _ in range(5):
-        r = rng.randrange(1, 5)
-        a = random_sparse(rng, 12, r, per_row=1)
-        b = random_sparse(rng, r, 12, per_row=6)
-        out.append(SparseIntMatrix.from_dense(dense_product(a, b)))
-    return out
-
-
-def test_joint_pass_matches_each_prime():
-    rng = random.Random(101)
-    for m in joint_corpus(rng):
-        joint = rank_mod_p(m, JOINT_PRIMES)
-        assert joint is not None
-        assert all(joint == rank_mod_p(m, p) for p in JOINT_PRIMES)
+def test_tuple_of_primes_raises_type_error():
+    # rank_mod_p takes one prime, and a tuple is no integer
+    with pytest.raises(TypeError):
+        rank_mod_p(SparseIntMatrix.from_dense([[1]]), (5, 7))
 
 
 def test_joint_pass_gives_up_on_a_non_unit_pivot():
-    # column 0 holds only the 3, which is not a unit modulo 6
+    # column 0 holds only the 3: a pivot at 2, zero at 3
     m = SparseIntMatrix.from_dense([[3, 1], [0, 1]])
-    assert rank_mod_p(m, (2, 3)) is None
     assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1)
     # m sits at its bound, so the proof pass decides it before any policy
     assert rank_over_rationals(m, policy) == RankResult(2, "bound_mod_p", (_PROOF_PRIME,), True)
-    # 3 * (1 - t) at the 3-cycle, rank 2 below its bound 3: the first pivot
-    # is a 3, not a unit modulo 6, and the two primes disagree
+    # 3 * (1 - t) at the 3-cycle, rank 2 below its bound 3: the two primes
+    # of the window [2, 4) disagree
     m = scaled_cycle(3, 3)
-    assert rank_mod_p(m, (2, 3)) is None
     assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 0)
     assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (3, 2), False)
 
 
 def test_joint_pass_stops_at_the_bound():
     # two kept columns bound the rank by 2 over Z; rows in index order reach
-    # it on the units -1 and 1, and the 2 of row 2, no unit modulo 6, is
-    # never read
+    # it on the -1 and the 1 of rows 0 and 1
     m = SparseIntMatrix.from_dense([[-1, 0, -1], [0, 0, 1], [2, 0, 0]])
     assert _rank_bound(m) == 2
-    assert rank_mod_p(m, (2, 3)) == 2
     assert rank_mod_p(m, 2) == rank_mod_p(m, 3) == 2
 
 
-def test_joint_pass_gives_the_per_prime_results(monkeypatch):
-    from soficrank import rank
-
-    rng = random.Random(103)
-    policies = [RankPolicy(seed=s) for s in range(10)]
-    policies += [
-        RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, seed=0),
-        RankPolicy(primes_count=2, prime_bits=(1, 2), max_rounds=2, dense_threshold=0),
-        RankPolicy(primes_count=2, prime_bits=(2, 4), max_rounds=3, dense_threshold=0),
-        RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0, max_rounds=1),
-        RankPolicy(primes_count=2, prime_bits=(2, 3), dense_threshold=0),
-    ]
-    mats = joint_corpus(rng)[::3] + [
-        SparseIntMatrix.from_dense([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
-        SparseIntMatrix.from_dense([[3, 1], [0, 1]]),
-        SparseIntMatrix.from_dense([[6]]),
-    ]
-    joint = [[rank_over_rationals(m, pol) for pol in policies] for m in mats]
-    single = rank.rank_mod_p
-    monkeypatch.setattr(
-        rank, "rank_mod_p",
-        lambda M, p, stats=None:
-            None if isinstance(p, tuple) and len(p) > 1 else single(M, p, stats))
-    per_prime = [[rank_over_rationals(m, pol) for pol in policies] for m in mats]
-    assert joint == per_prime
-
-
 def test_multimodular_rank_falls_back_only_after_a_failed_batch():
-    # a fake engine: a batch holding 2 cannot be ranked jointly, and 2 is a
-    # bad reduction; the window [2, 16) holds 2, 3, 5, 7, 11 and 13
+    # a fake engine, called once per batch with the rank at each prime in
+    # batch order; 2 is a bad reduction, and the window [2, 16) holds 2, 3,
+    # 5, 7, 11 and 13
     calls = []
 
     def rank_at(primes):
         calls.append(primes)
-        if len(primes) > 1 and 2 in primes:
-            return None
-        return 4 if primes == (2,) else 5
+        return [4 if p == 2 else 5 for p in primes]
 
     policy = RankPolicy(primes_count=2, prime_bits=(1, 4), seed=2)
     assert multimodular_rank(rank_at, policy, "fake") == RankResult(5, "fake", (3, 2, 7, 5), True)
-    assert calls == [(3, 2), (3,), (2,), (7, 5)]
+    assert calls == [(3, 2), (7, 5)]
     calls.clear()
     policy = RankPolicy(primes_count=1, prime_bits=(1, 4), seed=2)
     assert multimodular_rank(rank_at, policy, "fake") == RankResult(5, "fake", (3,), True)
     assert calls == [(3,)]
-
-
-def test_joint_pass_validates_every_prime():
-    m = SparseIntMatrix.from_dense([[1]])
-    for bad in ((5, 6), (5, 1 << 63), (5, 7, 5), ()):
-        with pytest.raises(ValueError):
-            rank_mod_p(m, bad)
-
-
-def test_joint_pass_stats():
-    m = SparseIntMatrix.from_dense([[1, 1], [1, 0]])
-    stats = {}
-    assert rank_mod_p(m, JOINT_PRIMES, stats) == 2
-    assert stats == {"initial_nnz": 3, "peak_nnz": 3, "pivots": 2}
-    stats = {}
-    assert rank_mod_p(SparseIntMatrix.from_dense([[3, 1], [0, 1]]), (2, 3), stats) is None
-    assert stats["pivots"] == 0 and stats["initial_nnz"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +214,6 @@ def test_edge_phase_matches_dense_elimination(M):
     dense = M.to_dense()
     ranks = [dense_rank_mod(dense, p) for p in (2, 3, P50)]
     assert [rank_mod_p(M, p) for p in (2, 3, P50)] == ranks
-    joint = rank_mod_p(M, (2, 3, P50))
-    if len(set(ranks)) == 1:
-        assert joint in (None, ranks[0])
-    else:
-        assert joint is None
     assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
 
 
@@ -338,15 +255,6 @@ def test_tall_matrices_match_dense_elimination(M):
         assert rank_mod_p(M, p, stats) == rank
         assert stats["pivots"] == rank
         assert stats["peak_nnz"] >= stats["initial_nnz"] == M.nnz
-    stats = {}
-    joint = rank_mod_p(M, (2, 3, P50), stats)
-    if len(set(ranks)) == 1:
-        assert joint in (None, ranks[0])
-    else:
-        assert joint is None
-    if joint is not None:
-        assert stats["pivots"] == joint
-    assert stats["peak_nnz"] >= stats["initial_nnz"] == M.nnz
     assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
 
 
@@ -361,21 +269,15 @@ def test_ranks_do_not_depend_on_input_order(M, rnd):
     ranks = [rank_mod_p(M, p) for p in (2, 3, P50)]
     assert [rank_mod_p(S, p) for p in (2, 3, P50)] == ranks
     assert rank_over_rationals(S) == rank_over_rationals(M)
-    joint = rank_mod_p(S, (2, 3, P50))
-    if len(set(ranks)) == 1:
-        assert joint in (None, ranks[0])
-    else:
-        assert joint is None
 
 
 def test_contracted_rows_count_in_stats(f2):
     d1 = parse_ring_matrix("a - 1 ; b - 1", f2)
     L = linearize(d1, sanov_quotient(5, f2))
     d = L.cols
-    for p in (P50, JOINT_PRIMES):
-        stats = {}
-        assert rank_mod_p(L, p, stats) == d - 1
-        assert stats == {"initial_nnz": L.nnz, "peak_nnz": L.nnz, "pivots": d - 1}
+    stats = {}
+    assert rank_mod_p(L, P50, stats) == d - 1
+    assert stats == {"initial_nnz": L.nnz, "peak_nnz": L.nnz, "pivots": d - 1}
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +338,6 @@ def test_repeated_columns_match_dense_elimination(M):
     dense = M.to_dense()
     ranks = [dense_rank_mod(dense, p) for p in (2, 3, P50)]
     assert [rank_mod_p(M, p) for p in (2, 3, P50)] == ranks
-    joint = rank_mod_p(M, (2, 3, P50))
-    if len(set(ranks)) == 1:
-        assert joint in (None, ranks[0])
-    else:
-        assert joint is None
     assert rank_over_rationals(M).rank == rank_dense_bareiss(dense)
 
 
@@ -473,13 +370,12 @@ def test_dropped_columns_count_in_stats(f2):
         L.rows + tripled.rows, L.cols + tripled.cols,
         list(L.triplets) + [(L.rows + r, L.cols + c, v) for r, c, v in tripled.triplets])
     for M, want in ((tripled, rank), (edged, L.cols - 1 + rank)):
-        for p in (P50, JOINT_PRIMES):
-            stats = {}
-            assert rank_mod_p(M, p, stats) == want
-            assert set(stats) == {"initial_nnz", "peak_nnz", "pivots"}
-            assert stats["initial_nnz"] == M.nnz
-            assert stats["pivots"] == want
-            assert stats["peak_nnz"] >= stats["initial_nnz"]
+        stats = {}
+        assert rank_mod_p(M, P50, stats) == want
+        assert set(stats) == {"initial_nnz", "peak_nnz", "pivots"}
+        assert stats["initial_nnz"] == M.nnz
+        assert stats["pivots"] == want
+        assert stats["peak_nnz"] >= stats["initial_nnz"]
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +668,16 @@ def test_disagreement_falls_back_to_bareiss():
     assert res.rank == 2
     assert res.certified
     assert res.method == "dense_fraction_free"
+
+
+def test_bareiss_runs_at_rows_plus_cols_equal_to_the_threshold():
+    # 2(1 - t) at the 6-cycle, rows + cols = 12; the window [2, 4) holds
+    # two primes, never the three that certify
+    m = scaled_cycle(2, 6)
+    policy = RankPolicy(primes_count=3, prime_bits=(1, 2), dense_threshold=12)
+    assert rank_over_rationals(m, policy) == RankResult(5, "dense_fraction_free", (3, 2), True)
+    policy = RankPolicy(primes_count=3, prime_bits=(1, 2), dense_threshold=11)
+    assert rank_over_rationals(m, policy) == RankResult(5, "sparse_mod_p", (3, 2), False)
 
 
 def test_policy_exhaustion_returns_lower_bound_uncertified():
