@@ -73,9 +73,15 @@ class SparseIntMatrix:
     files the map's edge rows itself; given an edge store too, the row map
     must already hold no edge row.  Nothing may change the stores
     afterwards.
+
+    The slot ``_residual`` holds the record of the work on the stores that
+    no prime changes: the edge contraction, the residual rows and the rank
+    bound over Z.  It is None until rank._residual first builds it, and
+    only rank.py reads it.  Because the stores never change, it is built
+    at most once per matrix and goes with it.
     """
 
-    __slots__ = ("rows", "cols", "_row_map", "_edges")
+    __slots__ = ("rows", "cols", "_row_map", "_edges", "_residual")
 
     def __init__(self, rows, cols, triplets=()):
         rows, cols = index(rows), index(cols)
@@ -105,6 +111,7 @@ class SparseIntMatrix:
         self.cols = cols
         self._row_map = row_map
         self._edges = edges
+        self._residual = None
 
     @classmethod
     def _adopt(cls, rows, cols, row_map, edges=None):
@@ -115,6 +122,7 @@ class SparseIntMatrix:
             _file_edges(row_map, edges)
         M = cls.__new__(cls)
         M.rows, M.cols, M._row_map, M._edges = rows, cols, row_map, edges
+        M._residual = None
         return M
 
     # -- constructors ---------------------------------------------------

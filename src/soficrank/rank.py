@@ -17,20 +17,19 @@ of B.  The residual reads both stores of the SparseIntMatrix in their
 stored order, so the pass is deterministic given the prime and the order in
 which the matrix's entries were given.
 
-Before that loop, one preprocessing step over Z, _residual, shared by
-rank_mod_p and the bound below, contracts the edge rows: rows that are
-+-(e_i - e_j) over Z, as every row of the linearized d_1 of F_k at a
-permutation model is.  The SparseIntMatrix holds them apart, in its edge
-store, as (row, +1 column, -1 column), so no row is tested for its shape
-here.  A union-find over the columns, a list with path halving, takes
-each edge; an edge that joins two components is a pivot, one whose ends
-are already joined is dependent and dropped.  Every row of the row map,
-the residual, has each column replaced by the root of its component and
-the merged entries summed as integers.  This is exact over Z: an edge row
-is a +-1 pivot, and eliminating with it substitutes one column by another
-in the other rows, a unimodular step.  The row space of the edge rows is
-the kernel of the map summing coordinates over each component, over any
-ring, so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
+Before that loop, one preprocessing step over Z, _residual, contracts the
+edge rows: rows that are +-(e_i - e_j) over Z, as every row of the
+linearized d_1 of F_k at a permutation model is.  The SparseIntMatrix holds
+them apart, in its edge store, as (row, +1 column, -1 column), so no row is
+tested for its shape here.  A union-find over the columns, a list with path
+halving, takes each edge; an edge that joins two components is a pivot, one
+whose ends are already joined is dependent and dropped.  Every row of the
+row map, the residual, has each column replaced by the root of its
+component and the merged entries summed as integers.  This is exact over Z:
+an edge row is a +-1 pivot, and eliminating with it substitutes one column
+by another in the other rows, a unimodular step.  The row space of the edge
+rows is the kernel of the map summing coordinates over each component, over
+any ring, so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
 included.
 
 The same step then drops every residual column that exactly repeats an
@@ -43,14 +42,21 @@ so the drop is exact at each.  Columns that agree only modulo the prime in
 use are kept.  rank_mod_p reduces the kept entries modulo p as it reads
 them.
 
+None of this work depends on the prime, and a matrix's stores never
+change, so _residual does it once per matrix: it keeps its record (the
+unions, the residual rows in increasing row index, each kept column's
+entry count and the bound B below) in the matrix's _residual slot, and
+every pass and the proof check read that record.  No pass writes into the
+shared rows; each reduces a copy modulo its prime.
+
 rank_over_rationals first tries a proof.  Every rank mod p is a lower bound
 on the rank over Q, and the rank over Q is at most the bound B = unions +
 min(distinct nonzero residual rows, distinct nonzero residual columns),
 where the residual is the one above, taken over Z, and rows and columns
 are keyed on their exact integers, never on residues.  The contraction is
 unimodular, so rank_p(M) <= rank_Q(M) <= B, and one rank_mod_p pass that
-reaches B proves the rank (method bound_mod_p).  B costs O(nnz).  With an
-empty row map there is no residual, and the pass's own unions are the rank.
+reaches B proves the rank (method bound_mod_p).  B costs O(nnz), once per
+matrix.  With an empty row map the residual is empty, and B is the unions.
 The pass runs at one fixed prime, 1073741789, the largest below 2^30: a
 CPython int holds 30 bits per digit, so every residue is a one-digit int
 and a product of two residues has at most two digits.  At a prime
@@ -119,18 +125,25 @@ def _check_prime(p):
 
 
 def _residual(M):
-    """The edge contraction of M and its residual over Z, in O(nnz).
+    """The record of M's prime-independent work, built on first use and
+    kept in M's ``_residual`` slot, in O(nnz).
 
-    Returns ``(unions, rows, kept)``.  A union-find over the columns, a
-    list with path halving, takes the edge store; ``unions`` counts the
-    edges that join two components.  ``rows`` is the row map with every
-    column read as the root of its component and the merged entries summed
-    over Z, less the rows that cancel and less every column that exactly
-    repeats an earlier one; ``kept`` is the number of columns left.
-    ``rows`` may be M's own row map, which nothing may change.  Two kept
-    columns may still agree modulo a prime: a drop keyed over Z leaves the
-    rank modulo every prime that of the full residual.
+    Returns ``(unions, rows, count, bound)``.  A union-find over the
+    columns, a list with path halving, takes the edge store; ``unions``
+    counts the edges that join two components.  ``rows`` is the row map
+    with every column read as the root of its component and the merged
+    entries summed over Z, less the rows that cancel and less every column
+    that exactly repeats an earlier one, as a list in increasing row index.
+    ``count`` maps each kept column to its entries in ``rows``, and
+    ``bound`` is unions + min(distinct rows, kept columns), rows keyed on
+    exact integers.  The rows may be M's own row dicts, and every pass
+    shares them: nothing may change them.  Two kept columns may still agree
+    modulo a prime: a drop keyed over Z leaves the rank modulo every prime
+    that of the full residual.  M's stores never change, so the record
+    holds for as long as M does.
     """
+    if M._residual is not None:
+        return M._residual
     _, heads, tails = M._edges
     rows = M._row_map
     unions = 0
@@ -176,36 +189,28 @@ def _residual(M):
     if len(first) < len(entries):
         kept = set(first.values())
         rows = {r: {c: v for c, v in row.items() if c in kept} for r, row in rows.items()}
-    return unions, rows, len(first)
-
-
-def _bound(unions, rows, kept):
-    """unions plus the smaller of the numbers of distinct rows and of kept
-    columns of a residual of _residual, rows keyed on exact integers."""
-    distinct_rows = len(set(map(frozenset, map(dict.items, rows.values()))))
-    return unions + min(distinct_rows, kept)
-
-
-def _rank_bound(M):
-    """An upper bound on the rank of M over Q, taken over Z in O(nnz):
-    _bound of the residual of M."""
-    return _bound(*_residual(M))
+    rows = [rows[r] for r in sorted(rows)]
+    count = {c: len(col) // 2 for col, c in first.items()}
+    distinct_rows = len(set(map(frozenset, map(dict.items, rows))))
+    M._residual = unions, rows, count, unions + min(distinct_rows, len(count))
+    return M._residual
 
 
 def rank_mod_p(M, p, stats=None):
     """Rank of M over F_p; always a lower bound for the rank over Q.
 
     _residual contracts the edge store (rows +-(e_i - e_j)), each union one
-    pivot, merges the rows of the row map through the roots and drops every
-    column that exactly repeats an earlier one, all over Z.  The residual
-    rows are then read in increasing row index, each reduced mod p by the
-    pivot rows stored so far, in the order they were made; a nonempty
+    pivot, merges the rows of the row map through the roots, drops every
+    column that exactly repeats an earlier one and takes the bound B, all
+    over Z and once per matrix.  The pass only eliminates mod p: the
+    residual rows are read in increasing row index, each reduced mod p by
+    the pivot rows stored so far, in the order they were made; a nonempty
     remainder becomes the next pivot row, pivoting on its column with the
     fewest entries in the residual, then the lowest index.  The loop stops
-    once the pivots reach the bound B of _bound, which no rank modulo any
-    prime exceeds.  Every step is exact for every prime (see the module
-    docstring).  ``p`` is one prime below 2^63; a value that is not an
-    integer, a tuple of primes included, raises TypeError.
+    once the pivots reach B, which no rank modulo any prime exceeds.
+    Every step is exact for every prime (see the module docstring).  ``p``
+    is one prime below 2^63; a value that is not an integer, a tuple of
+    primes included, raises TypeError.
 
     ``stats``, if a dict, receives ``initial_nnz``, which is ``M.nnz``,
     ``peak_nnz``, the larger of ``M.nnz`` and the entries held in the
@@ -213,18 +218,13 @@ def rank_mod_p(M, p, stats=None):
     pivot.
     """
     p = _check_prime(p)
-    unions, residual, kept = _residual(M)
-    bound = _bound(unions, residual, kept)
-    count = {}  # column -> its entries in the residual
-    for row in residual.values():
-        for c in row:
-            count[c] = count.get(c, 0) + 1
+    unions, residual, count, bound = _residual(M)
     pivots = []  # (pivot column, rest of the row divided by minus the pivot)
     ordinal = {}  # pivot column -> its place in pivots
     held = 0
     rank = unions
-    for r in sorted(residual):
-        row = {c: w for c, v in residual[r].items() if (w := v % p)}
+    for row in residual:
+        row = {c: w for c, v in row.items() if (w := v % p)}
         heap = [ordinal[c] for c in row if c in ordinal]
         heapify(heap)
         while heap:
@@ -410,16 +410,16 @@ def rank_over_rationals(M, policy=None):
     Falls back to Bareiss when rows + cols is at most the policy's
     dense_threshold; policy exhaustion beyond it returns the best lower
     bound uncertified: the rule's value, or the proof pass's when that is
-    larger, with the proof prime first in primes_used.
+    larger, with the proof prime first in primes_used.  Every pass and the
+    proof check read the one record of _residual, built once per matrix.
     """
     if policy is None:
         policy = DEFAULT_POLICY
     if M.is_zero():
         return _ZERO_MAP
-    # a lower bound that meets an upper bound is the rank; with no residual
-    # the pass's own unions are the rank
+    # a lower bound that meets an upper bound is the rank
     rank = rank_mod_p(M, _PROOF_PRIME)
-    if not M._row_map or rank == _rank_bound(M):
+    if rank == _residual(M)[3]:
         return RankResult(rank, "bound_mod_p", (_PROOF_PRIME,), True)
     result = multimodular_rank(
         lambda batch: [rank_mod_p(M, p) for p in batch], policy, "sparse_mod_p"

@@ -18,7 +18,7 @@ from soficrank import (
     sanov_quotient,
 )
 from soficrank.linearize import linearize
-from soficrank.rank import _PROOF_PRIME, _rank_bound, _residual, multimodular_rank
+from soficrank.rank import _PROOF_PRIME, _residual, multimodular_rank
 from test_linearize import dense_product, rational_rank
 
 
@@ -100,7 +100,7 @@ def test_tuple_of_primes_raises_type_error():
         rank_mod_p(SparseIntMatrix.from_dense([[1]]), (5, 7))
 
 
-def test_joint_pass_gives_up_on_a_non_unit_pivot():
+def test_primes_that_disagree_leave_the_rank_uncertified():
     # column 0 holds only the 3: a pivot at 2, zero at 3
     m = SparseIntMatrix.from_dense([[3, 1], [0, 1]])
     assert (rank_mod_p(m, 2), rank_mod_p(m, 3)) == (2, 1)
@@ -114,11 +114,11 @@ def test_joint_pass_gives_up_on_a_non_unit_pivot():
     assert rank_over_rationals(m, policy) == RankResult(2, "sparse_mod_p", (3, 2), False)
 
 
-def test_joint_pass_stops_at_the_bound():
+def test_pass_at_each_prime_stops_at_the_bound():
     # two kept columns bound the rank by 2 over Z; rows in index order reach
     # it on the -1 and the 1 of rows 0 and 1
     m = SparseIntMatrix.from_dense([[-1, 0, -1], [0, 0, 1], [2, 0, 0]])
-    assert _rank_bound(m) == 2
+    assert _residual(m)[3] == 2
     assert rank_mod_p(m, 2) == rank_mod_p(m, 3) == 2
 
 
@@ -352,8 +352,8 @@ def test_columns_equal_only_mod_p_are_kept(p, edge):
     else:
         dense = [[1, 1 + p, 1], [1, 1, 1]]
     M = SparseIntMatrix.from_dense(dense)
-    unions, _, kept = _residual(M)
-    assert (unions, kept) == (int(edge), 2)
+    unions, _, count, _ = _residual(M)
+    assert (unions, len(count)) == (int(edge), 2)
     assert rank_mod_p(M, p) == dense_rank_mod(dense, p) == 1 + int(edge)
     assert rank_dense_bareiss(dense) == 2 + int(edge)
 
@@ -381,30 +381,59 @@ def test_dropped_columns_count_in_stats(f2):
 # ---------------------------------------------------------------------------
 # rank_over_rationals
 
-def test_exact_paths_see_edge_rows():
-    # a 4-cycle of edge rows (rank 3), and the same beside a row that is
-    # not an edge and holds the only entry of column 4 (rank 4)
+def edge_cycle_matrices():
+    """A 4-cycle of edge rows (rank 3); the same beside a row that is not
+    an edge and holds the only entry of column 4 (rank 4); and the cycle
+    beside rows 2*(e_0 - e_4), 2*(e_4 - e_5), 2*(e_5 - e_0), rank 2 below
+    their bound 3 once column 0 reads as its root (rank 5)."""
     cycle = [(0, 0, 1), (0, 1, -1), (1, 1, 1), (1, 2, -1),
              (2, 3, 1), (2, 2, -1), (3, 3, 1), (3, 0, -1)]
     edges_only = SparseIntMatrix(4, 5, cycle)
     mixed = SparseIntMatrix(5, 5, cycle + [(4, 4, 2), (4, 0, 1)])
+    below = SparseIntMatrix(7, 6, cycle + [(4, 0, 2), (4, 4, -2), (5, 4, 2), (5, 5, -2),
+                                           (6, 5, 2), (6, 0, -2)])
+    return edges_only, mixed, below
+
+
+# the window [4, 8) holds two primes, never the three that certify
+TWO_PRIME_POLICY = RankPolicy(primes_count=3, prime_bits=(2, 3))
+
+
+def test_exact_paths_see_edge_rows():
+    edges_only, mixed, below = edge_cycle_matrices()
     assert not edges_only.is_zero() and edges_only._row_map == {}
-    # the window [4, 8) holds two primes, never the three that certify
-    policy = RankPolicy(primes_count=3, prime_bits=(2, 3))
     # both sit at their bound: the proof pass decides them under any policy
     for M, want in ((edges_only, 3), (mixed, 4)):
-        for pol in (None, policy):
+        for pol in (None, TWO_PRIME_POLICY):
             assert rank_over_rationals(M, pol) == RankResult(
                 want, "bound_mod_p", (_PROOF_PRIME,), True)
         assert rank_dense_bareiss(M.to_dense()) == want
-    # the cycle beside rows 2*(e_0 - e_4), 2*(e_4 - e_5), 2*(e_5 - e_0),
-    # rank 2 below their bound 3 once column 0 reads as its root: rank 5,
-    # and the result is Bareiss's
-    below = SparseIntMatrix(7, 6, cycle + [(4, 0, 2), (4, 4, -2), (5, 4, 2), (5, 5, -2),
-                                           (6, 5, 2), (6, 0, -2)])
-    res = rank_over_rationals(below, policy)
+    # below its bound, the result is Bareiss's
+    res = rank_over_rationals(below, TWO_PRIME_POLICY)
     assert (res.rank, res.method, res.certified) == (5, "dense_fraction_free", True)
     assert sorted(res.primes_used) == [5, 7]
+
+
+def test_each_matrix_builds_its_residual_once(monkeypatch):
+    from soficrank import rank
+
+    # a build is a call to _residual on a matrix whose record is not set yet
+    builds = []
+    build = rank._residual
+
+    def counted(M):
+        if getattr(M, "_residual", None) is None:
+            builds.append(M)
+        return build(M)
+
+    monkeypatch.setattr(rank, "_residual", counted)
+    # the proof decides the first two; the third runs the rule and Bareiss
+    for M in edge_cycle_matrices():
+        builds.clear()
+        rank_over_rationals(M, TWO_PRIME_POLICY)
+        assert builds == [M]
+        rank_mod_p(M, 11)
+        assert builds == [M]
 
 
 def test_identity_certified():
@@ -437,7 +466,7 @@ P = _PROOF_PRIME
     pytest.param(SparseIntMatrix.from_dense([[1, 2], [2, 4]]), 1, id="one-below-bound"),
 ])
 def test_proof_pass_below_the_bound_is_no_proof(M, want):
-    assert rank_mod_p(M, P) < _rank_bound(M)
+    assert rank_mod_p(M, P) < _residual(M)[3]
     res = rank_over_rationals(M)
     assert res.rank == want == rational_rank(M.to_dense())
     assert res.certified
@@ -448,17 +477,16 @@ def test_bound_reads_columns_through_their_roots():
     # the edge e_0 - e_1 beside the rows e_0 and e_1: through the roots both
     # rows are one column, so the bound is 1 + 1, the rank
     M = SparseIntMatrix(3, 2, [(0, 0, 1), (0, 1, -1), (1, 0, 1), (2, 1, 1)])
-    assert _rank_bound(M) == 2
+    assert _residual(M)[3] == 2
     assert rank_over_rationals(M) == RankResult(2, "bound_mod_p", (P,), True)
 
 
-def test_all_edge_matrix_is_proved_by_its_unions(f2, monkeypatch):
-    from soficrank import rank
-
+def test_all_edge_matrix_is_proved_by_its_unions(f2):
     L = linearize(parse_ring_matrix("a - 1 ; b - 1", f2), sanov_quotient(5, f2))
     assert L._row_map == {}
-    monkeypatch.setattr(rank, "_rank_bound", None)  # never needed here
     assert rank_over_rationals(L) == RankResult(L.cols - 1, "bound_mod_p", (P,), True)
+    # no residual: the bound is the union count
+    assert _residual(L) == (L.cols - 1, [], {}, L.cols - 1)
 
 
 def near_p_matrices():
@@ -476,9 +504,16 @@ def near_p_matrices():
 def test_proof_never_certifies_a_wrong_rank(dense):
     M = SparseIntMatrix.from_dense(dense)
     want = rational_rank(dense)
-    assert _rank_bound(M) >= want
+    _, rows, _, bound = _residual(M)
+    shared = [dict(row) for row in rows]
+    assert bound >= want
     res = rank_over_rationals(M)
     assert res.rank == want and res.certified
+    # every pass reads the one record and writes nothing into its rows
+    primes = (2, 3, P)
+    assert [rank_mod_p(M, p) for p in primes] == [
+        rank_mod_p(SparseIntMatrix.from_dense(dense), p) for p in primes]
+    assert _residual(M)[1] == shared
 
 
 def test_circulant_rank(z1):
