@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import index
@@ -518,12 +518,17 @@ class FiniteQuotient:
       on every builder's models).  Only grid_quotient's models record their
       modulus n as ``_grid``, which sends them to the Fourier path in
       invariants; every other model has None, even one built by the
-      constructor from a grid's own images.
+      constructor from a grid's own images.  A grid model is adopted
+      without images: the first read of ``gen_images`` builds the
+      translations and stores them on the model, so the Fourier path,
+      which never reads them, never builds them.
+
+    The repr leaves out ``gen_images`` (d ints per generator).
     """
 
     family: GroupFamily
     degree: int
-    gen_images: tuple
+    gen_images: tuple = field(repr=False)
     genuine: bool
     label: str = ""
 
@@ -531,13 +536,26 @@ class FiniteQuotient:
 
     @classmethod
     def _adopt(cls, family, degree, gen_images, genuine, label, grid=None):
-        """A model with ``gen_images`` as built (see the class doc)."""
+        """A model with ``gen_images`` as built, or built on first read
+        when they are None and ``grid`` is set (see the class doc)."""
         q = cls.__new__(cls)
         q.__dict__.update(
-            family=family, degree=degree, gen_images=gen_images,
-            genuine=genuine, label=label, _grid=grid,
+            family=family, degree=degree, genuine=genuine, label=label, _grid=grid,
         )
+        if gen_images is not None:
+            q.__dict__["gen_images"] = gen_images
         return q
+
+    def __getattr__(self, name):
+        # reached only when ordinary lookup fails; _grid is a class attribute,
+        # so an unpickled model whose __dict__ is still empty does not recurse
+        if name != "gen_images" or self._grid is None:
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        images = _grid_images(self.family.rank, self._grid)
+        self.__dict__["gen_images"] = images
+        return images
 
     def __post_init__(self):
         d = self.degree
@@ -651,15 +669,18 @@ def _positive(value, what):
 
 
 def grid_quotient(rank, modulus, family=None):
-    """Z^rank acting by translation on (Z/modulus)^rank; genuine, degree modulus^rank."""
+    """Z^rank acting by translation on (Z/modulus)^rank; genuine, degree modulus^rank.
+
+    The model records ``modulus`` as ``_grid`` and builds its translation
+    images (_grid_images) on the first read of ``gen_images``.
+    """
     rank = index(rank)
     n = _positive(modulus, "modulus")
     if family is None:
         family = FreeAbelian(rank)
     elif not isinstance(family, FreeAbelian) or family.rank != rank:
         raise ValueError("family does not match grid parameters")
-    images = _grid_images(rank, n)
-    return FiniteQuotient._adopt(family, n ** rank, images, True, "grid mod %d" % n, n)
+    return FiniteQuotient._adopt(family, n ** rank, None, True, "grid mod %d" % n, n)
 
 
 def _grid_images(rank, n):

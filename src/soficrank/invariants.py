@@ -171,9 +171,10 @@ def _stage_ranks(q, matrices, policy, size_cap):
 
     At a model that grid_quotient built, which records its modulus n, each
     rank is split over the characters of (Z/n)^k (fourier.fourier_rank)
-    without linearizing, and the stage's character orbits are built once,
-    for the first matrix within the size cap; any other model, or an
-    uncertified split, takes the sparse engine.
+    without linearizing, and without building the model's permutations;
+    the stage's character orbits are built once, for the first matrix
+    within the size cap.  Any other model, or an uncertified split, takes
+    the sparse engine.
     """
     n = q._grid
     orbits = None

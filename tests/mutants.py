@@ -1,4 +1,5 @@
-"""Mutation check of the proofs behind every certified rank.
+"""Mutation check of the proofs behind every certified rank, and of the
+grid models that build their images only when read.
 
 Each mutant in MUTANTS is one textual edit of a file under src/soficrank,
 made on a copy of src/ in a temporary directory, never in place.  For each,
@@ -110,6 +111,14 @@ MUTANTS = [
      "certified = finite and rel.certified and full.certified",
      "certified = finite and full.certified",
      "a mean rank certified without its relation rank"),
+    ("invariants.py",
+     "    n = q._grid\n",
+     "    n = q._grid\n    q.gen_images\n",
+     "the grid path reads the images"),
+    ("groups.py",
+     '        self.__dict__["gen_images"] = images\n',
+     "",
+     "images rebuilt on every read"),
 ]
 
 

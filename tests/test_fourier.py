@@ -27,7 +27,7 @@ from soficrank import (
 )
 from soficrank import invariants
 from soficrank.fourier import _root_of_unity, character_orbits, fourier_rank
-from soficrank.groups import perm_compose, perm_inverse
+from soficrank.groups import _grid_images, perm_compose, perm_inverse
 from soficrank.linearize import linearize
 from soficrank.primes import isprime
 from conftest import build_s3_table
@@ -169,6 +169,45 @@ def test_grid_differentials_skip_linearization(z2grid, monkeypatch):
     series = invariants.betti_approximants(C, grid_sequence(2, [3, 6]), 1)
     assert [p.value for p in series] == [Fraction(2, 9), Fraction(2, 36)]
     assert all(p.certified for p in series)
+
+
+def translations(k, n):
+    """The unit translations of (Z/n)^k, point v = sum_i c_i n^i, computed
+    from the coordinates of each point."""
+    images = []
+    for i in range(k):
+        image = []
+        for v in range(n ** k):
+            c = v // n ** i % n
+            image.append(v + ((c + 1) % n - c) * n ** i)
+        images.append(tuple(image))
+    return tuple(images)
+
+
+def test_grid_path_never_builds_the_images(z2grid):
+    d2 = parse_ring_matrix("y - 1, 1 - x", z2grid)
+    d1 = parse_ring_matrix("x - 1 ; y - 1", z2grid)
+    C = build_complex(z2grid, (1, 2, 1), [d2, d1])
+    Q = grid_sequence(2, (2, 3, 5), z2grid)
+    series = invariants.euler_approximants(C, Q)
+    assert all(p.certified for s in series for p in s)
+    for q, n in zip(Q, (2, 3, 5)):
+        assert "gen_images" not in q.__dict__
+        first = q.gen_images
+        assert first == _grid_images(2, n) == translations(2, n)
+        assert q.gen_images is first
+
+
+def test_uncertified_split_builds_the_images_for_the_sparse_engine(z1):
+    # 2t - 2 at grid 3: the window [2, 4) holds no prime = 1 (mod 3), so the
+    # split stays uncertified and the sparse engine linearizes the model
+    f = parse_ring_matrix("2*t - 2", z1)
+    q = grid_quotient(1, 3, z1)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
+    assert "gen_images" not in q.__dict__
+    (result,) = invariants._stage_ranks(q, [f], policy, 10**6)
+    assert result == RankResult(2, "sparse_mod_p", (3, 2), False)
+    assert q.__dict__["gen_images"] == translations(1, 3) == ((1, 2, 0),)
 
 
 def test_grid_path_keeps_the_size_cap(z2grid):

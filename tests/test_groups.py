@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import time
@@ -553,6 +555,30 @@ def test_grid_quotient_rank2_commutes():
     assert q.degree == 9
     px, py = q.gen_images
     assert perm_compose(px, py) == perm_compose(py, px)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_unread_grid_model_copies_and_pickles(duplicate):
+    # the images are built on first read; a copy made before that read, or
+    # an unpickled model whose __dict__ starts out empty, must not recurse
+    q = grid_quotient(2, 3)
+    other = duplicate(q)
+    assert not hasattr(q, "missing") and not hasattr(other, "missing")
+    assert "gen_images" not in q.__dict__
+    assert other._grid == 3
+    assert other == q and hash(other) == hash(q)
+    assert other.gen_images == q.gen_images == groups._grid_images(2, 3)
+
+
+def test_model_repr_leaves_out_the_images():
+    q = grid_quotient(2, 3)
+    assert repr(q) == (
+        "FiniteQuotient(family=FreeAbelian(2), degree=9, genuine=True, "
+        "label='grid mod 3')"
+    )
+    assert "gen_images" not in q.__dict__
 
 
 def test_sanov_degree_by_enumeration(f2):
