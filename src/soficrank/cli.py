@@ -44,9 +44,14 @@ Config format: line-oriented sections with ``key = value`` entries.
 ``pipeline``, ``family``, ``provider`` and the keys without a default are
 required; an empty optional value counts as absent.  A key the job does not
 read is an error: a typo, ``d3`` in a two-term complex, ``moduli`` under
-``provider = regular``.  So is a pipeline whose inputs are missing.  Every
-config error names the file, and the line of its key (of its section when
-the key is missing), or the command-line flag that set the value.
+``provider = regular``.  So is a section the pipeline does not read
+(``[quotients]`` in an oracle job, ``[complex]`` in a vrk job), a pipeline
+whose inputs are missing, a ``j`` above the complex's top degree (betti,
+mrk_j), and ``provider = random`` for a pipeline other than meanrank or
+soficity, since random models are heuristic.  Each is found before any
+model is built.  Every config error names the file, and the line of its key
+(of its section when the key is missing or the section is not read), or the
+command-line flag that set the value.
 
 ``size_cap`` bounds every model a job builds, soficity included: the degree
 of each grid, Sanov or random stage follows from ``moduli`` or ``degrees``
@@ -287,8 +292,9 @@ class JobConfig:
         self._build()
 
     def _fail(self, section, key, message):
+        """A ConfigError at [section] key, or at the section when key is None."""
         raise ConfigError(
-            "[%s] %s: %s" % (section, key, message),
+            "[%s]%s: %s" % (section, " " + key if key else "", message),
             self.path,
             self.lines.get((section, key), self.lines.get((section, None))),
         )
@@ -335,6 +341,25 @@ class JobConfig:
             except ValueError as exc:
                 self._fail("group", "names", str(exc))
 
+        # ---- run, and the sections the pipeline reads ----
+        # read before any model is built: the pipeline decides which
+        # sections are read, and the size cap bounds the models
+        self.options = {
+            key: self._value("run", key, parse, default)
+            for key, (parse, default, _) in _RUN_KEYS.items()
+        }
+        cap = self.options["size_cap"]
+        pipeline = self.options["pipeline"]
+        needs = _PIPELINE_INPUTS[pipeline]
+        for section, values in self.sections.items():
+            if values and section not in ("group", "run") and "[%s]" % section not in needs:
+                self._fail(section, None, "%s does not read this section" % pipeline)
+        for need in needs:
+            section, key = need[1:].split("]")
+            values = self.sections.get(section, {})
+            if not (values.get(key.strip()) if key else values):
+                self._fail("run", "pipeline", "%s needs %s" % (pipeline, need))
+
         # ---- complex ----
         if self.sections.get("complex"):
             ranks = self._value("complex", "ranks", _integers)
@@ -347,6 +372,10 @@ class JobConfig:
             except ValueError as exc:
                 self._fail("complex", "ranks", str(exc))
             self.kernel = self._value("complex", "kernel", parse_ring_matrix, None)
+            top = self.complex.top_degree
+            if pipeline in ("betti", "mrk_j") and self.options["j"] > top:
+                self._fail("run", "j", "%d is above the complex's top degree %d"
+                           % (self.options["j"], top))
 
         # ---- module ----
         if self.sections.get("module"):
@@ -369,19 +398,14 @@ class JobConfig:
             self.f_set = self._value("module", "f_set", _elements, None)
             self.window = self._value("module", "window", _elements, None)
 
-        # ---- run ----
-        # read before [quotients]: the size cap bounds the models built there
-        self.options = {
-            key: self._value("run", key, parse, default)
-            for key, (parse, default, _) in _RUN_KEYS.items()
-        }
-        cap = self.options["size_cap"]
-
         # ---- quotients ----
         if self.sections.get("quotients"):
             provider = self._value(
                 "quotients", "provider", _one_of("grid", "sanov", "regular", "random")
             )
+            if provider == "random" and pipeline not in ("meanrank", "soficity"):
+                self._fail("quotients", "provider",
+                           "random models are heuristic; %s needs genuine ones" % pipeline)
             if provider == "regular":
                 if not isinstance(self.family, FiniteTable):
                     self._fail("quotients", "provider", "regular needs a finite_table family")
@@ -407,17 +431,11 @@ class JobConfig:
                 except (ValueError, SizeCapExceeded) as exc:
                     self._fail("quotients", "moduli", str(exc))
 
-        # ---- every key read, every input of the pipeline given ----
+        # ---- every key read ----
         for section, values in self.sections.items():
             for key in values:
                 if (section, key) not in self._read:
                     self._fail(section, key, "unknown key (this job does not read it)")
-        pipeline = self.options["pipeline"]
-        for need in _PIPELINE_INPUTS[pipeline]:
-            section, key = need[1:].split("]")
-            values = self.sections.get(section, {})
-            if not (values.get(key.strip()) if key else values):
-                self._fail("run", "pipeline", "%s needs %s" % (pipeline, need))
 
     def normalized_text(self):
         """Every value the job read, section by section, in the order read."""

@@ -468,36 +468,28 @@ def literal_mean_rank_point(
         )
 
     def place(v, small):
-        return {v * N + pos: c for pos, c in small.items()}
+        return [(v * N + pos, c) for pos, c in small.items()]
 
     rows = []
     # module relations, one copy per coordinate of the d-fold sum
     for small in rel_rows:
         for v in range(d):
             rows.append(place(v, small))
-    # translation relations from B and F
+    # translation relations from B and F; a zero b gives none, and the
+    # relation at v is zero exactly when sigma(s) v = v and sb = b
     for b in B.entries:
-        if not in_window(b):
+        if not in_window(b) or not (bvec := vecify(b)):
             continue
-        bvec = vecify(b)
         for s in F:
             sb = translate(s, b)
             if not in_window(sb):
                 continue
             sbvec = vecify(sb)
+            minus_sb = {pos: -c for pos, c in sbvec.items()}
             perm = extend_to_word(q, s)
             for v in range(d):
-                row = place(v, bvec)
-                target = perm[v]
-                for pos, c in sbvec.items():
-                    key = target * N + pos
-                    nval = row.get(key, 0) - c
-                    if nval:
-                        row[key] = nval
-                    else:
-                        row.pop(key, None)
-                if row:
-                    rows.append(row)
+                if perm[v] != v or sbvec != bvec:
+                    rows.append(place(v, bvec) + place(perm[v], minus_sb))
     rel_count = len(rows)
     # measured generators from A
     for a in A.entries:
@@ -509,13 +501,12 @@ def literal_mean_rank_point(
         for v in range(d):
             rows.append(place(v, avec))
 
-    def certified_rank(row_dicts):
-        # each row above is non-empty, its values nonzero ints and its
-        # columns below big_cols, so the rows are adopted as they are
-        M = SparseIntMatrix._adopt(len(row_dicts), big_cols, dict(enumerate(row_dicts)))
-        return rank_over_rationals(M, policy)
+    def certified_rank(row_lists):
+        # the constructor sums the two ends of a relation at a fixed point
+        triplets = [(i, c, x) for i, row in enumerate(row_lists) for c, x in row]
+        return rank_over_rationals(SparseIntMatrix(len(row_lists), big_cols, triplets), policy)
 
-    rel = certified_rank(rows[:rel_count]) if rel_count else _ZERO_MAP
+    rel = certified_rank(rows[:rel_count])
     full = certified_rank(rows) if len(rows) > rel_count else rel
     certified = finite and rel.certified and full.certified
     return SeriesPoint(d, Fraction(full.rank - rel.rank, d), certified)

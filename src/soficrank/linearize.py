@@ -66,13 +66,13 @@ class SparseIntMatrix:
     truncated.  ``triplets`` is the view of both stores sorted by
     (row, col).
 
-    ``_adopt`` is the private path for code in this package that builds the
-    stores itself: it takes them as given, unchecked, so the row map must
-    hold only non-empty rows of nonzero ints, every index must be an int in
-    range, and no row index may appear twice.  Given a row map alone, it
-    files the map's edge rows itself; given an edge store too, the row map
-    must already hold no edge row.  Nothing may change the stores
-    afterwards.
+    The constructor is the one place that checks triplets and puts them in
+    this normal form.  ``_adopt`` is the private path of ``linearize``,
+    which builds both stores itself in the order the constructor would
+    give them: it takes them as given, unchecked, so the row map must hold
+    only non-empty rows of nonzero ints and no edge row, every index must
+    be an int in range, and no row index may appear twice in the two
+    stores.  Nothing may change the stores afterwards.
 
     The slot ``_residual`` holds the record of the work on the stores that
     no prime changes: the edge contraction, the residual rows and the rank
@@ -114,12 +114,9 @@ class SparseIntMatrix:
         self._residual = None
 
     @classmethod
-    def _adopt(cls, rows, cols, row_map, edges=None):
-        """A matrix whose stores are ``row_map`` and ``edges`` themselves
-        (see the class doc)."""
-        if edges is None:
-            edges = ([], [], [])
-            _file_edges(row_map, edges)
+    def _adopt(cls, rows, cols, row_map, edges):
+        """A matrix whose stores are ``row_map`` and ``edges`` themselves,
+        unchecked (see the class doc)."""
         M = cls.__new__(cls)
         M.rows, M.cols, M._row_map, M._edges = rows, cols, row_map, edges
         M._residual = None
@@ -167,17 +164,9 @@ class SparseIntMatrix:
             out[r][b] = -1
         return out
 
-    def _edge_map(self):
-        er, eh, et = self._edges
-        return dict(zip(er, zip(eh, et)))
-
     def __eq__(self, other):
-        return (
-            isinstance(other, SparseIntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._row_map == other._row_map
-            and self._edge_map() == other._edge_map()
+        return isinstance(other, SparseIntMatrix) and (
+            (self.rows, self.cols, self.triplets) == (other.rows, other.cols, other.triplets)
         )
 
     def __repr__(self):

@@ -25,7 +25,12 @@ class RingElement:
     """Finitely supported Z-valued function on group elements.
 
     Stored as a dict GroupElement -> nonzero int; the empty support is 0.
-    Values are immutable by convention; all operations return new elements.
+    The constructor is the one place that checks the terms and puts them
+    in this normal form: like terms are summed in the order they first
+    appear and zero sums are dropped.  Every operation hands it its raw
+    terms and returns a new element; values are immutable by convention.
+    A ring element equals only a ring element over the same family, never
+    an int or a group element; ``is_zero()`` is the zero test.
     """
 
     __slots__ = ("family", "terms")
@@ -37,10 +42,7 @@ class RingElement:
         items = terms.items() if isinstance(terms, dict) else terms
         for g, c in items:
             family.check_member(g)
-            c = index(c)
-            if c == 0:
-                continue
-            c += clean.get(g, 0)
+            c = index(c) + clean.get(g, 0)
             if c:
                 clean[g] = c
             else:
@@ -85,24 +87,12 @@ class RingElement:
 
     def __add__(self, other):
         other = self._check(other)
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            n = terms.get(g, 0) + c
-            if n:
-                terms[g] = n
-            else:
-                terms.pop(g, None)
-        out = RingElement.__new__(RingElement)
-        out.family, out.terms = self.family, terms
-        return out
+        return RingElement(self.family, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RingElement.__new__(RingElement)
-        out.family = self.family
-        out.terms = {g: -c for g, c in self.terms.items()}
-        return out
+        return RingElement(self.family, {g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -112,26 +102,14 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return RingElement.zero(self.family)
-            out = RingElement.__new__(RingElement)
-            out.family = self.family
-            out.terms = {g: c * other for g, c in self.terms.items()}
-            return out
-        other = self._check(other)
+            return RingElement(self.family, {g: c * other for g, c in self.terms.items()})
+        return RingElement(self.family, self._product_terms(self._check(other)))
+
+    def _product_terms(self, other):
+        """The raw terms of self * other, one per pair of terms."""
         mul = self.family.multiply
-        terms = {}
-        for s, fs in self.terms.items():
-            for t, gt in other.terms.items():
-                st = mul(s, t)
-                n = terms.get(st, 0) + fs * gt
-                if n:
-                    terms[st] = n
-                else:
-                    del terms[st]
-        out = RingElement.__new__(RingElement)
-        out.family, out.terms = self.family, terms
-        return out
+        return [(mul(s, t), fs * gt)
+                for s, fs in self.terms.items() for t, gt in other.terms.items()]
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -139,11 +117,6 @@ class RingElement:
         return self._check(other) * self
 
     def __eq__(self, other):
-        if isinstance(other, (int, GroupElement)):
-            try:
-                other = RingElement.coerce(other, self.family)
-            except (TypeError, ValueError):
-                return NotImplemented
         if not isinstance(other, RingElement):
             return NotImplemented
         return self.family == other.family and self.terms == other.terms
@@ -253,19 +226,13 @@ class RingMatrix:
             raise ValueError(
                 "shape mismatch: %s * %s" % (self.shape, other.shape)
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RingElement.zero(self.family)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.family, out)
+        A, B = self.entries, other.entries
+        return RingMatrix(self.family, [
+            [RingElement(self.family, [
+                term for k in range(self.cols) for term in A[i][k]._product_terms(B[k][j])
+            ]) for j in range(other.cols)]
+            for i in range(self.rows)
+        ])
 
     def __add__(self, other):
         if not isinstance(other, RingMatrix):

@@ -1,5 +1,6 @@
-"""Mutation check of the proofs behind every certified rank, and of the
-grid models that build their images only when read.
+"""Mutation check of the proofs behind every certified rank, of the
+literal mean-rank matrix, and of the grid models that build their images
+only when read.
 
 Each mutant in MUTANTS is one textual edit of a file under src/soficrank,
 made on a copy of src/ in a temporary directory, never in place.  For each,
@@ -111,6 +112,14 @@ MUTANTS = [
      "certified = finite and rel.certified and full.certified",
      "certified = finite and full.certified",
      "a mean rank certified without its relation rank"),
+    ("invariants.py",
+     "minus_sb = {pos: -c for pos, c in sbvec.items()}",
+     "minus_sb = {pos: c for pos, c in sbvec.items()}",
+     "translation relation loses its minus sign"),
+    ("invariants.py",
+     "rows.append(place(v, bvec) + place(perm[v], minus_sb))",
+     "rows.append(place(v, bvec) + place(v, minus_sb))",
+     "translation relation placed at v, not sigma(s) v"),
     ("invariants.py",
      "    n = q._grid\n",
      "    n = q._grid\n    q.gen_images\n",

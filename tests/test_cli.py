@@ -395,7 +395,7 @@ def _refuse_to_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("a model was built")
 
-    for builder in ("grid_quotient", "sanov_quotient", "random_quotient"):
+    for builder in ("grid_quotient", "sanov_quotient", "random_quotient", "regular_quotient"):
         monkeypatch.setattr(groups, builder, refuse)
 
 
@@ -671,6 +671,64 @@ def test_misread_names_and_repeated_pairs_are_config_errors(
     assert err.startswith("config error: %s:%d: %s: " % (cfg, line, section_key))
     assert not (tmp_path / "out").exists()
     assert calls == []  # no table is built for a job with a bad name
+
+
+VRK_WITH_COMPLEX = _replace(
+    _replace(F2_BETTI_CONFIG, "[quotients]", "[module]\nfree_rank = 1\nrelations = a - 1\n\n[quotients]"),
+    "pipeline = betti\nj = 1\n", "pipeline = vrk\n",
+)
+
+
+@pytest.mark.parametrize(
+    "text, section, pipeline",
+    [
+        (ORACLE_Z2_CONFIG + "\n[quotients]\nprovider = regular\n", "quotients", "oracle"),
+        (VRK_WITH_COMPLEX, "complex", "vrk"),
+    ],
+    ids=["oracle_quotients", "vrk_complex"],
+)
+def test_section_the_pipeline_does_not_read_is_located(
+    tmp_path, capsys, monkeypatch, text, section, pipeline
+):
+    write(tmp_path, "z2.txt", "2\n1 2\n2 1\n1 2\n")
+    cfg = write(tmp_path, "stray.cfg", text)
+    line = text.splitlines().index("[%s]" % section) + 1
+    _refuse_to_build(monkeypatch)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:%d: [%s]: %s does not read this section\n" % (cfg, line, section, pipeline)
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["betti", "mrk_j"])
+def test_degree_above_the_complex_is_located_at_load(tmp_path, capsys, monkeypatch, pipeline):
+    text = _replace(F2_BETTI_CONFIG, "pipeline = betti\nj = 1", "pipeline = %s\nj = 2" % pipeline)
+    cfg = write(tmp_path, "j.cfg", text)
+    line = text.splitlines().index("j = 2") + 1
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == (
+        "%s:%d: [run] j: 2 is above the complex's top degree 1" % (cfg, line)
+    )
+    # an override is located at its flag
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--j", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s: --j: [run] j: 3 is above the complex's top degree 1\n" % cfg
+    )
+
+
+def test_random_models_for_a_homology_pipeline_are_located_at_load(tmp_path, capsys, monkeypatch):
+    text = _replace(F2_BETTI_CONFIG, "provider = sanov\nmoduli = 3 15", "provider = random\ndegrees = 100")
+    cfg = write(tmp_path, "random.cfg", text)
+    line = text.splitlines().index("provider = random") + 1
+    _refuse_to_build(monkeypatch)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:%d: [quotients] provider: random models are heuristic; "
+        "betti needs genuine ones\n" % (cfg, line)
+    )
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

@@ -113,11 +113,32 @@ def test_commutativity_and_noncommutativity(z2grid, f2):
     assert a * b != b * a
 
 
-def test_no_zero_coefficients_stored(f2):
-    a, _ = f2.generators()
+def test_no_zero_coefficients_stored(f2, s3):
+    a, b = f2.generators()
     f = mono(a) - mono(a)
     assert f.is_zero()
     assert f.terms == {}
+    g = mono(a) + 2 * mono(b)
+    # (1 - s)(1 + s) = 1 - s^2 = 0 for s = (12) of order 2: every term cancels
+    s12 = s3.element(1)
+    one = RingElement.one(s3)
+    zeros = [g * 0, 0 * g, g + (-g), (one - mono(s12)) * (one + mono(s12))]
+    # a matrix entry a*1 + a*(-1) that cancels only across k
+    row = RingMatrix(f2, [[mono(a), mono(a)]])
+    col = RingMatrix(f2, [[RingElement.one(f2)], [-RingElement.one(f2)]])
+    zeros.append((row * col)[0, 0])
+    for z in zeros:
+        assert z.terms == {}
+
+
+def test_ring_elements_equal_only_ring_elements(f2):
+    a, _ = f2.generators()
+    one = RingElement.one(f2)
+    # equal values hash alike, so no int or group element may equal one
+    assert one != 1 and 1 != one and one not in {1}
+    assert mono(a) != a and a != mono(a)
+    assert (mono(a) - mono(a)).is_zero() and mono(a) - mono(a) != 0
+    assert one == RingElement.coerce(1, f2) and mono(a) == RingElement.coerce(a, f2)
 
 
 @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(3, 2), 0.9])
