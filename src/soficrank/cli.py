@@ -12,16 +12,16 @@ Config format: line-oriented sections with ``key = value`` entries.
     [complex]                  # betti / mrk_j / euler / defect / oracle
     ranks = 2 1                # n_k ... n_0, top degree first
     d1 = a - 1 ; b - 1         # d_k ... d_1: rows ';', entries ','
-    kernel = ...               # defect only: rows generating ker d_1
+    kernel = ...               # defect only: rows generating ker d_1, K*d1 = 0
 
     [module]                   # vrk / relative / meanrank
     free_rank = 1              # >= 1
     relations = ...            # optional relation matrix
-    generators = a - 1 ; b - 1 # relative: generating vectors of the submodule
-    a_gens = 1                 # meanrank: vectors, rows ';', components ','
-    b_gens = 1
-    f_set = e ; a ; b          # meanrank: group elements
-    window = ...               # meanrank over infinite families
+    generators = a - 1 ; b - 1 # relative only: generating vectors of the submodule
+    a_gens = 1                 # meanrank only: vectors, rows ';', components ','
+    b_gens = 1                 # meanrank only
+    f_set = e ; a ; b          # meanrank only: group elements
+    window = ...               # meanrank only, over infinite families
 
     [quotients]                # every pipeline but oracle
     provider = sanov           # grid | sanov | regular | random
@@ -31,8 +31,8 @@ Config format: line-oriented sections with ``key = value`` entries.
 
     [run]                      # the values shown are the defaults
     pipeline = betti           # betti|vrk|relative|mrk_j|euler|defect|meanrank|soficity|oracle
-    j = 0                      # degree index, >= 0
-    pairs = a, b ; ab, ba      # soficity: no pair twice
+    j = 0                      # betti / mrk_j: degree index, >= 0
+    pairs = a, b ; ab, ba      # soficity only, required: no pair twice
     primes = 3                 # certification primes per round, >= 1
     prime_bits = 50 62         # primes in [2^lo, 2^hi), 0 <= lo < hi <= 63
     dense_threshold = 500      # Bareiss fallback up to this dimension, >= 0
@@ -44,14 +44,18 @@ Config format: line-oriented sections with ``key = value`` entries.
 ``pipeline``, ``family``, ``provider`` and the keys without a default are
 required; an empty optional value counts as absent.  A key the job does not
 read is an error: a typo, ``d3`` in a two-term complex, ``moduli`` under
-``provider = regular``.  So is a section the pipeline does not read
-(``[quotients]`` in an oracle job, ``[complex]`` in a vrk job), a pipeline
-whose inputs are missing, a ``j`` above the complex's top degree (betti,
-mrk_j), and ``provider = random`` for a pipeline other than meanrank or
-soficity, since random models are heuristic.  Each is found before any
-model is built.  Every config error names the file, and the line of its key
-(of its section when the key is missing or the section is not read), or the
-command-line flag that set the value.
+``provider = regular``, or a key of another pipeline, since each of
+``kernel``, ``generators``, ``a_gens``, ``b_gens``, ``f_set``, ``window``,
+``j`` and ``pairs`` is read only by the pipelines its comment names.  So is
+a section the pipeline does not read (``[quotients]`` in an oracle job,
+``[complex]`` in a vrk job), a pipeline whose inputs are missing, a ``j``
+above the complex's top degree (betti, mrk_j), a defect complex that is not
+two-term (at ``ranks``) or whose kernel rows are not annihilated by d_1 (at
+``kernel``), and ``provider = random`` for a pipeline other than meanrank
+or soficity, since random models are heuristic.  Each of these, but an
+unread key, is found before any model is built.  Every config error names
+the file, and the line of its key (of its section when the key is missing
+or the section is not read), or the command-line flag that set the value.
 
 ``size_cap`` bounds every model a job builds, soficity included: the degree
 of each grid, Sanov or random stage follows from ``moduli`` or ``degrees``
@@ -88,6 +92,7 @@ from .invariants import (
     ApproximantSeries,
     ModulePresentation,
     SeriesPoint,
+    _kernel_complex,
     betti_approximants,
     euler_approximants,
     euler_characteristic,
@@ -109,12 +114,12 @@ __all__ = ["ConfigError", "JobConfig", "load_config", "run", "main"]
 _PIPELINE_INPUTS = {
     "betti": ("[complex]", "[quotients]"),
     "vrk": ("[module]", "[quotients]"),
-    "relative": ("[module]", "[quotients]", "[module] generators"),
+    "relative": ("[module]", "[quotients]"),
     "mrk_j": ("[complex]", "[quotients]"),
     "euler": ("[complex]", "[quotients]"),
     "defect": ("[complex]", "[quotients]"),
-    "meanrank": ("[module]", "[quotients]", "[module] a_gens", "[module] b_gens", "[module] f_set"),
-    "soficity": ("[quotients]", "[run] pairs"),
+    "meanrank": ("[module]", "[quotients]"),
+    "soficity": ("[quotients]",),
     "oracle": ("[complex]", "[group] table"),
 }
 PIPELINES = tuple(_PIPELINE_INPUTS)
@@ -218,8 +223,6 @@ _REQUIRED = object()
 # [run] key -> (parser, default, the RankPolicy field it sets)
 _RUN_KEYS = {
     "pipeline": (_one_of(*PIPELINES), _REQUIRED, None),
-    "j": (_at_least(0), 0, None),
-    "pairs": (_pairs, None, None),
     "primes": (_at_least(1), DEFAULT_POLICY.primes_count, "primes_count"),
     "prime_bits": (_prime_bits, DEFAULT_POLICY.prime_bits, "prime_bits"),
     "dense_threshold": (_at_least(0), DEFAULT_POLICY.dense_threshold, "dense_threshold"),
@@ -350,6 +353,8 @@ class JobConfig:
         }
         cap = self.options["size_cap"]
         pipeline = self.options["pipeline"]
+        if pipeline == "soficity":
+            self.options["pairs"] = self._value("run", "pairs", _pairs)
         needs = _PIPELINE_INPUTS[pipeline]
         for section, values in self.sections.items():
             if values and section not in ("group", "run") and "[%s]" % section not in needs:
@@ -371,11 +376,19 @@ class JobConfig:
                 self.complex = build_complex(self.family, ranks, diffs)
             except ValueError as exc:
                 self._fail("complex", "ranks", str(exc))
-            self.kernel = self._value("complex", "kernel", parse_ring_matrix, None)
             top = self.complex.top_degree
-            if pipeline in ("betti", "mrk_j") and self.options["j"] > top:
-                self._fail("run", "j", "%d is above the complex's top degree %d"
-                           % (self.options["j"], top))
+            if pipeline in ("betti", "mrk_j"):
+                j = self.options["j"] = self._value("run", "j", _at_least(0), 0)
+                if j > top:
+                    self._fail("run", "j", "%d is above the complex's top degree %d" % (j, top))
+            elif pipeline == "defect":
+                if top != 1:
+                    self._fail("complex", "ranks", "defect needs a two-term complex")
+                self.kernel = self._value("complex", "kernel", parse_ring_matrix, None)
+                try:
+                    _kernel_complex(self.complex, self.kernel)
+                except ValueError as exc:
+                    self._fail("complex", "kernel", str(exc))
 
         # ---- module ----
         if self.sections.get("module"):
@@ -392,11 +405,13 @@ class JobConfig:
                     raise ValueError("vectors must have %d components" % n)
                 return mat
 
-            self.generators = self._value("module", "generators", vectors, None)
-            self.a_gens = self._value("module", "a_gens", vectors, None)
-            self.b_gens = self._value("module", "b_gens", vectors, None)
-            self.f_set = self._value("module", "f_set", _elements, None)
-            self.window = self._value("module", "window", _elements, None)
+            if pipeline == "relative":
+                self.generators = self._value("module", "generators", vectors)
+            elif pipeline == "meanrank":
+                self.a_gens = self._value("module", "a_gens", vectors)
+                self.b_gens = self._value("module", "b_gens", vectors)
+                self.f_set = self._value("module", "f_set", _elements)
+                self.window = self._value("module", "window", _elements, None)
 
         # ---- quotients ----
         if self.sections.get("quotients"):

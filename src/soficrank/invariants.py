@@ -7,9 +7,12 @@ degree j is n_j*d - rank L(d_j) - rank L(d_{j+1}), so the emitted value
 over one rank table per stage (_rank_table): the differentials or relation
 matrices it needs are ranked once at each stage, each point is its
 formula over those ranks, and a point is certified exactly when every rank
-behind it is.  No rank outlives the call that computed it.  Heuristic
-(non-genuine) models are rejected, because the image need not sit inside
-the kernel there.
+behind it is.  The homology pipelines share one formula, the Betti table
+(_betti_table): betti, the mean-rank route mrk_j (equal to the Betti value
+term by term), euler, and the additivity defect of d_1, which is b_1 of the
+complex K -> d_1 for kernel rows K.  No rank outlives the call that
+computed it.  Heuristic (non-genuine) models are rejected, because the
+image need not sit inside the kernel there.
 
 Ranks come from _stage_ranks.  At the translation model of (Z/n)^k that
 grid_quotient built, which records n, it splits each rank over characters
@@ -51,7 +54,7 @@ from .linearize import (
     DEFAULT_SIZE_CAP, SizeCapExceeded, SparseIntMatrix, check_size_cap, linearize,
 )
 from .rank import _ZERO_MAP, DEFAULT_POLICY, rank_dense_bareiss, rank_over_rationals
-from .ring import RingElement, RingMatrix
+from .ring import ChainComplex, RingElement, RingMatrix
 
 __all__ = [
     "SeriesPoint",
@@ -229,11 +232,42 @@ def _series(label, family, Q, matrices, value, policy, size_cap):
     return ApproximantSeries(label, points, Q.chain)
 
 
-def _differentials_at(C, j):
-    """(d_j, d_{j+1}), the two maps whose ranks give homology in degree j."""
+def _betti_table(C, Q, degrees, policy, size_cap):
+    """Q as a QuotientSequence, and for each of its stages the degree d, the
+    RankResults of d_lo ... d_{hi+1} (lo and hi the ends of the range
+    ``degrees``), each ranked once, and the Betti point of every j in
+    ``degrees``: (n_j*d - rank L(d_j) - rank L(d_{j+1})) / d, certified when
+    both of its ranks are."""
+    differentials = [C.differential(i) for i in range(degrees[0], degrees[-1] + 2)]
+    Q, table = _rank_table(C.family, Q, differentials, policy, size_cap)
+    return Q, [
+        (d, ranks, [
+            _point(d, Fraction(C.rank_of(j) * d - low.rank - high.rank, d), (low, high))
+            for j, low, high in zip(degrees, ranks, ranks[1:])
+        ])
+        for d, ranks in table
+    ]
+
+
+def _betti_series(label, C, Q, j, policy, size_cap):
+    """The degree-j series of the Betti table under ``label``."""
     if not 0 <= j <= C.top_degree:
         raise ValueError("degree index %d outside the complex" % j)
-    return C.differential(j), C.differential(j + 1)
+    Q, table = _betti_table(C, Q, range(j, j + 1), policy, size_cap)
+    return ApproximantSeries(label, tuple(points[0] for _, _, points in table), Q.chain)
+
+
+def _kernel_complex(C, kernel_rows):
+    """The complex K -> d_1 of a two-term complex C and the rows K of
+    ``kernel_rows`` (C itself when None); ChainComplex checks that K is over
+    C's family, has n_1 columns and that K*d_1 = 0."""
+    if C.top_degree != 1:
+        raise ValueError("juzvinskii_defect expects a two-term complex")
+    if kernel_rows is None:
+        return C
+    if not isinstance(kernel_rows, RingMatrix):
+        raise ValueError("kernel rows must be a RingMatrix")
+    return ChainComplex(C.family, (kernel_rows.rows,) + C.ranks, (kernel_rows,) + C.differentials)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +278,7 @@ def betti_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
 
     Stage value at degree d: (n_j*d - rank L(d_j) - rank L(d_{j+1})) / d.
     """
-    n_j = C.rank_of(j)
-    return _series(
-        "betti[j=%d]" % j, C.family, Q, _differentials_at(C, j),
-        lambda d, r_low, r_high: Fraction(n_j * d - r_low - r_high, d),
-        policy, size_cap,
-    )
+    return _betti_series("betti[j=%d]" % j, C, Q, j, policy, size_cap)
 
 
 def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
@@ -280,16 +309,10 @@ def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CA
 
 def mrk_j_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Mean-rank route to the degree-j series: vrk(coker d_{j+1}) minus the
-    rank density n_{j-1} - vrk(coker d_j) of the image of d_j, from the same
-    two ranks as the Betti value (and so equal to it at every stage)."""
-    n_j, n_low = C.rank_of(j), C.rank_of(j - 1)
-    return _series(
-        "mrk[j=%d]" % j, C.family, Q, _differentials_at(C, j),
-        lambda d, r_low, r_high: (
-            Fraction(n_j * d - r_high, d) - (n_low - Fraction(n_low * d - r_low, d))
-        ),
-        policy, size_cap,
-    )
+    rank density n_{j-1} - vrk(coker d_j) of the image of d_j.  Term by term
+    that is (n_j*d - rank L(d_{j+1}))/d - rank L(d_j)/d, the Betti value, so
+    it is read from the same Betti table and equals it at every stage."""
+    return _betti_series("mrk[j=%d]" % j, C, Q, j, policy, size_cap)
 
 
 def euler_characteristic(C):
@@ -307,24 +330,17 @@ def euler_approximants(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
     its stage is.
     """
     degrees = range(C.top_degree + 1)
-    free_ranks = [C.rank_of(j) for j in degrees]
-    differentials = [C.differential(i) for i in range(C.top_degree + 2)]
-    Q, table = _rank_table(C.family, Q, differentials, policy, size_cap)
+    Q, table = _betti_table(C, Q, degrees, policy, size_cap)
     chi = euler_characteristic(C)
-    stages = [
-        [
-            _point(d, Fraction(n_j * d - low.rank - high.rank, d), (low, high))
-            for n_j, low, high in zip(free_ranks, results, results[1:])
-        ]
-        for d, results in table
-    ]
     series = [
-        ApproximantSeries("betti[j=%d]" % j, tuple(s[j] for s in stages), Q.chain)
+        ApproximantSeries(
+            "betti[j=%d]" % j, tuple(points[j] for _, _, points in table), Q.chain
+        )
         for j in degrees
     ]
     residuals = tuple(
-        _point(d, sum((-1) ** j * p.value for j, p in enumerate(s)) - chi, results)
-        for s, (d, results) in zip(stages, table)
+        _point(d, sum((-1) ** j * p.value for j, p in enumerate(points)) - chi, ranks)
+        for d, ranks, points in table
     )
     return series + [ApproximantSeries("euler_residual", residuals, Q.chain)]
 
@@ -338,25 +354,13 @@ def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE
     the rank density of the image presented absolutely (coker of the
     kernel rows) minus its density relative to the target module
     (n_0 - vrk(coker d_1)); zero defect is the additivity of the rank
-    under d_1.
+    under d_1.  Term by term that is (n_1*d - rank L(K) - rank L(d_1))/d for
+    K the kernel rows: the degree-1 Betti value of the complex K -> d_1,
+    which is how it is computed.  Building that complex checks that K is
+    over C's family, has n_1 columns and that K*d_1 = 0 (ValueError).
     """
-    if C.top_degree != 1:
-        raise ValueError("juzvinskii_defect expects a two-term complex")
-    d1 = C.differential(1)
-    n1, n0 = C.rank_of(1), C.rank_of(0)
-    if kernel_rows is not None:
-        if not isinstance(kernel_rows, RingMatrix) or kernel_rows.family != C.family:
-            raise ValueError("kernel rows must be a RingMatrix over the same family")
-        if kernel_rows.cols != n1:
-            raise ValueError("kernel rows must have %d columns" % n1)
-        if not (kernel_rows * d1).is_zero():
-            raise ValueError("kernel rows are not annihilated by d_1")
-    return _series(
-        "juzvinskii_defect", C.family, Q, (kernel_rows, d1),
-        lambda d, r_kernel, r_image: (
-            Fraction(n1 * d - r_kernel, d) - (n0 - Fraction(n0 * d - r_image, d))
-        ),
-        policy, size_cap,
+    return _betti_series(
+        "juzvinskii_defect", _kernel_complex(C, kernel_rows), Q, 1, policy, size_cap
     )
 
 

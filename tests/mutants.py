@@ -101,6 +101,14 @@ MUTANTS = [
      "any(r.certified for r in ranks)",
      "a point certified when any one of its ranks is"),
     ("invariants.py",
+     "- high.rank, d), (low, high))",
+     "- high.rank, d), (low,))",
+     "a Betti point certified on the rank of d_j alone"),
+    ("invariants.py",
+     '"juzvinskii_defect", _kernel_complex(C, kernel_rows), Q, 1',
+     '"juzvinskii_defect", _kernel_complex(C, kernel_rows) and C, Q, 1',
+     "the defect ignoring its kernel rows"),
+    ("invariants.py",
      "            if result.certified:\n                results.append(result)",
      "            if True:\n                results.append(result)",
      "an uncertified Fourier rank accepted"),

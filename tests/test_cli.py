@@ -719,6 +719,79 @@ def test_degree_above_the_complex_is_located_at_load(tmp_path, capsys, monkeypat
     )
 
 
+DEFECT_F2_CONFIG = _replace(F2_BETTI_CONFIG, "pipeline = betti\nj = 1\n", "pipeline = defect\n")
+
+
+@pytest.mark.parametrize(
+    "text, bad_line, message",
+    [
+        (_replace(KOSZUL_EULER_CONFIG, "pipeline = euler", "pipeline = defect"),
+         "ranks = 1 2 1", "defect needs a two-term complex"),
+        (_replace(DEFECT_F2_CONFIG, "b - 1\n", "b - 1\nkernel = a, 1\n"),
+         "kernel = a, 1", "composite d_2*d_1 is nonzero"),
+    ],
+    ids=["three_terms", "kernel_not_annihilated"],
+)
+def test_defect_inputs_are_located_at_load(tmp_path, capsys, monkeypatch, text, bad_line, message):
+    cfg = write(tmp_path, "defect.cfg", text)
+    line = text.splitlines().index(bad_line) + 1
+    _refuse_to_build(monkeypatch)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: %s:%d: [complex] %s: %s" % (cfg, line, bad_line.split()[0], message)
+    )
+    assert not (tmp_path / "out").exists()
+
+
+VRK_CONFIG = """\
+[group]
+family = free
+rank = 2
+
+[module]
+free_rank = 1
+relations = a - 1
+
+[quotients]
+provider = sanov
+moduli = 3
+
+[run]
+pipeline = vrk
+"""
+
+
+# each key is read only by the pipelines that use it
+@pytest.mark.parametrize(
+    "text, section, stray",
+    [
+        (_replace(F2_BETTI_CONFIG, "b - 1\n", "b - 1\nkernel = 1, 1\n"), "complex", "kernel = 1, 1"),
+        (_replace(VRK_CONFIG, "a - 1\n", "a - 1\ngenerators = a\n"), "module", "generators = a"),
+        (_replace(VRK_CONFIG, "a - 1\n", "a - 1\nwindow = e ; a\n"), "module", "window = e ; a"),
+        (VRK_CONFIG + "j = 0\n", "run", "j = 0"),
+        (F2_BETTI_CONFIG + "pairs = a, b\n", "run", "pairs = a, b"),
+    ],
+    ids=["kernel_in_betti", "generators_in_vrk", "window_in_vrk", "j_in_vrk", "pairs_in_betti"],
+)
+def test_key_the_pipeline_does_not_read_is_located(tmp_path, capsys, text, section, stray):
+    cfg = write(tmp_path, "stray.cfg", text)
+    line = text.splitlines().index(stray) + 1
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:%d: [%s] %s: unknown key (this job does not read it)\n"
+        % (cfg, line, section, stray.split()[0])
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_degree_flag_on_a_job_without_degree_is_located(tmp_path, capsys):
+    cfg = write(tmp_path, "vrk.cfg", VRK_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--j", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s: --j: [run] j: unknown key (this job does not read it)\n" % cfg
+    )
+
+
 def test_random_models_for_a_homology_pipeline_are_located_at_load(tmp_path, capsys, monkeypatch):
     text = _replace(F2_BETTI_CONFIG, "provider = sanov\nmoduli = 3 15", "provider = random\ndegrees = 100")
     cfg = write(tmp_path, "random.cfg", text)

@@ -278,11 +278,17 @@ def test_defect_free_group_augmentation(f2, f2_complex):
     assert abs(values[1] - 1) == Fraction(1, 2880)
 
 
-def test_defect_kernel_rows_validated(f2, f2_complex):
+def test_defect_kernel_rows_validated(f2, f2_complex, z1):
     Q = sanov_sequence([3], f2)
-    bad = parse_ring_matrix("a", f2)  # a * d1 != 0
-    with pytest.raises(ValueError):
-        juzvinskii_defect(f2_complex, Q, kernel_rows=bad)
+    for bad in (
+        parse_ring_matrix("a", f2),  # one column, d1 has two rows
+        parse_ring_matrix("a, b, 1", f2),  # three columns
+        parse_ring_matrix("a, 1", f2),  # a*(a - 1) + (b - 1) != 0
+        parse_ring_matrix("1, 1", z1),  # over another family
+        [[1, 1]],  # not a RingMatrix
+    ):
+        with pytest.raises(ValueError):
+            juzvinskii_defect(f2_complex, Q, kernel_rows=bad)
 
 
 def test_defect_with_genuine_kernel_rows(z1):
