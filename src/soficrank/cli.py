@@ -92,12 +92,12 @@ from .invariants import (
     ApproximantSeries,
     ModulePresentation,
     SeriesPoint,
+    _defect_series,
     _kernel_complex,
     betti_approximants,
     euler_approximants,
     euler_characteristic,
     finite_group_exact_betti,
-    juzvinskii_defect,
     literal_mean_rank_point,
     mrk_j_approximants,
     relative_vrk_approximants,
@@ -283,7 +283,7 @@ class JobConfig:
     """A validated job: group family, payload objects, quotients, options."""
 
     # the payloads a job does not give stay None
-    family = complex = kernel = module = quotients = None
+    family = complex = kernel_complex = module = quotients = None
     generators = a_gens = b_gens = f_set = window = None
 
     def __init__(self, sections, path="<config>", base_dir=".", lines=None):
@@ -384,9 +384,10 @@ class JobConfig:
             elif pipeline == "defect":
                 if top != 1:
                     self._fail("complex", "ranks", "defect needs a two-term complex")
-                self.kernel = self._value("complex", "kernel", parse_ring_matrix, None)
+                kernel = self._value("complex", "kernel", parse_ring_matrix, None)
                 try:
-                    _kernel_complex(self.complex, self.kernel)
+                    # K -> d_1, built once: run ranks this complex
+                    self.kernel_complex = _kernel_complex(self.complex, kernel)
                 except ValueError as exc:
                     self._fail("complex", "kernel", str(exc))
 
@@ -413,7 +414,8 @@ class JobConfig:
                 self.f_set = self._value("module", "f_set", _elements)
                 self.window = self._value("module", "window", _elements, None)
 
-        # ---- quotients ----
+        # ---- quotients: read here, built after the unread-key check ----
+        build = None  # (the key a failed build is located at, its builder)
         if self.sections.get("quotients"):
             provider = self._value(
                 "quotients", "provider", _one_of("grid", "sanov", "regular", "random")
@@ -424,33 +426,34 @@ class JobConfig:
             if provider == "regular":
                 if not isinstance(self.family, FiniteTable):
                     self._fail("quotients", "provider", "regular needs a finite_table family")
-                self.quotients = regular_sequence(self.family)
+                build = "provider", lambda: regular_sequence(self.family)
             elif provider == "random":
                 degrees = self._value("quotients", "degrees", _integers)
                 seed = self._value("quotients", "seed", _integer, 0)
-                try:
-                    self.quotients = random_sequence(self.family, degrees, seed, cap)
-                except (ValueError, SizeCapExceeded) as exc:
-                    self._fail("quotients", "degrees", str(exc))
+                build = "degrees", lambda: random_sequence(self.family, degrees, seed, cap)
             else:
                 moduli = self._value("quotients", "moduli", _integers)
                 if provider == "grid" and not isinstance(self.family, FreeAbelian):
                     self._fail("quotients", "provider", "grid needs a free_abelian family")
-                try:
-                    if provider == "grid":
-                        self.quotients = grid_sequence(
-                            self.family.rank, moduli, self.family, cap
-                        )
-                    else:
-                        self.quotients = sanov_sequence(moduli, self.family, cap)
-                except (ValueError, SizeCapExceeded) as exc:
-                    self._fail("quotients", "moduli", str(exc))
+                build = "moduli", lambda: (
+                    grid_sequence(self.family.rank, moduli, self.family, cap)
+                    if provider == "grid"
+                    else sanov_sequence(moduli, self.family, cap)
+                )
 
         # ---- every key read ----
         for section, values in self.sections.items():
             for key in values:
                 if (section, key) not in self._read:
                     self._fail(section, key, "unknown key (this job does not read it)")
+
+        # ---- models: the costly step, taken once every other check passed ----
+        if build is not None:
+            key, make = build
+            try:
+                self.quotients = make()
+            except (ValueError, SizeCapExceeded) as exc:
+                self._fail("quotients", key, str(exc))
 
     def normalized_text(self):
         """Every value the job read, section by section, in the order read."""
@@ -522,7 +525,7 @@ def run(config, out_dir=".", strict=False):
         summary.append("chi = %d" % chi)
         series.extend(euler_approximants(C, Q, policy, cap))
     elif pipeline == "defect":
-        series.append(juzvinskii_defect(C, Q, config.kernel, policy, cap))
+        series.append(_defect_series(config.kernel_complex, Q, policy, cap))
     elif pipeline == "meanrank":
         points = tuple(
             literal_mean_rank_point(

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from operator import index
+from operator import index, itemgetter
 
 from .primes import prime_factors
 
@@ -360,10 +360,12 @@ def _generating_set(table, e):
 class FiniteTable(GroupFamily):
     """Finite group from an explicit multiplication table (0-based internally).
 
-    ``table[i][j]`` is the index of element i * j.  Associativity, identity
-    and inverses are verified on construction (associativity by Light's
-    test over a generating set S, O(g^2 |S|) with |S| <= log2 g for a group).
-    Every element counts as a generator for permutation models.
+    ``table[i][j]`` is the index of element i * j.  Every entry goes
+    through operator.index and must lie in range(g).  Associativity,
+    identity and inverses are verified on construction (associativity by
+    Light's test over a generating set S, O(g^2 |S|) with |S| <= log2 g for
+    a group, each s reading whole rows through one itemgetter).  Every
+    element counts as a generator for permutation models.
     """
 
     def __init__(self, table, inverse=None, identity_index=0, names=None):
@@ -371,7 +373,8 @@ class FiniteTable(GroupFamily):
         g = len(table)
         if g < 1 or any(len(row) != g for row in table):
             raise ValueError("table must be square and nonempty")
-        if min(map(min, table)) < 0 or max(map(max, table)) >= g:
+        indices = set(range(g))
+        if not all(map(indices.issuperset, table)):
             raise ValueError("table entry out of range")
         e = index(identity_index)
         if not 0 <= e < g:
@@ -388,17 +391,21 @@ class FiniteTable(GroupFamily):
         inverse = tuple(map(index, inverse))
         if len(inverse) != g:
             raise ValueError("inverse table has wrong length")
-        if min(inverse) < 0 or max(inverse) >= g:
+        if not indices.issuperset(inverse):
             raise ValueError("inverse table entry out of range")
         for i, j in enumerate(inverse):
             if table[i][j] != e or table[j][i] != e:
                 raise ValueError(wrong % i)
         # Light's test: the s with (x*s)*y == x*(s*y) for all x, y are closed
-        # under products, so checking s over a generating set suffices
+        # under products, so checking s over a generating set suffices.  Row
+        # x*s is table[row_x[s]], and times_s(row_x) reads x*(s*y) for every
+        # y at once; the getter returns a tuple because g >= 2 whenever
+        # there is a generator (g = 1 has an empty generating set)
         for s in _generating_set(table, e):
+            times_s = itemgetter(*table[s])
             for x, row_x in enumerate(table):
                 lhs = table[row_x[s]]
-                rhs = tuple(map(row_x.__getitem__, table[s]))
+                rhs = times_s(row_x)
                 if lhs != rhs:
                     y = next(y for y in range(g) if lhs[y] != rhs[y])
                     raise ValueError(
@@ -436,7 +443,10 @@ class FiniteTable(GroupFamily):
         (row i, column j holds the index of element i*j).  Then one line of
         1-based inverse indices.  Identity is index 1.  '#' starts a comment
         and blank lines are skipped; an entry that is not an integer is
-        named with its line.
+        named with its line.  A line spelled canonically (each entry one of
+        '1' ... 'g') is read by dictionary lookup, any other line by int()
+        word by word, so '+3' and '03' read as 3 and an index out of range
+        reaches the constructor's range check.
         """
         # (line number in the text, content), comments and blank lines dropped
         lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
@@ -451,16 +461,24 @@ class FiniteTable(GroupFamily):
             raise ValueError("group order must be positive, got %d" % g)
         if len(lines) != g + 2:
             raise ValueError("expected %d lines, got %d" % (g + 2, len(lines)))
+        # the canonical spelling of each index, bounded by the line count
+        # checked above; a line with a word it misses ('+3', '03', an index
+        # out of range, a word that is no integer) is read by int() instead
+        token = {str(i + 1): i for i in range(g)}.__getitem__
         rows = []
         for n, l in lines[1:]:
-            row = []
-            for x in l.split():
-                try:
-                    row.append(int(x) - 1)
-                except ValueError:
-                    raise ValueError(
-                        "table line %d: %r is not an integer" % (n, x)
-                    ) from None
+            words = l.split()
+            try:
+                row = list(map(token, words))
+            except KeyError:
+                row = []
+                for x in words:
+                    try:
+                        row.append(int(x) - 1)
+                    except ValueError:
+                        raise ValueError(
+                            "table line %d: %r is not an integer" % (n, x)
+                        ) from None
             rows.append(row)
         table, inverse = rows[:g], rows[g]
         return cls(table, inverse=inverse, identity_index=0, names=names)

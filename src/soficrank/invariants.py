@@ -270,6 +270,11 @@ def _kernel_complex(C, kernel_rows):
     return ChainComplex(C.family, (kernel_rows.rows,) + C.ranks, (kernel_rows,) + C.differentials)
 
 
+def _defect_series(K, Q, policy, size_cap):
+    """The defect series read from the complex K -> d_1 of _kernel_complex."""
+    return _betti_series("juzvinskii_defect", K, Q, 1, policy, size_cap)
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 
@@ -359,9 +364,7 @@ def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE
     which is how it is computed.  Building that complex checks that K is
     over C's family, has n_1 columns and that K*d_1 = 0 (ValueError).
     """
-    return _betti_series(
-        "juzvinskii_defect", _kernel_complex(C, kernel_rows), Q, 1, policy, size_cap
-    )
+    return _defect_series(_kernel_complex(C, kernel_rows), Q, policy, size_cap)
 
 
 def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):

@@ -1,12 +1,12 @@
 """Mutation check of the proofs behind every certified rank, of the
-literal mean-rank matrix, and of the grid models that build their images
-only when read.
+literal mean-rank matrix, of the grid models that build their images only
+when read, and of the reading and validation of finite group tables.
 
 Each mutant in MUTANTS is one textual edit of a file under src/soficrank,
 made on a copy of src/ in a temporary directory, never in place.  For each,
-the tests of the rank engines and the pipelines run against the copy, and
-the mutant is reported killed (a test failed), survived (every test
-passed) or timed out.  An edit whose old text does not occur exactly once
+the tests of the rank engines, the group families and the pipelines run
+against the copy, and the mutant is reported killed (a test failed),
+survived (every test passed) or timed out.  An edit whose old text does not occur exactly once
 in the file is an error before anything runs, so the table cannot rot
 silently; so is an unmutated copy that fails the tests.
 
@@ -32,7 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TESTS = [
     "tests/test_%s.py" % name
-    for name in ("rank", "fourier", "golden", "invariants", "properties", "acceptance")
+    for name in ("rank", "fourier", "golden", "invariants", "properties", "acceptance",
+                 "groups")
 ]
 # criterion 6 ranks a 50 000-row matrix three times; it alone would take
 # longer than the whole table
@@ -105,8 +106,8 @@ MUTANTS = [
      "- high.rank, d), (low,))",
      "a Betti point certified on the rank of d_j alone"),
     ("invariants.py",
-     '"juzvinskii_defect", _kernel_complex(C, kernel_rows), Q, 1',
-     '"juzvinskii_defect", _kernel_complex(C, kernel_rows) and C, Q, 1',
+     "_defect_series(_kernel_complex(C, kernel_rows), Q,",
+     "_defect_series(_kernel_complex(C, kernel_rows) and C, Q,",
      "the defect ignoring its kernel rows"),
     ("invariants.py",
      "            if result.certified:\n                results.append(result)",
@@ -136,6 +137,14 @@ MUTANTS = [
      '        self.__dict__["gen_images"] = images\n',
      "",
      "images rebuilt on every read"),
+    ("groups.py",
+     "for s in _generating_set(table, e):",
+     "for s in _generating_set(table, e)[:-1]:",
+     "Light's test skipping the last generator"),
+    ("groups.py",
+     "token = {str(i + 1): i for i in range(g)}",
+     "token = {str(i): i for i in range(g)}",
+     "table words read as 0-based indices"),
 ]
 
 

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from soficrank import groups
-from soficrank.cli import ConfigError, load_config, main
+from soficrank.cli import ConfigError, load_config, main, run
 from soficrank.linearize import linearize
+from soficrank.ring import ChainComplex
 
 F2_BETTI_CONFIG = """\
 # free-group two-term complex, homology-rank density in degree 1
@@ -741,6 +742,38 @@ def test_defect_inputs_are_located_at_load(tmp_path, capsys, monkeypatch, text, 
         "config error: %s:%d: [complex] %s: %s" % (cfg, line, bad_line.split()[0], message)
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_key_is_found_before_any_model_is_built(tmp_path, monkeypatch):
+    text = _replace(F2_BETTI_CONFIG, "moduli = 3 15", "moduli = 15 21") + "primse = 3\n"
+    cfg = write(tmp_path, "typo.cfg", text)
+    line = text.splitlines().index("primse = 3") + 1
+    calls = []
+    build = groups.sanov_quotient
+    monkeypatch.setattr(
+        groups, "sanov_quotient", lambda *args: calls.append(args) or build(*args)
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == (
+        "%s:%d: [run] primse: unknown key (this job does not read it)" % (cfg, line)
+    )
+    assert calls == []
+
+
+def test_defect_job_builds_its_kernel_complex_once(tmp_path, monkeypatch):
+    built = []
+    init = ChainComplex.__init__
+
+    def counted(self, family, ranks, differentials):
+        built.append(tuple(ranks))
+        init(self, family, ranks, differentials)
+
+    monkeypatch.setattr(ChainComplex, "__init__", counted)
+    golden = os.path.join(os.path.dirname(__file__), "golden", "pipelines")
+    run(load_config(os.path.join(golden, "defect.cfg")), out_dir=str(tmp_path))
+    # the job's complex (2, 1) and K -> d_1, whose kernel K has one row
+    assert built == [(2, 1), (1, 2, 1)]
 
 
 VRK_CONFIG = """\
