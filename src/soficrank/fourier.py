@@ -20,19 +20,28 @@ Hence, with one representative a_O per orbit,
 
 and equality holds for all but finitely many p.  Each prime's value is thus
 a lower bound for the rational rank, just as a mod-p rank of L(f) is, and
-rank.multimodular_rank certifies it by the same rule.  _orbit_values ranks
-every orbit once modulo the product of a batch's primes, and at the first
-orbit with a pivot that is not a unit there it ranks each prime alone.
+rank.multimodular_rank certifies it by the same rule.
+
+fourier_ranks ranks all of a grid stage's matrices in one call, under that
+one rule: one batch of primes per round for the whole stage.  The orbits
+and the exponents a.s mod n of every monomial s of the stage are worked
+out once per call; per batch there is one root of unity (the primes' roots
+joined by CRT), one power table and one table of character values
+zeta^(a.s), and every matrix still open reads them.  _split_values ranks
+a matrix's orbits once modulo the product of the batch's primes, and at
+the first orbit with a pivot that is not a unit there it ranks each prime
+alone, over the same table reduced modulo that prime.
 """
 
 from __future__ import annotations
 
 from math import gcd, prod
+from operator import mul
 
 from .primes import prime_factors
 from .rank import DEFAULT_POLICY, multimodular_rank
 
-__all__ = ["character_orbits", "fourier_rank"]
+__all__ = ["character_orbits", "fourier_ranks"]
 
 
 def character_orbits(k, n):
@@ -43,8 +52,8 @@ def character_orbits(k, n):
     and the units of Z/n reach every unit of Z/m, so its orbit is
     {u.a : u a unit of Z/m}, of size phi(m).  Points are indexed as
     sum_i a_i n^i; representatives come out in increasing index order.
-    Not memoized: invariants builds them once per grid stage and passes
-    them to fourier_rank for every differential ranked there.
+    Not memoized: fourier_ranks builds them once per call, which is once
+    per grid stage.
     """
     weights = [n ** i for i in range(k)]
     units = {}
@@ -103,44 +112,57 @@ def _rank_mod(rows, N):
     return rank
 
 
-def _orbit_values(f, n, orbits, primes):
-    """[sum_O |O| rank_p f(chi_(a_O)) for p in primes], distinct primes, in
-    one pass modulo their product N (roots joined by CRT); once an orbit's
-    matrix meets a pivot that is not a unit mod N, by one pass per prime
-    instead, where every nonzero pivot is a unit."""
+def _split_values(entries, orbits, chars, primes):
+    """[sum_O |O| rank_p f(chi_(a_O)) for p in primes], distinct primes, for
+    f given as ``entries`` (lists of (coefficient, monomial column) pairs)
+    and ``chars`` the character value table modulo N, the primes' product:
+    one pass modulo N, or once an orbit's matrix meets a pivot that is not
+    a unit mod N, one pass per prime over the table reduced mod p, where
+    every nonzero pivot is a unit."""
     N = prod(primes)
-    w = sum(_root_of_unity(n, p) * (N // p) * pow(N // p, -1, p) for p in primes) % N
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * w % N)
-    entries = [
-        [[(c, g.payload) for g, c in x.terms.items()] for x in row]
-        for row in f.entries
-    ]
     total = 0
-    for a, size in orbits:
-        mat = [
-            [sum(c * powers[sum(ai * si for ai, si in zip(a, s)) % n] for c, s in x) % N
-             for x in row]
-            for row in entries
-        ]
+    for (_, size), values in zip(orbits, chars):
+        mat = [[sum([c * values[m] for c, m in x]) % N for x in row] for row in entries]
         r = _rank_mod(mat, N)
         if r is None:
-            return [_orbit_values(f, n, orbits, (p,))[0] for p in primes]
+            return [
+                _split_values(entries, orbits, [[v % p for v in row] for row in chars], (p,))[0]
+                for p in primes]
         total += size * r
     return [total] * len(primes)
 
 
-def fourier_rank(f, n, orbits, policy=None):
-    """Rank over Q of linearize(f) at the grid model of (Z/n)^k, certified by
-    the agreement rule over primes p = 1 (mod n), without linearizing.
+def fourier_ranks(matrices, n, policy=None):
+    """Ranks over Q of linearize(f) at the grid model of (Z/n)^k for every f
+    in ``matrices`` (over Z^k), each certified by the agreement
+    rule over primes p = 1 (mod n), without linearizing.
 
-    ``orbits`` is character_orbits(k, n).  Returns a RankResult with method
-    ``fourier_mod_p``; it is uncertified when the policy's window holds too
-    few such primes.  The caller must know that the model is that grid: a
-    model that grid_quotient built records n.
+    One call serves a whole stage: it builds the character orbits and the
+    exponents a.s mod n of every monomial s of the matrices once, and for
+    each batch of primes one root, one power table and one table of
+    character values, which every matrix still open reads.  Returns one
+    RankResult per matrix, with method ``fourier_mod_p``, each the one the
+    rule would give that matrix alone; it is uncertified when the policy's
+    window holds too few such primes.  The caller must know that the model
+    is that grid: a model that grid_quotient built records n.
     """
     policy = policy or DEFAULT_POLICY
-    return multimodular_rank(
-        lambda primes: _orbit_values(f, n, orbits, primes), policy, "fourier_mod_p", modulus=n
-    )
+    orbits = character_orbits(matrices[0].family.rank, n)
+    # every monomial of the stage once, in order of first use
+    monomials = dict.fromkeys(
+        g.payload for f in matrices for row in f.entries for x in row for g in x.terms)
+    column = {s: i for i, s in enumerate(monomials)}
+    entries = [[[[(c, column[g.payload]) for g, c in x.terms.items()] for x in row]
+                for row in f.entries] for f in matrices]
+    exponents = [[sum(map(mul, a, s)) % n for s in monomials] for a, _ in orbits]
+
+    def rank_at(primes, todo):
+        N = prod(primes)
+        w = sum(_root_of_unity(n, p) * (N // p) * pow(N // p, -1, p) for p in primes) % N
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * w % N)
+        chars = [[powers[e] for e in row] for row in exponents]
+        return [_split_values(entries[i], orbits, chars, primes) for i in todo]
+
+    return multimodular_rank(rank_at, len(matrices), policy, "fourier_mod_p", modulus=n)

@@ -16,17 +16,19 @@ image need not sit inside the kernel there.
 
 Ranks come from _stage_ranks.  At the translation model of (Z/n)^k that
 grid_quotient built, which records n, it splits each rank over characters
-without linearizing (fourier.fourier_rank); no model is recognized from its
-images.  Characters in one orbit of a -> u.a, u a unit mod n, are Galois
-conjugates and have equal rank over Q(zeta_n); evaluating one
-representative per orbit at a root of unity mod a prime p = 1 (mod n) can
-only lower that rank, so each prime's weighted sum is a lower bound on
-rank_Q L(f) = sum_chi rank f(chi), certified by the same agreement rule as
-a sparse mod-p rank.  Every other model, and any uncertified split, takes
-linearize and the sparse engine, with its Bareiss fallback.  The orbits
-(fourier.character_orbits) are built once per grid stage, after the first
-matrix there has passed the size cap, and are shared by every matrix
-ranked at that stage; nothing is cached across stages or calls.
+without linearizing; no model is recognized from its images.  Characters
+in one orbit of a -> u.a, u a unit mod n, are Galois conjugates and have
+equal rank over Q(zeta_n); evaluating one representative per orbit at a
+root of unity mod a prime p = 1 (mod n) can only lower that rank, so each
+prime's weighted sum is a lower bound on rank_Q L(f) = sum_chi rank
+f(chi), certified by the same agreement rule as a sparse mod-p rank.
+Every other model, and any uncertified split, takes linearize and the
+sparse engine, with its Bareiss fallback.  Once every matrix of a grid
+stage has passed the size cap, one fourier.fourier_ranks call ranks them
+all: it builds the stage's character orbits once, draws one batch of
+primes per round for the whole stage, and makes one root of unity and one
+table of character values per batch, which every matrix still open reads.
+Nothing is cached across stages or calls.
 
 A literal mean rank is built on one path for every family: module elements
 are truncated to a finite window of group elements, and a finite family is
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .fourier import character_orbits, fourier_rank
+from .fourier import fourier_ranks
 from .groups import (
     FiniteQuotient,
     FiniteTable,
@@ -172,29 +174,30 @@ def _stage_ranks(q, matrices, policy, size_cap):
     """The RankResult over Q of linearize(f, q) for each f in ``matrices``,
     None the zero map.
 
-    At a model that grid_quotient built, which records its modulus n, each
-    rank is split over the characters of (Z/n)^k (fourier.fourier_rank)
-    without linearizing, and without building the model's permutations;
-    the stage's character orbits are built once, for the first matrix
-    within the size cap.  Any other model, or an uncertified split, takes
-    the sparse engine.
+    At a model that grid_quotient built, which records its modulus n, the
+    stage's nonzero matrices, once each is within the size cap, go to one
+    fourier.fourier_ranks call, which splits every rank over the characters
+    of (Z/n)^k without linearizing and without building the model's
+    permutations: one batch of primes per round, and one root and one
+    table of character values per batch, for all of them.  Any other
+    model, or an uncertified split, takes the sparse engine.
     """
     n = q._grid
-    orbits = None
+    nonzero = [f for f in matrices if f is not None]
+    split = iter(())
+    if n is not None and nonzero:
+        for f in nonzero:
+            check_size_cap(f, q, size_cap)
+        split = iter(fourier_ranks(nonzero, n, policy))
     results = []
     for f in matrices:
         if f is None:
             results.append(_ZERO_MAP)
             continue
-        if n is not None:
-            check_size_cap(f, q, size_cap)
-            if orbits is None:
-                orbits = character_orbits(f.family.rank, n)
-            result = fourier_rank(f, n, orbits, policy)
-            if result.certified:
-                results.append(result)
-                continue
-        results.append(rank_over_rationals(linearize(f, q, size_cap), policy))
+        result = next(split, None)
+        if result is None or not result.certified:
+            result = rank_over_rationals(linearize(f, q, size_cap), policy)
+        results.append(result)
     return results
 
 

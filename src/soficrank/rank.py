@@ -65,16 +65,22 @@ is no proof; the agreement rule below then runs as it would without the
 pass, and the pass's value still counts as a lower bound.
 
 multimodular_rank holds the agreement rule, for every engine whose value at
-a prime is a lower bound on the rational rank.  Each round draws k distinct
-random primes p_1..p_k, and the engine gives its value at each, in batch
-order.  The maximum value is certified once k of the primes used attain it;
-on disagreement fresh primes are drawn (the maximum observed value is
-always a valid lower bound).  rank_over_rationals runs the rule with one
+a prime is a lower bound on the rational rank, and applies it to several
+matrices at once.  Each round draws one batch of k distinct random primes
+p_1..p_k, and the engine gives the value of every matrix still open at
+each, in batch order.  A matrix's maximum value is certified once k of the
+primes used attain it, and the matrix is then closed; while any stays
+open, fresh primes are drawn (the maximum observed value is always a valid
+lower bound).  The batches depend only on the policy and the modulus,
+never on the values, so each matrix gets what the rule would give it
+alone.  rank_over_rationals runs the rule on one matrix, with one
 rank_mod_p pass per prime, and falls back to exact fraction-free (Bareiss)
-elimination when the matrix is small enough.  fourier.fourier_rank runs it
-with primes p = 1 (mod n) and the character split of a grid model of
-(Z/n)^k; that engine alone eliminates once modulo the product of a batch's
-primes (see that module).
+elimination when the matrix is small enough.  fourier.fourier_ranks runs
+it on all of a grid stage's matrices at once, with primes p = 1 (mod n)
+and the character split of a grid model of (Z/n)^k: one batch per round,
+and one root of unity and one table of character values per batch, for
+the whole stage.  That engine alone eliminates once modulo the product of
+a batch's primes (see that module).
 
 rank_dense_bareiss is the exact engine, behind that fallback and behind
 invariants.finite_group_exact_betti, the finite-group oracle.  It keeps
@@ -87,9 +93,11 @@ modular engine cannot be masked by the oracle.  It takes the rows in
 their given order, reduces each by the pivot rows stored so far over the
 columns that hold no pivot yet, and stores what is left as the next pivot
 row.  That is Bareiss elimination with the pivot rows moved first, so every division
-is exact.  It stops once every distinct column holds a pivot, since no
-later row can raise the rank; every entry has been read through
-operator.index before that.
+is exact.  A step whose multiplier is 0 would only rescale the row, so the
+row skips it and is rescaled once, by every skipped step together, when
+it becomes a pivot row.  It stops once every distinct column holds a
+pivot, since no later row can raise the rank; every entry has been read
+through operator.index before that.
 """
 
 from __future__ import annotations
@@ -268,7 +276,8 @@ def rank_dense_bareiss(dense_rows):
     adds nothing to the column space, so the rank is unchanged.
     Fraction-free (Bareiss) elimination then takes the rows in order: each
     is reduced by the pivot rows stored so far, over the columns that hold
-    no pivot yet, and becomes the next pivot row if anything is left.  It
+    no pivot yet, and becomes the next pivot row if anything is left; the
+    scaling of a step whose multiplier is 0 waits until then.  It
     stops once every distinct column holds a pivot.  No prime is used
     anywhere.  Rows of unequal length raise ValueError, and an entry that
     is not an integer raises TypeError (operator.index), since truncating
@@ -285,16 +294,19 @@ def rank_dense_bareiss(dense_rows):
         if not any(row):
             continue
         row = list(row)
-        prev = 1
+        # the Bareiss row is row * prev / base: a step whose multiplier is 0
+        # only scales it by d / prev, so it is skipped and base is kept
+        prev = base = 1
         for t, d, rest in pivots:
             a = row.pop(t)
             if a:
-                row = [(d * x - a * y) // prev for x, y in zip(row, rest)]
-            elif d != prev:
-                row = [x * d // prev for x in row]
+                row = [(d * x - a * y) // base for x, y in zip(row, rest)]
+                base = d
             prev = d
         t = next((t for t, x in enumerate(row) if x), None)
         if t is not None:
+            if base != prev:
+                row = [x * prev // base for x in row]  # every skipped step at once
             pivots.append((t, row.pop(t), row))
             if not row:
                 break  # every distinct column holds a pivot
@@ -372,32 +384,41 @@ def _draw_primes(rng, bits, count, used, modulus=1):
     return out
 
 
-def multimodular_rank(rank_at, policy, method, modulus=1):
-    """The certification rule, for every engine that ranks modulo primes.
+def multimodular_rank(rank_at, count, policy, method, modulus=1):
+    """The certification rule, for every engine that ranks modulo primes,
+    applied to ``count`` matrices at once; one RankResult per matrix.
 
-    ``rank_at(batch)`` takes a tuple of distinct primes and returns the
-    rank at each, in batch order, each a lower bound for the rank over Q.
-    Each round draws a batch of ``primes_count`` fresh primes
+    ``rank_at(batch, todo)`` takes a tuple of distinct primes and the
+    indices of the matrices still open, and returns for each of those the
+    rank at each prime, in batch order, each a lower bound for the rank
+    over Q.  Each round draws one batch of ``primes_count`` fresh primes
     p = 1 (mod ``modulus``) from the policy's window and calls
-    ``rank_at(batch)`` once.  The maximum value so far is certified once
-    ``primes_count`` of the primes used attain it; when the rounds or the
-    window run out it is returned uncertified.
+    ``rank_at`` once.  A matrix's maximum value so far is certified once
+    ``primes_count`` of the primes used attain it, and it is then closed:
+    no later round ranks it.  When the rounds or the window run out, every
+    open matrix gets its maximum uncertified.  The batches depend only on
+    the policy and the modulus, so each matrix gets the result that the
+    rule would give it alone.
     """
     rng = random.Random(policy.seed)
     used = []
-    ranks = {}
+    values = [{} for _ in range(count)]
+    results = [None] * count
     k = policy.primes_count
     for _ in range(policy.max_rounds):
-        batch = tuple(_draw_primes(rng, policy.prime_bits, k, used, modulus))
+        todo = [i for i, r in enumerate(results) if r is None]
+        batch = tuple(_draw_primes(rng, policy.prime_bits, k, used, modulus)) if todo else ()
         if not batch:
             break
-        ranks.update(zip(batch, rank_at(batch), strict=True))
         used += batch
-        best = max(ranks.values())
-        if sum(1 for p in used if ranks[p] == best) >= k:
-            return RankResult(best, method, tuple(used), True)
-    best = max(ranks.values()) if ranks else 0
-    return RankResult(best, method, tuple(used), False)
+        for i, at in zip(todo, rank_at(batch, todo), strict=True):
+            ranks = values[i]
+            ranks.update(zip(batch, at, strict=True))
+            best = max(ranks.values())
+            if sum(1 for p in used if ranks[p] == best) >= k:
+                results[i] = RankResult(best, method, tuple(used), True)
+    return [r or RankResult(max(ranks.values(), default=0), method, tuple(used), False)
+            for r, ranks in zip(results, values)]
 
 
 def rank_over_rationals(M, policy=None):
@@ -421,8 +442,8 @@ def rank_over_rationals(M, policy=None):
     rank = rank_mod_p(M, _PROOF_PRIME)
     if rank == _residual(M)[3]:
         return RankResult(rank, "bound_mod_p", (_PROOF_PRIME,), True)
-    result = multimodular_rank(
-        lambda batch: [rank_mod_p(M, p) for p in batch], policy, "sparse_mod_p"
+    (result,) = multimodular_rank(
+        lambda batch, _: [[rank_mod_p(M, p) for p in batch]], 1, policy, "sparse_mod_p"
     )
     if result.certified:
         return result

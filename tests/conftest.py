@@ -79,3 +79,47 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def grid_stages(monkeypatch):
+    """Records every stage call of the Fourier path for the test and returns
+    the list of them, one (n, matrices ranked, results, _draw_primes calls,
+    primes given to _root_of_unity) tuple per call, in call order."""
+    from soficrank import fourier, invariants, rank
+
+    stages, draws, roots = [], [], []
+    fourier_ranks = invariants.fourier_ranks
+    draw_primes = rank._draw_primes
+    root_of_unity = fourier._root_of_unity
+
+    def draw(*args):
+        draws.append(args)
+        return draw_primes(*args)
+
+    def root(n, p):
+        roots.append(p)
+        return root_of_unity(n, p)
+
+    def stage(matrices, n, policy=None):
+        draws.clear()
+        roots.clear()
+        results = fourier_ranks(matrices, n, policy)
+        stages.append((n, len(matrices), results, len(draws), list(roots)))
+        return results
+
+    monkeypatch.setattr(rank, "_draw_primes", draw)
+    monkeypatch.setattr(fourier, "_root_of_unity", root)
+    monkeypatch.setattr(invariants, "fourier_ranks", stage)
+    return stages
+
+
+def check_shared_batches(stages):
+    """Under the default policy, of three primes a batch, each stage drew
+    one batch per round, not one per round per matrix, and found one root
+    of unity per prime it used."""
+    for _, _, results, draws, roots in stages:
+        used = max((r.primes_used for r in results), key=len)
+        assert all(used[:len(r.primes_used)] == r.primes_used for r in results)
+        assert draws == len(used) // 3
+        assert roots == list(used)

@@ -74,6 +74,18 @@ MUTANTS = [
      "if sum(1 for p in used if ranks[p] == best) >= k - 1:",
      "agreement on k - 1 primes"),
     ("rank.py",
+     "if sum(1 for p in used if ranks[p] == best) >= k:",
+     "if sum(1 for p in batch if ranks[p] == best) >= k:",
+     "a matrix closed on agreement within the current batch only"),
+    ("rank.py",
+     "todo = [i for i, r in enumerate(results) if r is None]",
+     "todo = list(range(count))",
+     "a closed matrix ranked again in later rounds"),
+    ("rank.py",
+     "                row = [x * prev // base for x in row]  # every skipped step at once",
+     "                pass",
+     "a Bareiss pivot row stored without its skipped scalings"),
+    ("rank.py",
      "if p in used or p in out:",
      "if p in out:",
      "a prime drawn again counted twice"),
@@ -89,6 +101,10 @@ MUTANTS = [
      "if gcd(piv := prow[c], N) != 1:",
      "if not (piv := prow[c]):",
      "an undetected non-unit pivot in the Fourier joint pass"),
+    ("fourier.py",
+     "g.payload for f in matrices for row",
+     "g.payload for f in matrices[:1] for row",
+     "every matrix of a stage read through the first one's monomials"),
     ("fourier.py",
      "out.append((a, len(us)))",
      "out.append((a, 1))",
@@ -110,8 +126,8 @@ MUTANTS = [
      "_defect_series(_kernel_complex(C, kernel_rows) and C, Q,",
      "the defect ignoring its kernel rows"),
     ("invariants.py",
-     "            if result.certified:\n                results.append(result)",
-     "            if True:\n                results.append(result)",
+     "        if result is None or not result.certified:",
+     "        if result is None:",
      "an uncertified Fourier rank accepted"),
     ("invariants.py",
      "certified = finite and rel.certified and full.certified",

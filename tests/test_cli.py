@@ -10,6 +10,7 @@ from soficrank import groups
 from soficrank.cli import ConfigError, load_config, main, run
 from soficrank.linearize import linearize
 from soficrank.ring import ChainComplex
+from conftest import check_shared_batches
 
 F2_BETTI_CONFIG = """\
 # free-group two-term complex, homology-rank density in degree 1
@@ -103,15 +104,15 @@ def test_euler_pipeline(tmp_path):
     assert all(r.split(",")[2] == "0" for r in residuals)
 
 
-def test_euler_ranks_each_differential_once_per_stage(tmp_path, count_calls):
-    from soficrank import invariants
-
-    calls = count_calls(invariants, "fourier_rank")
-    orbits = count_calls(invariants, "character_orbits")
+def test_euler_ranks_each_differential_once_per_stage(tmp_path, grid_stages):
     cfg = write(tmp_path, "job.cfg", KOSZUL_EULER_CONFIG)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 6  # d_1 and d_2 at grids 2, 3 and 5
-    assert orbits == [(2, 2), (2, 3), (2, 5)]  # one orbit set per grid stage
+    # one stage call per grid, ranking d_1 and d_2 together
+    assert [(n, count) for n, count, *_ in grid_stages] == [(2, 2), (3, 2), (5, 2)]
+    assert all(r.certified for _, _, results, *_ in grid_stages for r in results)
+    check_shared_batches(grid_stages)
+    # every rank closes in the first round: one draw and three roots a stage
+    assert [(draws, len(roots)) for *_, draws, roots in grid_stages] == [(1, 3)] * 3
 
 
 def test_euler_residual_inherits_uncertified_betti(tmp_path):

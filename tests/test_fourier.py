@@ -26,7 +26,7 @@ from soficrank import (
     vrk_approximants,
 )
 from soficrank import invariants
-from soficrank.fourier import _root_of_unity, character_orbits, fourier_rank
+from soficrank.fourier import _root_of_unity, character_orbits, fourier_ranks
 from soficrank.groups import _grid_images, perm_compose, perm_inverse
 from soficrank.linearize import linearize
 from soficrank.primes import isprime
@@ -41,12 +41,12 @@ def laurent(fam, terms):
 
 
 @st.composite
-def grid_cases(draw):
+def grid_cases(draw, k=None, n=None):
     """(f, n): a random small Laurent matrix over Z^k and a grid modulus,
     often made rank-deficient by a factor 1 - x_i^e with e | n or by a
-    repeated row."""
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, MAX_MODULUS[k]))
+    repeated row; k and n are drawn unless given."""
+    k = k or draw(st.integers(1, 3))
+    n = n or draw(st.integers(1, MAX_MODULUS[k]))
     fam = FreeAbelian(k)
     m, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     exponent = st.tuples(*[st.integers(-3, 3)] * k)
@@ -72,9 +72,8 @@ def grid_cases(draw):
 @given(grid_cases())
 def test_fourier_matches_sparse_engine(case):
     f, n = case
-    k = f.family.rank
-    split = fourier_rank(f, n, character_orbits(k, n))
-    sparse = rank_over_rationals(linearize(f, grid_quotient(k, n, f.family)))
+    (split,) = fourier_ranks([f], n)
+    sparse = rank_over_rationals(linearize(f, grid_quotient(f.family.rank, n, f.family)))
     assert (split.rank, split.certified) == (sparse.rank, sparse.certified)
     assert split.method == "fourier_mod_p"
     assert all((p - 1) % n == 0 for p in split.primes_used)
@@ -83,7 +82,7 @@ def test_fourier_matches_sparse_engine(case):
 def test_fourier_known_rank_deficiency(z1):
     # 1 - t^3 at Z/6 vanishes exactly at the characters a with 3a = 0 mod 6
     f = parse_ring_matrix("1 - t^3", z1)
-    assert fourier_rank(f, 6, character_orbits(1, 6)).rank == 6 - 3
+    assert fourier_ranks([f], 6)[0].rank == 6 - 3
 
 
 def test_fourier_falls_back_prime_by_prime(z1):
@@ -91,11 +90,70 @@ def test_fourier_falls_back_prime_by_prime(z1):
     # of 2t + 1 is not a unit mod 15 or 21, so a batch holding 3 is ranked
     # one prime at a time, and rank 1 mod 3 is a bad reduction
     f = parse_ring_matrix("2*t + 1", z1)
-    orbits = character_orbits(1, 2)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
-    assert fourier_rank(f, 2, orbits, policy) == RankResult(2, "fourier_mod_p", (5, 3, 7), True)
+    assert fourier_ranks([f], 2, policy) == [RankResult(2, "fourier_mod_p", (5, 3, 7), True)]
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=1, seed=1)
-    assert fourier_rank(f, 2, orbits, policy) == RankResult(2, "fourier_mod_p", (3, 7), False)
+    assert fourier_ranks([f], 2, policy) == [RankResult(2, "fourier_mod_p", (3, 7), False)]
+
+
+KOSZUL = {
+    2: ("y - 1, 1 - x", "x - 1 ; y - 1"),
+    3: ("z - 1, 1 - y, x - 1",
+        "y - 1, 1 - x, 0 ; z - 1, 0, 1 - x ; 0, z - 1, 1 - y",
+        "x - 1 ; y - 1 ; z - 1"),
+}
+
+
+@pytest.mark.parametrize("k, moduli", [(2, (2, 3, 5, 12)), (3, (2, 3, 4))])
+def test_stage_call_matches_each_differential_alone(k, moduli):
+    # the Koszul complex of Z^k: every differential of a stage in one call,
+    # under the default window and under [2, 8), which holds two primes
+    # p = 1 (mod n) for n = 2 only
+    fam = FreeAbelian(k)
+    ds = [parse_ring_matrix(text, fam) for text in KOSZUL[k]]
+    narrow = RankPolicy(primes_count=2, prime_bits=(1, 3))
+    for n in moduli:
+        stage = fourier_ranks(ds, n)
+        assert stage == [fourier_ranks([d], n)[0] for d in ds]
+        assert all(r.certified for r in stage)
+        stage = fourier_ranks(ds, n, narrow)
+        assert stage == [fourier_ranks([d], n, narrow)[0] for d in ds]
+        assert [r.certified for r in stage] == [n == 2] * len(ds)
+
+
+def test_stage_call_closes_each_differential_in_its_own_round(z1):
+    # the window [2, 8) holds 3, 5 and 7, all = 1 (mod 2).  t^3 + t takes
+    # the unit values 2 and -2 and closes on the first batch; 2t + 1 takes
+    # 3, a bad reduction mod 3 that sends the joint pass to one prime at a
+    # time, and needs the next round, or stays uncertified without one
+    f = parse_ring_matrix("2*t + 1", z1)
+    g = parse_ring_matrix("t^3 + t", z1)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
+    first = RankResult(2, "fourier_mod_p", (5, 3), True)
+    later = RankResult(2, "fourier_mod_p", (5, 3, 7), True)
+    assert fourier_ranks([f, g], 2, policy) == [later, first]
+    assert fourier_ranks([g, f], 2, policy) == [first, later]
+    assert [fourier_ranks([h], 2, policy)[0] for h in (f, g)] == [later, first]
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=1, seed=0)
+    short = RankResult(2, "fourier_mod_p", (5, 3), False)
+    assert fourier_ranks([f, g], 2, policy) == [short, first]
+
+
+@st.composite
+def grid_stages(draw):
+    """(matrices, n): one to three random small Laurent matrices over one
+    Z^k, at one grid modulus."""
+    f, n = draw(grid_cases())
+    more = draw(st.lists(grid_cases(f.family.rank, n), max_size=2))
+    return [f, *(g for g, _ in more)], n
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_stages(), st.sampled_from([None, RankPolicy(primes_count=2, prime_bits=(1, 7))]))
+def test_stage_call_matches_random_matrices_alone(case, policy):
+    matrices, n = case
+    stage = fourier_ranks(matrices, n, policy)
+    assert stage == [fourier_ranks([f], n, policy)[0] for f in matrices]
 
 
 def test_character_orbits_partition_the_group():
@@ -136,14 +194,8 @@ def relabelled_grid(fam, n):
     return q, FiniteQuotient(fam, q.degree, images, True, "relabelled grid")
 
 
-def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, monkeypatch):
-    calls = []
-
-    def counted(f, n, orbits, policy=None):
-        calls.append(n)
-        return fourier_rank(f, n, orbits, policy)
-
-    monkeypatch.setattr(invariants, "fourier_rank", counted)
+def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, count_calls):
+    calls = count_calls(invariants, "fourier_ranks")
     M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1 ; y^2 - 1", z2grid))
     canonical, relabelled = relabelled_grid(z2grid, 4)
     # the grid's own images, given from outside rather than built
@@ -152,7 +204,7 @@ def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, monkeypatch):
     (sparse_given,) = vrk_approximants(M, [given]).points
     assert calls == []
     (split,) = vrk_approximants(M, [canonical]).points
-    assert calls == [4]
+    assert [n for _, n, _ in calls] == [4]  # one stage call, at n = 4
     # the cokernel is Z[(Z/4)^2] / (x - 1, y^2 - 1) = Z[Z/2], of rank 2
     assert sparse == split == sparse_given
     assert sparse.value == Fraction(2, 16) and sparse.certified

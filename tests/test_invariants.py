@@ -33,7 +33,7 @@ from soficrank import (
 )
 from soficrank.linearize import linearize
 from soficrank import invariants
-from conftest import build_s3_table
+from conftest import build_s3_table, check_shared_batches
 from test_linearize import rational_rank
 
 
@@ -194,14 +194,15 @@ def test_mrk_equals_betti_pointwise(f2, f2_complex, koszul, z2grid):
 
 
 def test_mrk_ranks_each_differential_once_per_stage(
-    f2, f2_complex, koszul, z2grid, count_calls
+    f2, f2_complex, koszul, z2grid, count_calls, grid_stages
 ):
     linearized = count_calls(invariants, "linearize")
     mrk_j_approximants(f2_complex, sanov_sequence([3, 5], f2), 1)
     assert len(linearized) == 2  # d_1 at both stages; d_2 is zero
-    split = count_calls(invariants, "fourier_rank")
     mrk_j_approximants(koszul, grid_sequence(2, [2, 3], z2grid), 1)
-    assert len(split) == 4  # d_1 and d_2 at both stages
+    # one stage call per grid, ranking d_1 and d_2 together
+    assert [(n, count) for n, count, *_ in grid_stages] == [(2, 2), (3, 2)]
+    check_shared_batches(grid_stages)
 
 
 def test_mrk_zero_complex(f2):

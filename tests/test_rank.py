@@ -128,17 +128,48 @@ def test_multimodular_rank_falls_back_only_after_a_failed_batch():
     # 5, 7, 11 and 13
     calls = []
 
-    def rank_at(primes):
+    def rank_at(primes, todo):
         calls.append(primes)
-        return [4 if p == 2 else 5 for p in primes]
+        return [[4 if p == 2 else 5 for p in primes]]
 
     policy = RankPolicy(primes_count=2, prime_bits=(1, 4), seed=2)
-    assert multimodular_rank(rank_at, policy, "fake") == RankResult(5, "fake", (3, 2, 7, 5), True)
+    assert multimodular_rank(rank_at, 1, policy, "fake") == [RankResult(5, "fake", (3, 2, 7, 5), True)]
     assert calls == [(3, 2), (7, 5)]
     calls.clear()
     policy = RankPolicy(primes_count=1, prime_bits=(1, 4), seed=2)
-    assert multimodular_rank(rank_at, policy, "fake") == RankResult(5, "fake", (3,), True)
+    assert multimodular_rank(rank_at, 1, policy, "fake") == [RankResult(5, "fake", (3,), True)]
     assert calls == [(3,)]
+
+
+def test_multimodular_rank_closes_each_matrix_alone():
+    # three fake matrices under one rule: 2 is a bad reduction of the first
+    # alone, the second agrees everywhere, the third never settles; the
+    # window [2, 16) under seed 2 gives the batches (3, 2), (7, 5), (13, 11)
+    table = [
+        lambda p: 4 if p == 2 else 5,
+        lambda p: 1,
+        lambda p: p,
+    ]
+    calls = []
+
+    def rank_at(primes, todo):
+        calls.append((primes, tuple(todo)))
+        return [[table[i](p) for p in primes] for i in todo]
+
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 4), seed=2)
+    together = multimodular_rank(rank_at, 3, policy, "fake")
+    assert calls == [((3, 2), (0, 1, 2)), ((7, 5), (0, 2)), ((13, 11), (2,))]
+    assert together == [
+        RankResult(5, "fake", (3, 2, 7, 5), True),
+        RankResult(1, "fake", (3, 2), True),
+        RankResult(13, "fake", (3, 2, 7, 5, 13, 11), False),
+    ]
+    alone = [
+        multimodular_rank(lambda primes, _: [[f(p) for p in primes]], 1, policy, "fake")[0]
+        for f in table
+    ]
+    assert together == alone
+    assert multimodular_rank(rank_at, 0, policy, "fake") == []
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +568,32 @@ def test_bareiss_matches_fraction_gauss():
         cols = rng.randrange(1, 10)
         m = random_sparse(rng, rows, cols, per_row=min(cols, 4))
         assert rank_dense_bareiss(m.to_dense()) == rational_rank(m.to_dense())
+
+
+@st.composite
+def zero_multiplier_matrices(draw):
+    """Dense rows that give Bareiss runs of zero multipliers: a first row
+    with a pivot of size 2 to 9, then a run of rows that are zero on a
+    growing set of leading columns, so each meets the pivots before it with
+    multiplier 0, then free rows; entries -1, 0 and 1 elsewhere."""
+    c = draw(st.integers(2, 5))
+    entry = st.sampled_from([-1, 0, 1])
+    pivot = st.sampled_from([s * v for s in (1, -1) for v in range(2, 10)])
+    rows = [[draw(pivot)] + draw(st.lists(entry, min_size=c - 1, max_size=c - 1))]
+    for i in range(1, draw(st.integers(1, 3)) + 1):
+        zeros = min(i, c - 1)
+        rows.append([0] * zeros + draw(st.lists(entry, min_size=c - zeros, max_size=c - zeros)))
+    rows += draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=2))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_multiplier_matrices())
+@example([[-2, -1, 1], [0, 1, 0], [1, 0, 0]])
+def test_bareiss_with_zero_multipliers_matches_fraction_gauss(dense):
+    # in the example, the second row meets the pivot -2 with multiplier 0;
+    # stored unscaled, it would turn the third row's last step into -1 // -2
+    assert rank_dense_bareiss(dense) == rational_rank(dense)
 
 
 @st.composite
