@@ -52,10 +52,10 @@ a section the pipeline does not read (``[quotients]`` in an oracle job,
 above the complex's top degree (betti, mrk_j), a defect complex that is not
 two-term (at ``ranks``) or whose kernel rows are not annihilated by d_1 (at
 ``kernel``), and ``provider = random`` for a pipeline other than meanrank
-or soficity, since random models are heuristic.  Each of these, but an
-unread key, is found before any model is built.  Every config error names
-the file, and the line of its key (of its section when the key is missing
-or the section is not read), or the command-line flag that set the value.
+or soficity, since random models are heuristic.  Each of these is found
+before any model is built.  Every config error names the file, and the
+line of its key (of its section when the key is missing or the section is
+not read), or the command-line flag that set the value.
 
 ``size_cap`` bounds every model a job builds, soficity included: the degree
 of each grid, Sanov or random stage follows from ``moduli`` or ``degrees``
@@ -92,7 +92,7 @@ from .invariants import (
     ApproximantSeries,
     ModulePresentation,
     SeriesPoint,
-    _defect_series,
+    _betti_series,
     _kernel_complex,
     betti_approximants,
     euler_approximants,
@@ -525,7 +525,9 @@ def run(config, out_dir=".", strict=False):
         summary.append("chi = %d" % chi)
         series.extend(euler_approximants(C, Q, policy, cap))
     elif pipeline == "defect":
-        series.append(_defect_series(config.kernel_complex, Q, policy, cap))
+        series.append(
+            _betti_series("juzvinskii_defect", config.kernel_complex, Q, 1, policy, cap)
+        )
     elif pipeline == "meanrank":
         points = tuple(
             literal_mean_rank_point(

@@ -3,16 +3,20 @@
 Every pipeline reduces to exact ranks of linearized matrices at finite
 permutation models: at a genuine stage of degree d the homology rank in
 degree j is n_j*d - rank L(d_j) - rank L(d_{j+1}), so the emitted value
-(that quantity over d) is an exact rational.  Every pipeline is a formula
-over one rank table per stage (_rank_table): the differentials or relation
-matrices it needs are ranked once at each stage, each point is its
-formula over those ranks, and a point is certified exactly when every rank
-behind it is.  The homology pipelines share one formula, the Betti table
-(_betti_table): betti, the mean-rank route mrk_j (equal to the Betti value
-term by term), euler, and the additivity defect of d_1, which is b_1 of the
-complex K -> d_1 for kernel rows K.  No rank outlives the call that
-computed it.  Heuristic (non-genuine) models are rejected, because the
-image need not sit inside the kernel there.
+(that quantity over d) is an exact rational.  Each series pipeline ranks
+the differentials or relation matrices it needs once at each stage, in
+one rank table (_rank_table), and a point is certified exactly when every
+rank behind it is.  Every pipeline but relative reads its points from one
+formula, the Betti table (_betti_table): betti, the mean-rank route mrk_j
+(equal to the Betti value term by term), euler, the additivity defect of
+d_1, which is b_1 of the complex K -> d_1 for kernel rows K, and vrk,
+which is b_0 of the presentation complex R: ZG^m -> ZG^n of a module with
+relation rows R (of the one-term complex (n) of a free module).  relative
+is the difference b_0(M2) - b_0(M2/M1), in which the n*d terms cancel: it
+ranks both relation matrices in one rank table and builds its points with
+the same _point.  No rank outlives the call that computed it.  Heuristic
+(non-genuine) models are rejected, because the image need not sit inside
+the kernel there.
 
 Ranks come from _stage_ranks.  At the translation model of (Z/n)^k that
 grid_quotient built, which records n, it splits each rank over characters
@@ -225,16 +229,6 @@ def _point(d, value, ranks):
     return SeriesPoint(d, value, all(r.certified for r in ranks))
 
 
-def _series(label, family, Q, matrices, value, policy, size_cap):
-    """One point per stage: value(d, *ranks) over the stage's ranks of
-    ``matrices``."""
-    Q, table = _rank_table(family, Q, matrices, policy, size_cap)
-    points = tuple(
-        _point(d, value(d, *(r.rank for r in ranks)), ranks) for d, ranks in table
-    )
-    return ApproximantSeries(label, points, Q.chain)
-
-
 def _betti_table(C, Q, degrees, policy, size_cap):
     """Q as a QuotientSequence, and for each of its stages the degree d, the
     RankResults of d_lo ... d_{hi+1} (lo and hi the ends of the range
@@ -273,9 +267,14 @@ def _kernel_complex(C, kernel_rows):
     return ChainComplex(C.family, (kernel_rows.rows,) + C.ranks, (kernel_rows,) + C.differentials)
 
 
-def _defect_series(K, Q, policy, size_cap):
-    """The defect series read from the complex K -> d_1 of _kernel_complex."""
-    return _betti_series("juzvinskii_defect", K, Q, 1, policy, size_cap)
+def _module_complex(M):
+    """The presentation complex R: ZG^m -> ZG^n of M for its m relation
+    rows R, or the one-term complex (n) of a free module, whose d_0 and d_1
+    are None and rank as zero maps; its b_0 is the rank density of M."""
+    R = M.relations
+    if R is None:
+        return ChainComplex(M.family, (M.free_rank,), ())
+    return ChainComplex(M.family, (R.rows, M.free_rank), (R,))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +289,10 @@ def betti_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
 
 
 def vrk_approximants(M, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
-    """Rank density of a presented module: (n*d - rank L(relations)) / d."""
-    n = M.free_rank
-    return _series(
-        "vrk", M.family, Q, (M.relations,),
-        lambda d, r: Fraction(n * d - r, d), policy, size_cap,
-    )
+    """Rank density of a presented module: (n*d - rank L(relations)) / d,
+    the degree-0 Betti value of its presentation complex R: ZG^m -> ZG^n
+    (of the one-term complex (n) when it has no relations)."""
+    return _betti_series("vrk", _module_complex(M), Q, 0, policy, size_cap)
 
 
 def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
@@ -303,16 +300,19 @@ def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CA
 
     The submodule is generated by the rows of the RingMatrix ``gens``,
     vectors of the presented module; the value is vrk(M2) - vrk(M2/M1)
-    stage by stage, where M2/M1 appends those rows as extra relation rows,
-    so it is (rank L(relations of M2/M1) - rank L(relations of M2)) / d.
+    stage by stage, where M2/M1 appends those rows as extra relation rows.
+    That is the difference of two degree-0 Betti values, in which the n*d
+    terms cancel: (rank L(relations of M2/M1) - rank L(relations of M2)) / d.
+    Both relation matrices are ranked together, in one rank table call per
+    stage, and a point is certified when both of its ranks are.
     """
     _check_generators(M2, gens)
     quotient = gens if M2.relations is None else M2.relations.vstack(gens)
-    return _series(
-        "relative_vrk", M2.family, Q, (M2.relations, quotient),
-        lambda d, r_outer, r_quotient: Fraction(r_quotient - r_outer, d),
-        policy, size_cap,
+    Q, table = _rank_table(M2.family, Q, (M2.relations, quotient), policy, size_cap)
+    points = tuple(
+        _point(d, Fraction(r_q.rank - r_o.rank, d), (r_o, r_q)) for d, (r_o, r_q) in table
     )
+    return ApproximantSeries("relative_vrk", points, Q.chain)
 
 
 def mrk_j_approximants(C, Q, j, policy=None, size_cap=DEFAULT_SIZE_CAP):
@@ -367,7 +367,9 @@ def juzvinskii_defect(C, Q, kernel_rows=None, policy=None, size_cap=DEFAULT_SIZE
     which is how it is computed.  Building that complex checks that K is
     over C's family, has n_1 columns and that K*d_1 = 0 (ValueError).
     """
-    return _defect_series(_kernel_complex(C, kernel_rows), Q, policy, size_cap)
+    return _betti_series(
+        "juzvinskii_defect", _kernel_complex(C, kernel_rows), Q, 1, policy, size_cap
+    )
 
 
 def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):

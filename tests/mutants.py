@@ -122,9 +122,17 @@ MUTANTS = [
      "- high.rank, d), (low,))",
      "a Betti point certified on the rank of d_j alone"),
     ("invariants.py",
-     "_defect_series(_kernel_complex(C, kernel_rows), Q,",
-     "_defect_series(_kernel_complex(C, kernel_rows) and C, Q,",
+     '"juzvinskii_defect", _kernel_complex(C, kernel_rows), Q,',
+     '"juzvinskii_defect", _kernel_complex(C, kernel_rows) and C, Q,',
      "the defect ignoring its kernel rows"),
+    ("invariants.py",
+     '_betti_series("vrk", _module_complex(M), Q, 0,',
+     '_betti_series("vrk", _module_complex(M), Q, 1,',
+     "vrk read at degree 1 instead of degree 0"),
+    ("invariants.py",
+     "- r_o.rank, d), (r_o, r_q))",
+     "- r_o.rank, d), (r_o,))",
+     "a relative point certified on the outer rank alone"),
     ("invariants.py",
      "        if result is None or not result.certified:",
      "        if result is None:",

@@ -120,10 +120,16 @@ def test_direct_sum_additivity(f2, f2_complex):
 # ---------------------------------------------------------------------------
 # vrk approximants
 
-def test_free_module_has_constant_rank_density(f2):
-    M = ModulePresentation(f2, 3, None)
-    Q = sanov_sequence([3, 5], f2)
-    assert [p.value for p in vrk_approximants(M, Q)] == [3, 3]
+def test_free_module_has_constant_rank_density(f2, z2grid, count_calls):
+    # a free module is the one-term complex (n): both of its maps are zero
+    # and nothing is ranked, at a Sanov model and at a grid model
+    certified = count_calls(invariants, "rank_over_rationals")
+    split = count_calls(invariants, "fourier_ranks")
+    for M, Q in ((ModulePresentation(f2, 3, None), sanov_sequence([3, 5], f2)),
+                 (ModulePresentation(z2grid, 3, None), grid_sequence(2, [3], z2grid))):
+        points = vrk_approximants(M, Q).points
+        assert [(p.value, p.certified) for p in points] == [(3, True)] * len(Q.quotients)
+    assert certified == split == []
 
 
 def test_t_minus_two_module_vanishes(z1):
@@ -159,6 +165,26 @@ def test_relative_of_full_module_equals_vrk(f2):
     rel = relative_vrk_approximants(M, basis, Q)
     outer = vrk_approximants(M, Q)
     assert [p.value for p in rel.points] == [p.value for p in outer.points]
+
+
+def test_relative_over_a_grid_ranks_both_relation_matrices_in_one_call(
+    z2grid, count_calls, grid_stages
+):
+    M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1", z2grid))
+    gens = parse_ring_matrix("y - 1", z2grid)
+    Q = grid_sequence(2, [2, 3], z2grid)
+    stages = count_calls(invariants, "_stage_ranks")
+    rel = relative_vrk_approximants(M, gens, Q)
+    # one stage call per grid, holding the outer and the quotient relations
+    assert len(stages) == 2
+    assert [(n, count) for n, count, *_ in grid_stages] == [(2, 2), (3, 2)]
+    check_shared_batches(grid_stages)
+    quotient = parse_ring_matrix("x - 1 ; y - 1", z2grid)
+    for n, q, point in zip((2, 3), Q, rel.points):
+        outer, inner = (rank_over_rationals(linearize(f, q)) for f in (M.relations, quotient))
+        # x - 1 has n cycles of length n, and x - 1 ; y - 1 one component
+        assert point.value == Fraction(inner.rank - outer.rank, n * n) == Fraction(n - 1, n * n)
+        assert point.certified == (outer.certified and inner.certified)
 
 
 def test_augmentation_ideal_relative_series(f2):
