@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 from operator import index, itemgetter
 
 from .primes import prime_factors
@@ -742,54 +743,105 @@ def sanov_quotient(modulus, family=None):
     images give all elementary matrices).  Kernels form a chain with trivial
     intersection along divisibility of the moduli.
 
-    Points are the elements in sorted order of their entry tuples
-    (p, q, r, s).  The search codes each element as the int
-    ((p*m + q)*m + r)*m + s, whose base-m digits are the entries, most
-    significant first, so numeric order on codes is tuple order.  It runs
-    from the identity in discovery order, records the ``a`` and ``b``
-    neighbours of each element as discovery indices, then relabels by one
-    sort of the codes.  A search that does not reach |SL_2(Z/m)| elements
-    raises RuntimeError: the images are shown to generate, not assumed to.
+    Points are the elements (u; w), first row u = (p, q) and second row
+    w = (r, s), in sorted order of (p, q, r, s), and each element's point
+    is given by a formula.  The first rows are the u unimodular mod m,
+    gcd(p, q, m) = 1, in tuple order.  For such u, w -> ps - qr maps
+    (Z/m)^2 onto Z/m with kernel (Z/m) u, so u heads exactly m elements,
+    (u; w0 + t u) for t in Z/m and any one w0 of them, and they take the
+    consecutive points from start[u] = m * (the number of earlier first
+    rows).  With g = gcd(p, m) and h = m / g, the place of (r, s) in the
+    block is (r // g) * g + s // h:
+
+    - r = r0 + t p takes the h residues = r0 (mod g), each for g values of
+      t, so r // g is the rank of r;
+    - for a fixed r, t moves by multiples of h and s by multiples of h q,
+      and gcd(q, g) = 1, so s takes the g residues of one class mod h, and
+      s // h is the rank of s.
+
+    One w0 per block: p + lam q is a unit mod m for the least lam >= 0 that
+    makes it one (the product of the primes of m not dividing p is such a
+    lam), and w0 = (-lam y, y) with y = (p + lam q)^-1 has ps - qr = 1.
+    Left multiplication by a adds twice the second row to the first, and
+    by b twice the first row to the second: a (u; w) = (u + 2w; w) and
+    b (u; w) = (u; w + 2u), so both images come from the same formula,
+    with no search and no sort.
+
+    The images are shown to generate, not assumed to.  b sends t to t + 2,
+    one m-cycle on each block since m is odd, so the orbit of the identity
+    under <a, b> is a union of blocks; in a finite group the positive words
+    reach the whole orbit.  So the images generate SL_2(Z/m) exactly when a
+    search along the a-images from the identity's block, that of (1, 0),
+    reaches every block (_check_sanov_blocks).  A build with other than
+    |SL_2(Z/m)| points, or whose search misses a block, raises
+    RuntimeError.
     """
     m = _sanov_modulus(modulus)
     if family is None:
         family = Free(2)
     elif not isinstance(family, Free) or family.rank != 2:
         raise ValueError("sanov quotient needs a rank-2 free family")
-    # left multiplication by a = [[1,2],[0,1]] adds twice the second row to
-    # the first, by b = [[1,0],[2,1]] twice the first row to the second.  In
-    # a finite group the positive words already reach every element.  A code
-    # splits as hi = p*m + q (first row) and lo = r*m + s (second row).
-    m2 = m * m
-    codes = [m2 * m + 1]  # the identity (1, 0, 0, 1)
-    found = {codes[0]: 0}  # code -> discovery index
-    step_a, step_b = [], []  # discovery index -> that of its a- and b-neighbour
-    for x in codes:
-        hi, lo = divmod(x, m2)
-        p, q = divmod(hi, m)
-        r, s = divmod(lo, m)
-        y = ((p + 2 * r) % m * m + (q + 2 * s) % m) * m2 + lo
-        i = found.get(y)
-        if i is None:
-            i = found[y] = len(codes)
-            codes.append(y)
-        step_a.append(i)
-        y = hi * m2 + (r + 2 * p) % m * m + (s + 2 * q) % m
-        i = found.get(y)
-        if i is None:
-            i = found[y] = len(codes)
-            codes.append(y)
-        step_b.append(i)
-    d = len(codes)
+    # rows are coded as p*m + q; place[u][w] is the place of the second row
+    # w in the block of the first row u, which depends on gcd(p, m) alone
+    tables = {}
+    place = []
+    start = []  # first row -> its first point, None when not unimodular
+    heads = []  # the unimodular first rows, in tuple order
+    d = 0
+    for p in range(m):
+        g = gcd(p, m)
+        table = tables.get(g)
+        if table is None:
+            h = m // g
+            table = tables[g] = [r // g * g + s // h for r in range(m) for s in range(m)]
+        place += [table] * m
+        for q in range(m):
+            if gcd(g, q) == 1:
+                start.append(d)
+                heads.append((p, q))
+                d += m
+            else:
+                start.append(None)
     if d != _sl2_size(m):
         raise RuntimeError("Sanov images failed to generate SL2(Z/%d)" % m)
-    order = sorted(range(d), key=codes.__getitem__)  # point -> discovery index
-    point = [0] * d  # discovery index -> point
-    for i, k in enumerate(order):
-        point[k] = i
-    img_a = tuple([point[step_a[k]] for k in order])
-    img_b = tuple([point[step_b[k]] for k in order])
-    return FiniteQuotient._adopt(family, d, (img_a, img_b), True, "Sanov mod %d" % m)
+    img_a, img_b = [0] * d, [0] * d
+    ts = range(m)
+    for p, q in heads:
+        lam = 0
+        while gcd(p + lam * q, m) != 1:
+            lam += 1
+        y = pow(p + lam * q, -1, m)
+        u = p * m + q
+        first, table = start[u], place[u]
+        ws = [(t * p - lam * y) % m * m + (t * q + y) % m for t in ts]  # w0 + t u
+        points = [first + table[w] for w in ws]
+        for x, z in zip(points, points[2:] + points[:2]):  # b: t -> t + 2
+            img_b[x] = z
+        for x, w in zip(points, ws):
+            r, s = divmod(w, m)
+            v = (p + 2 * r) % m * m + (q + 2 * s) % m
+            img_a[x] = start[v] + place[v][w]
+    _check_sanov_blocks(img_a, m, start[m])  # the identity's first row (1, 0)
+    return FiniteQuotient._adopt(
+        family, d, (tuple(img_a), tuple(img_b)), True, "Sanov mod %d" % m
+    )
+
+
+def _check_sanov_blocks(img_a, m, home):
+    """Raise RuntimeError unless a search along the images ``img_a``, from
+    the block of the point ``home``, reaches every block of m consecutive
+    points (the generation check of sanov_quotient)."""
+    seen = [False] * (len(img_a) // m)
+    seen[home // m] = True
+    todo = [home // m]
+    for c in todo:
+        for x in img_a[c * m:c * m + m]:
+            b = x // m
+            if not seen[b]:
+                seen[b] = True
+                todo.append(b)
+    if not all(seen):
+        raise RuntimeError("Sanov images failed to generate SL2(Z/%d)" % m)
 
 
 def regular_quotient(family):

@@ -12,7 +12,7 @@ product of linearize(A) and linearize(B) for genuine models.
 from __future__ import annotations
 
 from itertools import compress
-from operator import index
+from operator import eq, index
 
 from .groups import SizeCapExceeded, extend_to_word, perm_inverse
 from .ring import RingMatrix
@@ -193,21 +193,27 @@ def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
 
     Both stores are built here, in the order the constructor would give
     them for the triplets in the order (j, k, term, w).  A row j of f whose
-    terms, over all its entries, are exactly +g and -h makes only edge rows:
-    row v*m + j joins the columns w*n + k of g and w'*n + k' of h with
-    sigma(g) w = v = sigma(h) w', so its pairs come straight from the two
-    permutations and one inverse, and a pair whose two ends coincide is the
-    zero row the constructor drops.  Every other row j is summed into row
-    dicts with the constructor's rules (zero sums and emptied rows dropped),
-    and its edge rows are filed as soon as its block is complete, which
-    keeps the constructor's order.  Every index is in range by construction
-    and every coefficient is a nonzero int (RingElement holds no others), so
-    the stores go to SparseIntMatrix._adopt unchecked.
+    terms, over all its entries, are exactly +g and -h, in either order,
+    makes only edge rows: row v*m + j joins the column w*n + k of its first
+    term x and the column w'*n + k' of its second term y, with
+    sigma(x) w = v = sigma(y) w', so its pairs (w, w') come straight from
+    the two permutations and one inverse.  When y is the identity, as in
+    every g - 1 row, sigma(y) is the identity at every model, genuine or
+    not, so w' = v = sigma(x) w and no inverse is taken.  A pair whose two
+    ends coincide is the zero row the constructor drops; it needs k = k'
+    and w' = w, so the pairs are filtered only when some w is such a point.
+    Every other row j is summed into row dicts with the constructor's rules
+    (zero sums and emptied rows dropped), and its edge rows are filed as
+    soon as its block is complete, which keeps the constructor's order.
+    Every index is in range by construction and every coefficient is a
+    nonzero int (RingElement holds no others), so the stores go to
+    SparseIntMatrix._adopt unchecked.
 
     Raises SizeCapExceeded when (m+n)*d exceeds the cap.
     """
     check_size_cap(f, q, size_cap)
     m, n, d = f.rows, f.cols, q.degree
+    e = f.family.identity()
     perms = {}
 
     def perm(g):
@@ -225,14 +231,18 @@ def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
                 and terms[0][2] + terms[1][2] == 0):
             # edge rows, in the order the first term makes them: row
             # p1[w]*m + j meets the first term at column w*n + k1 and the
-            # second at w'*n + k2, where p2[w'] = p1[w]
+            # second at pair[w]*n + k2, where p2[pair[w]] = p1[w]
             (k1, g1, c1), (k2, g2, _) = terms
             p1 = perm(g1)
-            inv2 = perm_inverse(perm(g2))
+            if g2 == e:
+                pair = p1  # p2 is the identity at every model
+            else:
+                inv2 = perm_inverse(perm(g2))
+                pair = [inv2[v] for v in p1]
             rows = [v * m + j for v in p1]
             firsts = range(k1, n * d, n)
-            seconds = [inv2[v] * n + k2 for v in p1]
-            if k1 == k2:
+            seconds = pair if n == 1 else [w * n + k2 for w in pair]
+            if k1 == k2 and any(map(eq, range(d), pair)):
                 live = [a != b for a, b in zip(firsts, seconds)]
                 rows, firsts, seconds = (list(compress(x, live))
                                          for x in (rows, firsts, seconds))

@@ -1,14 +1,17 @@
 """Mutation check of the proofs behind every certified rank, of the
 literal mean-rank matrix, of the grid models that build their images only
-when read, and of the reading and validation of finite group tables.
+when read, of the reading and validation of finite group tables, of the
+Sanov models' points and generation check, and of the edge rows of
+linearize.
 
 Each mutant in MUTANTS is one textual edit of a file under src/soficrank,
 made on a copy of src/ in a temporary directory, never in place.  For each,
-the tests of the rank engines, the group families and the pipelines run
-against the copy, and the mutant is reported killed (a test failed),
-survived (every test passed) or timed out.  An edit whose old text does not occur exactly once
-in the file is an error before anything runs, so the table cannot rot
-silently; so is an unmutated copy that fails the tests.
+the tests of the rank engines, the linearization, the group families and the
+pipelines run against the copy, and the mutant is reported killed (a test
+failed), survived (every test passed) or timed out.  An edit whose old
+text does not occur exactly once in the file is an error before anything
+runs, so the table cannot rot silently; so is an unmutated copy that fails
+the tests.
 
 Run from anywhere, outside the tier-1 suite (pytest does not collect this
 file), in a few minutes:
@@ -33,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_%s.py" % name
     for name in ("rank", "fourier", "golden", "invariants", "properties", "acceptance",
-                 "groups")
+                 "groups", "linearize")
 ]
 # criterion 6 ranks a 50 000-row matrix three times; it alone would take
 # longer than the whole table
@@ -169,6 +172,22 @@ MUTANTS = [
      "token = {str(i + 1): i for i in range(g)}",
      "token = {str(i): i for i in range(g)}",
      "table words read as 0-based indices"),
+    ("groups.py",
+     "r // g * g + s // h for r",
+     "r // g * g + s % h for r",
+     "a Sanov point placed by s % h, not s // h"),
+    ("groups.py",
+     "seen = [False] * (len(img_a) // m)",
+     "seen = [True] * (len(img_a) // m)",
+     "the Sanov block search starting with every block seen"),
+    ("linearize.py",
+     "            if g2 == e:",
+     "            if True:",
+     "the identity shortcut taken for any second term"),
+    ("linearize.py",
+     "if k1 == k2 and any(map(eq, range(d), pair)):",
+     "if False:",
+     "the fixed-point filter of edge pairs never run"),
 ]
 
 

@@ -662,13 +662,61 @@ def test_sanov_degree_by_enumeration(f2):
     assert sanov_quotient(15, f2).degree == 2880
 
 
-def test_sanov_search_must_reach_the_whole_group(monkeypatch, f2):
-    # the search reaches |SL2(Z/m)| elements only if the images generate; a
-    # build that expects one more element must refuse, not return a model
+def test_sanov_build_checks_its_point_count(monkeypatch, f2):
+    # the unimodular first rows, m elements each, must number |SL2(Z/m)|
+    # elements; a build that expects one more element must refuse, not
+    # return a model
     size = _sl2_size
     monkeypatch.setattr(groups, "_sl2_size", lambda m: size(m) + 1)
     with pytest.raises(RuntimeError, match="failed to generate SL2"):
         sanov_quotient(15, f2)
+
+
+def sanov_by_search(m):
+    """Reference builder: the images of a and b on SL2(Z/m), its elements
+    found by a search from the identity and put in sorted order of their
+    entry tuples (p, q, r, s) by one sort of their integer codes
+    ((p*m + q)*m + r)*m + s, whose base-m digits are the entries."""
+    m2 = m * m
+    codes = [m2 * m + 1]  # the identity (1, 0, 0, 1)
+    found = {codes[0]: 0}  # code -> discovery index
+    step_a, step_b = [], []  # discovery index -> that of its a- and b-neighbour
+    for x in codes:
+        hi, lo = divmod(x, m2)
+        p, q = divmod(hi, m)
+        r, s = divmod(lo, m)
+        for y, step in ((((p + 2 * r) % m * m + (q + 2 * s) % m) * m2 + lo, step_a),
+                        (hi * m2 + (r + 2 * p) % m * m + (s + 2 * q) % m, step_b)):
+            i = found.get(y)
+            if i is None:
+                i = found[y] = len(codes)
+                codes.append(y)
+            step.append(i)
+    order = sorted(range(len(codes)), key=codes.__getitem__)  # point -> discovery index
+    point = [0] * len(codes)
+    for i, k in enumerate(order):
+        point[k] = i
+    return (tuple([point[step_a[k]] for k in order]),
+            tuple([point[step_b[k]] for k in order]))
+
+
+def test_sanov_points_match_the_search(f2):
+    # every odd modulus to 45: primes, prime powers 9, 25, 27 and the
+    # composites 15, 21, 33, 35, 45, where gcd(p, m) takes several values
+    for m in range(3, 46, 2):
+        assert sanov_quotient(m, f2).gen_images == sanov_by_search(m), m
+
+
+def test_sanov_generation_check_refuses_two_components():
+    # six points in two blocks of three; the images keep each block to
+    # itself, so the search from either block misses the other
+    split = (1, 2, 0, 4, 5, 3)
+    for home in (0, 4):
+        with pytest.raises(RuntimeError, match="failed to generate SL2\\(Z/3\\)"):
+            groups._check_sanov_blocks(split, 3, home)
+    # one point crossing over joins the blocks in both directions
+    groups._check_sanov_blocks((1, 2, 3, 4, 5, 0), 3, 0)
+    groups._check_sanov_blocks((1, 2, 3, 4, 5, 0), 3, 4)
 
 
 def test_sanov_rejects_even_or_small_modulus():

@@ -375,6 +375,30 @@ def test_linearize_keeps_order_when_terms_cancel(f2):
     assert linearize(RingMatrix(f2, [[RingElement(f2, [(a, 1), (b, -1)])]]), q).is_zero()
 
 
+@pytest.mark.parametrize("text", [
+    "a - 1",  # identity second: the pairs are sigma(a) itself
+    "1 - a",  # identity first: one inverse, of sigma(a)
+    "-a + 1",  # identity second, with the -1 term first
+    "a, -1",  # identity second, in another entry
+    "a - b",
+])
+def test_edge_rows_match_triplet_oracle(f2, text):
+    f = parse_ring_matrix(text, f2)
+    # a fixes two points of the random model and agrees with b at one, so
+    # "a - 1", "1 - a" and "a - b" each make a zero row there
+    rand = random_quotient(f2, 6, 3)
+    a, b = rand.gen_images
+    assert sum(a[w] == w for w in range(6)) == 2
+    assert sum(a[w] == b[w] for w in range(6)) == 1
+    for q in (sanov_quotient(5, f2), rand):
+        L, want = linearize(f, q), triplet_linearize(f, q)
+        assert L == want
+        assert stored_order(L) == stored_order(want)
+        assert L._row_map == {}
+        dropped = 0 if (f.cols == 2 or q.genuine) else 1 if text == "a - b" else 2
+        assert len(L._edges[0]) == q.degree - dropped
+
+
 def test_block_diagonal_linearization(f2):
     q = sanov_quotient(3, f2)
     combined = linearize(parse_ring_matrix("a - 1, 0 ; 0, b - 1", f2), q)
