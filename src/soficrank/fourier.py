@@ -26,22 +26,31 @@ fourier_ranks ranks all of a grid stage's matrices in one call, under that
 one rule: one batch of primes per round for the whole stage.  The orbits
 and the exponents a.s mod n of every monomial s of the stage are worked
 out once per call; per batch there is one root of unity (the primes' roots
-joined by CRT), one power table and one table of character values
-zeta^(a.s), and every matrix still open reads them.  _split_values ranks
-a matrix's orbits once modulo the product of the batch's primes, and at
-the first orbit with a pivot that is not a unit there it ranks each prime
-alone, over the same table reduced modulo that prime.
+joined by CRT) and one power table.  The orbits are then taken a slice of
+_SLICE at a time: each slice gets one table of character values zeta^(a.s),
+which every matrix still open reads, and _split_values ranks a matrix's
+orbits of that slice together, in one fraction-free elimination modulo the
+product of the batch's primes along the pivot sequence of one lead orbit.
+An orbit that this does not rank at every prime of the batch, because one
+of its pivots is not a unit or its remainder is not zero, is eliminated
+again alone, and at a pivot that is not a unit there, that orbit alone is
+ranked at each prime.  Each prime's value is an exact rank, so the values
+do not depend on how the orbits are sliced.
 """
 
 from __future__ import annotations
 
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 
 from .primes import prime_factors
 from .rank import DEFAULT_POLICY, multimodular_rank
 
 __all__ = ["character_orbits", "fourier_ranks"]
+
+# orbits ranked together in one elimination; the koszul_euler solve time
+# levels off from 64 up, and the slice bounds what one elimination holds
+_SLICE = 64
 
 
 def character_orbits(k, n):
@@ -87,49 +96,79 @@ def _root_of_unity(n, p):
             return w
 
 
-def _rank_mod(rows, N):
-    """Rank of a small dense matrix modulo a squarefree N, or None when a
-    pivot is not a unit mod N (a composite N then has no common elimination).
+def _eliminate(entries, chars, width, N):
+    """(r, ok) for the matrices f(chi_O) of a slice of ``width`` orbits, f
+    given as ``entries`` (lists of (coefficient, monomial column) pairs) and
+    ``chars`` the slice's character values modulo N, one list over its
+    orbits per monomial: ok[j] says that orbit j has rank r modulo every
+    prime factor of N.
 
-    Fraction-free: a row is scaled by the pivot, a unit, before the pivot
-    row is subtracted, which keeps the rank modulo every prime factor.
+    Each entry is evaluated over the whole slice with one list sweep per
+    term.  Every orbit is then eliminated fraction-free modulo N along one
+    pivot sequence, read from the slice's last orbit, the lead: a row is
+    scaled by the pivot before the pivot row is subtracted.  Where an
+    orbit's pivots are all units mod N (their product is), every step is
+    invertible modulo each prime factor, and its r pivot rows stay
+    independent there; if its rows below them end at zero, its rank is r
+    modulo each factor.  The lead's own rows below always end at zero, so
+    in a slice of one orbit only a pivot that is not a unit leaves ok False.
     """
-    A = [list(r) for r in rows]
+    def evaluate(x):
+        acc = [0] * width
+        for c, m in x:
+            acc = [a + c * v for a, v in zip(acc, chars[m])]
+        return [a % N for a in acc]
+
+    A = [[evaluate(x) for x in row] for row in entries]
+    lead = width - 1
+    units = [1] * width
     rank = 0
     for c in range(len(A[0])):
-        pr = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        pr = next((i for i in range(rank, len(A)) if A[i][c][lead]), None)
         if pr is None:
             continue
         A[rank], A[pr] = A[pr], A[rank]
         prow = A[rank]
-        if gcd(piv := prow[c], N) != 1:
-            return None
+        piv = prow[c]
+        units = [u * v % N for u, v in zip(units, piv)]
         for i in range(rank + 1, len(A)):
             f = A[i][c]
-            if f:
-                A[i] = [(x * piv - f * y) % N for x, y in zip(A[i], prow)]
+            if any(f):
+                A[i] = [[(x * v - g * y) % N for x, v, g, y in zip(xs, piv, f, ys)]
+                        for xs, ys in zip(A[i], prow)]
         rank += 1
-    return rank
+    ok = [gcd(u, N) == 1 for u in units]
+    for row in A[rank:]:
+        for values in row:
+            ok = [k and not v for k, v in zip(ok, values)]
+    return rank, ok
 
 
-def _split_values(entries, orbits, chars, primes):
-    """[sum_O |O| rank_p f(chi_(a_O)) for p in primes], distinct primes, for
-    f given as ``entries`` (lists of (coefficient, monomial column) pairs)
-    and ``chars`` the character value table modulo N, the primes' product:
-    one pass modulo N, or once an orbit's matrix meets a pivot that is not
-    a unit mod N, one pass per prime over the table reduced mod p, where
-    every nonzero pivot is a unit."""
+def _split_values(entries, sizes, chars, primes):
+    """[sum_O |O| rank_p f(chi_(a_O)) for p in primes] over one slice of
+    orbits, of sizes ``sizes``, for distinct primes, with f's ``entries``
+    and the slice's ``chars`` modulo N, the primes' product, as _eliminate
+    reads them.
+
+    The slice is eliminated once modulo N.  Each orbit that this does not
+    rank is eliminated again alone, modulo N, and if a pivot there is not a
+    unit, that orbit alone is ranked once per prime over its values reduced
+    mod p, where every nonzero pivot is a unit.
+    """
     N = prod(primes)
-    total = 0
-    for (_, size), values in zip(orbits, chars):
-        mat = [[sum([c * values[m] for c, m in x]) % N for x in row] for row in entries]
-        r = _rank_mod(mat, N)
-        if r is None:
-            return [
-                _split_values(entries, orbits, [[v % p for v in row] for row in chars], (p,))[0]
-                for p in primes]
-        total += size * r
-    return [total] * len(primes)
+    rank, ok = _eliminate(entries, chars, len(sizes), N)
+    total = rank * sum(size for size, good in zip(sizes, ok) if good)
+    values = [total] * len(primes)
+    for j, good in enumerate(ok):
+        if good:
+            continue
+        alone = [[v[j]] for v in chars]
+        rank, (good,) = _eliminate(entries, alone, 1, N)
+        ranks = [rank] * len(primes) if good else [
+            _eliminate(entries, [[v % p for v in col] for col in alone], 1, p)[0]
+            for p in primes]
+        values = [v + sizes[j] * r for v, r in zip(values, ranks)]
+    return values
 
 
 def fourier_ranks(matrices, n, policy=None):
@@ -140,7 +179,8 @@ def fourier_ranks(matrices, n, policy=None):
     One call serves a whole stage: it builds the character orbits and the
     exponents a.s mod n of every monomial s of the matrices once, and for
     each batch of primes one root, one power table and one table of
-    character values, which every matrix still open reads.  Returns one
+    character values, built a slice of orbits at a time, which every matrix
+    still open reads slice by slice.  Returns one
     RankResult per matrix, with method ``fourier_mod_p``, each the one the
     rule would give that matrix alone; it is uncertified when the policy's
     window holds too few such primes.  The caller must know that the model
@@ -154,7 +194,9 @@ def fourier_ranks(matrices, n, policy=None):
     column = {s: i for i, s in enumerate(monomials)}
     entries = [[[[(c, column[g.payload]) for g, c in x.terms.items()] for x in row]
                 for row in f.entries] for f in matrices]
-    exponents = [[sum(map(mul, a, s)) % n for s in monomials] for a, _ in orbits]
+    # one list over the orbits per monomial
+    exponents = [[sum(map(mul, a, s)) % n for a, _ in orbits] for s in monomials]
+    sizes = [size for _, size in orbits]
 
     def rank_at(primes, todo):
         N = prod(primes)
@@ -162,7 +204,12 @@ def fourier_ranks(matrices, n, policy=None):
         powers = [1]
         for _ in range(n - 1):
             powers.append(powers[-1] * w % N)
-        chars = [[powers[e] for e in row] for row in exponents]
-        return [_split_values(entries[i], orbits, chars, primes) for i in todo]
+        totals = [[0] * len(primes) for _ in todo]
+        for lo in range(0, len(orbits), _SLICE):
+            chars = [[powers[e] for e in col[lo:lo + _SLICE]] for col in exponents]
+            for t, i in zip(totals, todo):
+                values = _split_values(entries[i], sizes[lo:lo + _SLICE], chars, primes)
+                t[:] = map(add, t, values)
+        return totals
 
     return multimodular_rank(rank_at, len(matrices), policy, "fourier_mod_p", modulus=n)

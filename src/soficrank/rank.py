@@ -79,8 +79,10 @@ elimination when the matrix is small enough.  fourier.fourier_ranks runs
 it on all of a grid stage's matrices at once, with primes p = 1 (mod n)
 and the character split of a grid model of (Z/n)^k: one batch per round,
 and one root of unity and one table of character values per batch, for
-the whole stage.  That engine alone eliminates once modulo the product of
-a batch's primes (see that module).
+the whole stage.  That engine alone eliminates modulo the product of a
+batch's primes, a slice of character orbits at a time, and ranks an orbit
+prime by prime only where a pivot of that orbit is not a unit modulo the
+product (see that module).
 
 rank_dense_bareiss is the exact engine, behind that fallback and behind
 invariants.finite_group_exact_betti, the finite-group oracle.  It keeps

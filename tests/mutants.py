@@ -101,9 +101,23 @@ MUTANTS = [
      "if M.rows + M.cols < policy.dense_threshold:",
      "no Bareiss at rows + cols equal to the threshold"),
     ("fourier.py",
-     "if gcd(piv := prow[c], N) != 1:",
-     "if not (piv := prow[c]):",
-     "an undetected non-unit pivot in the Fourier joint pass"),
+     "        units = [u * v % N for u, v in zip(units, piv)]\n",
+     "",
+     "an undetected non-unit pivot in the Fourier slice elimination"),
+    ("fourier.py",
+     "ok = [gcd(u, N) == 1 for u in units]",
+     "ok = [u != 0 for u in units]",
+     "the Fourier unit test replaced by a nonzero test"),
+    ("fourier.py",
+     "    for row in A[rank:]:\n"
+     "        for values in row:\n"
+     "            ok = [k and not v for k, v in zip(ok, values)]\n",
+     "",
+     "the Fourier zero-remainder check dropped"),
+    ("fourier.py",
+     "sizes[lo:lo + _SLICE], chars, primes)",
+     "sizes[:_SLICE], chars, primes)",
+     "a slice's orbit sizes read at the wrong offset"),
     ("fourier.py",
      "g.payload for f in matrices for row",
      "g.payload for f in matrices[:1] for row",

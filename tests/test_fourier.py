@@ -25,7 +25,7 @@ from soficrank import (
     sanov_quotient,
     vrk_approximants,
 )
-from soficrank import invariants
+from soficrank import fourier, invariants
 from soficrank.fourier import _root_of_unity, character_orbits, fourier_ranks
 from soficrank.groups import _grid_images, perm_compose, perm_inverse
 from soficrank.linearize import linearize
@@ -86,9 +86,10 @@ def test_fourier_known_rank_deficiency(z1):
 
 
 def test_fourier_falls_back_prime_by_prime(z1):
-    # the window [2, 8) holds 3, 5 and 7, all = 1 (mod 2); the orbit value 3
-    # of 2t + 1 is not a unit mod 15 or 21, so a batch holding 3 is ranked
-    # one prime at a time, and rank 1 mod 3 is a bad reduction
+    # the window [2, 8) holds 3, 5 and 7, all = 1 (mod 2); the value 3 of
+    # 2t + 1 at the trivial orbit is not a unit mod 15 or 21, so in a batch
+    # holding 3 that orbit is ranked one prime at a time, and rank 1 mod 3
+    # is a bad reduction
     f = parse_ring_matrix("2*t + 1", z1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
     assert fourier_ranks([f], 2, policy) == [RankResult(2, "fourier_mod_p", (5, 3, 7), True)]
@@ -124,8 +125,9 @@ def test_stage_call_matches_each_differential_alone(k, moduli):
 def test_stage_call_closes_each_differential_in_its_own_round(z1):
     # the window [2, 8) holds 3, 5 and 7, all = 1 (mod 2).  t^3 + t takes
     # the unit values 2 and -2 and closes on the first batch; 2t + 1 takes
-    # 3, a bad reduction mod 3 that sends the joint pass to one prime at a
-    # time, and needs the next round, or stays uncertified without one
+    # 3 at the trivial orbit, a bad reduction mod 3 that sends that orbit to
+    # one prime at a time, and needs the next round, or stays uncertified
+    # without one
     f = parse_ring_matrix("2*t + 1", z1)
     g = parse_ring_matrix("t^3 + t", z1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
@@ -154,6 +156,111 @@ def test_stage_call_matches_random_matrices_alone(case, policy):
     matrices, n = case
     stage = fourier_ranks(matrices, n, policy)
     assert stage == [fourier_ranks([f], n, policy)[0] for f in matrices]
+
+
+def plain_rank_mod(rows, p):
+    """Rank of a dense matrix over F_p by Gauss-Jordan elimination with
+    inverses."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_split(f, n, p):
+    """sum_O |O| rank_p f(chi_O): each orbit's matrix evaluated at the root
+    of unity mod p that the split reduces to, and ranked by plain
+    elimination."""
+    w = _root_of_unity(n, p)
+    total = 0
+    for a, size in character_orbits(f.family.rank, n):
+        rows = [[sum(c * pow(w, sum(x * y for x, y in zip(a, g.payload)) % n, p)
+                     for g, c in entry.terms.items()) for entry in row]
+                for row in f.entries]
+        total += size * plain_rank_mod(rows, p)
+    return total
+
+
+def check_split_values(matrices, n, policy=None):
+    """fourier_ranks(matrices, n, policy), after checking the value of every
+    matrix at every prime of every batch against reference_split."""
+    batches = []
+    rule = fourier.multimodular_rank
+
+    def recorded(rank_at, count, policy, method, modulus):
+        def engine(batch, todo):
+            values = rank_at(batch, todo)
+            batches.append((batch, todo, values))
+            return values
+
+        return rule(engine, count, policy, method, modulus=modulus)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "multimodular_rank", recorded)
+        results = fourier_ranks(matrices, n, policy)
+    assert batches
+    for batch, todo, values in batches:
+        for i, at in zip(todo, values, strict=True):
+            assert at == [reference_split(matrices[i], n, p) for p in batch]
+    return results
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_cases())
+def test_split_values_match_plain_elimination_at_each_prime(case):
+    f, n = case
+    check_split_values([f], n)
+
+
+def test_split_values_match_plain_elimination_on_fixed_cases(z1):
+    check_split_values([parse_ring_matrix("1 - t^3", z1)], 6)
+    fam = FreeAbelian(3)
+    koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[3]]
+    for n in (2, 3, 4, 6):  # (Z/6)^3 has 112 orbits, more than one slice
+        check_split_values(koszul, n)
+    # the value 3 at the trivial orbit is the only pivot that is not a unit
+    # mod 15 or 21; the other orbit takes -1
+    f = parse_ring_matrix("2*t + 1", z1)
+    policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
+    check_split_values([f], 2, policy)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_slice_size_leaves_every_result(z1, monkeypatch, size):
+    # stages whose orbits meet every path of the split: slices led by a
+    # rank-deficient orbit, orbits ranked again alone, and orbits ranked one
+    # prime at a time
+    fam = FreeAbelian(3)
+    koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[3]]
+    narrow = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
+    cases = [(koszul, n, None) for n in (2, 3, 4, 6)] + [
+        (koszul, 2, narrow),
+        ([parse_ring_matrix("1 - t^3", z1)], 6, None),
+        ([parse_ring_matrix("2*t + 1", z1), parse_ring_matrix("t^3 + t", z1)], 2, narrow),
+    ]
+    default = [fourier_ranks(*case) for case in cases]
+    monkeypatch.setattr(fourier, "_SLICE", size)
+    assert [fourier_ranks(*case) for case in cases] == default
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_stages(), st.sampled_from([1, 2, 3]))
+def test_slice_size_leaves_random_results(case, size):
+    matrices, n = case
+    default = fourier_ranks(matrices, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "_SLICE", size)
+        assert fourier_ranks(matrices, n) == default
 
 
 def test_character_orbits_partition_the_group():
