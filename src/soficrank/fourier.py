@@ -25,12 +25,14 @@ rank.multimodular_rank certifies it by the same rule.
 fourier_ranks ranks all of a grid stage's matrices in one call, under that
 one rule: one batch of primes per round for the whole stage.  The orbits
 and the exponents a.s mod n of every monomial s of the stage are worked
-out once per call; per batch there is one root of unity (the primes' roots
-joined by CRT) and one power table.  The orbits are then taken a slice of
-_SLICE at a time: each slice gets one table of character values zeta^(a.s),
-which every matrix still open reads, and _split_values ranks a matrix's
-orbits of that slice together, in one fraction-free elimination modulo the
-product of the batch's primes along the pivot sequence of one lead orbit.
+out once per call, the orbits by formula from the prime powers dividing n,
+with no search over (Z/n)^k; per batch there is one root of unity (the
+primes' roots joined by CRT) and one power table.  The orbits are then
+taken a slice of _SLICE at a time: each slice gets one table of character
+values zeta^(a.s), which every matrix still open reads, and _split_values
+ranks a matrix's orbits of that slice together, in one fraction-free
+elimination modulo the product of the batch's primes along the pivot
+sequence of one lead orbit.
 An orbit that this does not rank at every prime of the batch, because one
 of its pivots is not a unit or its remainder is not zero, is eliminated
 again alone, and at a pivot that is not a unit there, that orbit alone is
@@ -40,6 +42,7 @@ do not depend on how the orbits are sliced.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd, prod
 from operator import add, mul
 
@@ -57,30 +60,33 @@ def character_orbits(k, n):
     """One (representative, orbit size) pair per orbit of (Z/n)^k under
     a -> u.a for the units u of Z/n; the sizes add up to n^k.
 
-    A point a of order m = n / gcd(a, n) has u.a depending on u mod m only,
-    and the units of Z/n reach every unit of Z/m, so its orbit is
-    {u.a : u a unit of Z/m}, of size phi(m).  Points are indexed as
-    sum_i a_i n^i; representatives come out in increasing index order.
+    The units of Z/n = prod Z/p^e act on (Z/n)^k = prod (Z/p^e)^k one
+    factor p^e || n at a time, so an orbit is a product of one orbit per
+    factor, and its size is the product of theirs.  Over Z/p^e a point of
+    order p^j is p^(e-j) b, with b in (Z/p^j)^k not zero mod p, on which
+    the units act freely through their residues mod p^j: its orbit has
+    phi(p^j) points and holds one normal form b, whose first coordinate
+    that is a unit mod p is 1 and whose coordinates before it are multiples
+    of p.  Scaled by n / p^j rather than p^(e-j), that form is moved by the
+    unit n / p^e at p and is zero at every other prime, so the
+    representative of a product of orbits is the sum of its factors' scaled
+    forms mod n.  Nothing of size n^k is built and nothing is searched.
     Not memoized: fourier_ranks builds them once per call, which is once
     per grid stage.
     """
-    weights = [n ** i for i in range(k)]
-    units = {}
-    seen = bytearray(n ** k)
-    out = []
-    i = seen.find(0)
-    while i >= 0:
-        a = tuple(i // w % n for w in weights)
-        m = n // gcd(n, *a)
-        us = units.get(m)
-        if us is None:
-            us = units[m] = [u for u in range(m) if gcd(u, m) == 1]
-        cols = [[u * c % n * w for u in us] for c, w in zip(a, weights)]
-        for j in map(sum, zip(*cols)):
-            seen[j] = 1
-        out.append((a, len(us)))
-        i = seen.find(0, i + 1)
-    return tuple(out)
+    orbits = [((0,) * k, 1)]
+    for p in prime_factors(n):
+        forms = [((0,) * k, 1)]
+        q = p
+        while n % q == 0:
+            forms += [(tuple(n // q * x for x in (*head, 1, *tail)), q - q // p)
+                      for i in range(k)
+                      for head in product(range(0, q, p), repeat=i)
+                      for tail in product(range(q), repeat=k - 1 - i)]
+            q *= p
+        orbits = [(tuple((x + y) % n for x, y in zip(a, b)), s * t)
+                  for a, s in orbits for b, t in forms]
+    return tuple(orbits)
 
 
 def _root_of_unity(n, p):

@@ -29,9 +29,11 @@ f(chi), certified by the same agreement rule as a sparse mod-p rank.
 Every other model, and any uncertified split, takes linearize and the
 sparse engine, with its Bareiss fallback.  Once every matrix of a grid
 stage has passed the size cap, one fourier.fourier_ranks call ranks them
-all: it builds the stage's character orbits once, draws one batch of
-primes per round for the whole stage, and makes one root of unity and one
-table of character values per batch, which every matrix still open reads.
+all: it builds the stage's character orbits once, by formula from the
+prime powers dividing n (no search over the n^k characters), draws one
+batch of primes per round for the whole stage, and makes one root of unity
+and one table of character values per batch, which every matrix still open
+reads.
 Nothing is cached across stages or calls.
 
 A literal mean rank is built on one path for every family: module elements

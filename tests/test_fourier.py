@@ -29,7 +29,7 @@ from soficrank import fourier, invariants
 from soficrank.fourier import _root_of_unity, character_orbits, fourier_ranks
 from soficrank.groups import _grid_images, perm_compose, perm_inverse
 from soficrank.linearize import linearize
-from soficrank.primes import isprime
+from soficrank.primes import isprime, prime_factors
 from conftest import build_s3_table
 
 # largest grid modulus per rank, so that the sparse reference stays small
@@ -235,19 +235,23 @@ def test_split_values_match_plain_elimination_on_fixed_cases(z1):
     check_split_values([f], 2, policy)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3])
-def test_slice_size_leaves_every_result(z1, monkeypatch, size):
-    # stages whose orbits meet every path of the split: slices led by a
-    # rank-deficient orbit, orbits ranked again alone, and orbits ranked one
-    # prime at a time
+def split_cases(z1):
+    """(matrices, n, policy) for stages whose orbits meet every path of the
+    split: slices led by a rank-deficient orbit, orbits ranked again alone,
+    and orbits ranked one prime at a time."""
     fam = FreeAbelian(3)
     koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[3]]
     narrow = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
-    cases = [(koszul, n, None) for n in (2, 3, 4, 6)] + [
+    return [(koszul, n, None) for n in (2, 3, 4, 6)] + [
         (koszul, 2, narrow),
         ([parse_ring_matrix("1 - t^3", z1)], 6, None),
         ([parse_ring_matrix("2*t + 1", z1), parse_ring_matrix("t^3 + t", z1)], 2, narrow),
     ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_slice_size_leaves_every_result(z1, monkeypatch, size):
+    cases = split_cases(z1)
     default = [fourier_ranks(*case) for case in cases]
     monkeypatch.setattr(fourier, "_SLICE", size)
     assert [fourier_ranks(*case) for case in cases] == default
@@ -263,16 +267,74 @@ def test_slice_size_leaves_random_results(case, size):
         assert fourier_ranks(matrices, n) == default
 
 
+def reference_orbits(k, n):
+    """character_orbits by search: every point of (Z/n)^k, indexed as
+    sum_i a_i n^i, is marked in a bytearray, and each point not yet marked
+    is the representative of a new orbit, in increasing index order."""
+    weights = [n ** i for i in range(k)]
+    units = {}
+    seen = bytearray(n ** k)
+    out = []
+    i = seen.find(0)
+    while i >= 0:
+        a = tuple(i // w % n for w in weights)
+        m = n // gcd(n, *a)
+        us = units.get(m)
+        if us is None:
+            us = units[m] = [u for u in range(m) if gcd(u, m) == 1]
+        cols = [[u * c % n * w for u in us] for c, w in zip(a, weights)]
+        for j in map(sum, zip(*cols)):
+            seen[j] = 1
+        out.append((a, len(us)))
+        i = seen.find(0, i + 1)
+    return tuple(out)
+
+
+def orbit_count(k, n):
+    """prod over p^e || n of 1 + sum_{j=1..e} (p^(jk) - p^((j-1)k)) / phi(p^j):
+    the points of order p^j, over the size of each of their orbits."""
+    count = 1
+    for p in prime_factors(n):
+        factor, j = 1, 1
+        while n % p ** j == 0:
+            factor += (p ** (j * k) - p ** ((j - 1) * k)) // (p ** j - p ** (j - 1))
+            j += 1
+        count *= factor
+    return count
+
+
+ORBIT_CASES = [(k, n) for k in (1, 2, 3) for n in range(1, 31)] + [
+    (k, n) for k in (1, 2) for n in (36, 40, 48)]
+
+
 def test_character_orbits_partition_the_group():
-    for k, n in ((1, 1), (1, 12), (2, 6), (2, 9), (3, 4)):
+    for k, n in ((1, 1), (1, 12), (2, 6), (2, 9), (3, 4), *ORBIT_CASES):
         units = [u for u in range(n) if gcd(u, n) == 1]
         seen = set()
+        orbits = {}
         for a, size in character_orbits(k, n):
             orbit = {tuple(u * x % n for x in a) for u in units}
             assert len(orbit) == size
             assert not orbit & seen
             seen |= orbit
+            orbits[frozenset(orbit)] = size
         assert len(seen) == n ** k
+        assert len(orbits) == orbit_count(k, n)
+        assert orbits == {frozenset(tuple(u * x % n for x in a) for u in units): size
+                          for a, size in reference_orbits(k, n)}
+
+
+def test_orbit_order_leaves_every_result(z1, monkeypatch):
+    # each prime's value is an exact rank, so neither the representatives
+    # nor their order, which decides the slices, may change a result
+    fam = FreeAbelian(2)
+    koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[2]]
+    cases = [(koszul, n, None) for n in (40, 80)] + split_cases(z1)
+    default = [fourier_ranks(*case) for case in cases]
+    monkeypatch.setattr(fourier, "character_orbits", reference_orbits)
+    assert [fourier_ranks(*case) for case in cases] == default
+    monkeypatch.setattr(fourier, "character_orbits", lambda k, n: reference_orbits(k, n)[::-1])
+    assert [fourier_ranks(*case) for case in cases] == default
 
 
 def test_grid_modulus_reads_the_model(z2grid):
