@@ -1,7 +1,7 @@
 """Ranks at grid models of Z^k by splitting over characters.
 
 At the translation model of (Z/n)^k that grid_quotient builds (the model
-records n, and invariants._stage_ranks reads it there), linearize(f) is
+records n, and invariants._rank_table reads it there), linearize(f) is
 block-circulant: every block is a combination of commuting translations.
 Over a field holding the n-th roots of unity the characters
 chi_a(x^s) = zeta^(a.s), a in (Z/n)^k, diagonalize all translations at once,
@@ -22,28 +22,36 @@ and equality holds for all but finitely many p.  Each prime's value is thus
 a lower bound for the rational rank, just as a mod-p rank of L(f) is, and
 rank.multimodular_rank certifies it by the same rule.
 
-fourier_ranks ranks all of a grid stage's matrices in one call, under that
-one rule: one batch of primes per round for the whole stage.  The orbits
-and the exponents a.s mod n of every monomial s of the stage are worked
-out once per call, the orbits by formula from the prime powers dividing n,
-with no search over (Z/n)^k; per batch there is one root of unity (the
-primes' roots joined by CRT) and one power table.  The orbits are then
-taken a slice of _SLICE at a time: each slice gets one table of character
-values zeta^(a.s), which every matrix still open reads, and _split_values
-ranks a matrix's orbits of that slice together, in one fraction-free
-elimination modulo the product of the batch's primes along the pivot
-sequence of one lead orbit.
+A character of order m is a character of every stage whose modulus m
+divides, with the same rank over Q(zeta_m) there, and its orbit has the
+same size at each.  So fourier_ranks ranks all the grid stages of a
+sequence in one call, under that one rule: each round draws one batch of
+primes p = 1 (mod L), L the lcm of the moduli, for every stage and matrix.
+Each orbit of an order m dividing some modulus is built once (by formula
+from the prime powers dividing that modulus, with no search over
+(Z/n)^k) and ranked once per prime, at w^(L/n), w one root of order L per
+prime (the batch's roots joined by CRT) and n the modulus it was built
+at; a stage's value at a prime is the sum over the orbits of the orders
+dividing its modulus.  Nothing is sized by L: there is one power table per
+modulus n, of length n, per batch.  The orbits are grouped by the set of
+stages whose moduli their order divides and taken a slice of _SLICE at a
+time within a group: each slice gets one table of character values
+zeta^(a.s), which every matrix still open at a stage of the group reads,
+and _split_values ranks a matrix's orbits of that slice together, in one
+fraction-free elimination modulo the product of the batch's primes along
+the pivot sequence of one lead orbit.
 An orbit that this does not rank at every prime of the batch, because one
-of its pivots is not a unit or its remainder is not zero, is eliminated
-again alone, and at a pivot that is not a unit there, that orbit alone is
-ranked at each prime.  Each prime's value is an exact rank, so the values
-do not depend on how the orbits are sliced.
+of its pivots is not a unit (it is zero modulo some prime of the batch) or
+its remainder is not zero, is eliminated again alone, and at a pivot that
+is not a unit there, that orbit alone is ranked at each prime.  Each
+prime's value is an exact rank, so the values do not depend on how the
+orbits are sliced or grouped.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd, prod
+from itertools import accumulate, product, repeat
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .primes import prime_factors
@@ -71,8 +79,7 @@ def character_orbits(k, n):
     unit n / p^e at p and is zero at every other prime, so the
     representative of a product of orbits is the sum of its factors' scaled
     forms mod n.  Nothing of size n^k is built and nothing is searched.
-    Not memoized: fourier_ranks builds them once per call, which is once
-    per grid stage.
+    Not memoized: fourier_ranks builds them once per call and modulus.
     """
     orbits = [((0,) * k, 1)]
     for p in prime_factors(n):
@@ -89,25 +96,27 @@ def character_orbits(k, n):
     return tuple(orbits)
 
 
-def _root_of_unity(n, p):
+def _root_of_unity(n, p, moduli=None):
     """A primitive n-th root of unity mod a prime p = 1 (mod n); ValueError
-    for any other p, which holds none."""
+    for any other p, which holds none.  ``moduli``, when given, are numbers
+    whose lcm is n: the primes of n are read from them one at a time, so
+    trial division never runs up to sqrt(n)."""
     e, r = divmod(p - 1, n)
     if r:
         raise ValueError("%d is not 1 mod %d" % (p, n))
-    factors = prime_factors(n)
+    factors = {l for m in moduli or (n,) for l in prime_factors(m)}
     for x in range(1, p):  # x = 1 gives w = 1, the root for n = 1
         w = pow(x, e, p)
         if all(pow(w, n // l, p) != 1 for l in factors):
             return w
 
 
-def _eliminate(entries, chars, width, N):
+def _eliminate(entries, chars, width, primes):
     """(r, ok) for the matrices f(chi_O) of a slice of ``width`` orbits, f
     given as ``entries`` (lists of (coefficient, monomial column) pairs) and
-    ``chars`` the slice's character values modulo N, one list over its
-    orbits per monomial: ok[j] says that orbit j has rank r modulo every
-    prime factor of N.
+    ``chars`` the slice's character values modulo N, the product of the
+    distinct ``primes``, one list over its orbits per monomial: ok[j] says
+    that orbit j has rank r modulo every one of those primes.
 
     Each entry is evaluated over the whole slice with one list sweep per
     term.  Every orbit is then eliminated fraction-free modulo N along one
@@ -116,9 +125,13 @@ def _eliminate(entries, chars, width, N):
     orbit's pivots are all units mod N (their product is), every step is
     invertible modulo each prime factor, and its r pivot rows stay
     independent there; if its rows below them end at zero, its rank is r
-    modulo each factor.  The lead's own rows below always end at zero, so
-    in a slice of one orbit only a pivot that is not a unit leaves ok False.
+    modulo each factor.  The product is a unit exactly when it is nonzero
+    modulo every prime, which is how it is tested.  The lead's own rows
+    below always end at zero, so in a slice of one orbit only a pivot that
+    is not a unit leaves ok False.
     """
+    N = prod(primes)
+
     def evaluate(x):
         acc = [0] * width
         for c, m in x:
@@ -143,7 +156,9 @@ def _eliminate(entries, chars, width, N):
                 A[i] = [[(x * v - g * y) % N for x, v, g, y in zip(xs, piv, f, ys)]
                         for xs, ys in zip(A[i], prow)]
         rank += 1
-    ok = [gcd(u, N) == 1 for u in units]
+    ok = units
+    for p in primes:  # a unit mod N exactly when nonzero mod each prime
+        ok = [k and u % p for k, u in zip(ok, units)]
     for row in A[rank:]:
         for values in row:
             ok = [k and not v for k, v in zip(ok, values)]
@@ -161,61 +176,89 @@ def _split_values(entries, sizes, chars, primes):
     unit, that orbit alone is ranked once per prime over its values reduced
     mod p, where every nonzero pivot is a unit.
     """
-    N = prod(primes)
-    rank, ok = _eliminate(entries, chars, len(sizes), N)
+    rank, ok = _eliminate(entries, chars, len(sizes), primes)
     total = rank * sum(size for size, good in zip(sizes, ok) if good)
     values = [total] * len(primes)
     for j, good in enumerate(ok):
         if good:
             continue
         alone = [[v[j]] for v in chars]
-        rank, (good,) = _eliminate(entries, alone, 1, N)
+        rank, (good,) = _eliminate(entries, alone, 1, primes)
         ranks = [rank] * len(primes) if good else [
-            _eliminate(entries, [[v % p for v in col] for col in alone], 1, p)[0]
+            _eliminate(entries, [[v % p for v in col] for col in alone], 1, (p,))[0]
             for p in primes]
         values = [v + sizes[j] * r for v, r in zip(values, ranks)]
     return values
 
 
-def fourier_ranks(matrices, n, policy=None):
-    """Ranks over Q of linearize(f) at the grid model of (Z/n)^k for every f
-    in ``matrices`` (over Z^k), each certified by the agreement
-    rule over primes p = 1 (mod n), without linearizing.
+def fourier_ranks(matrices, moduli, policy=None):
+    """Ranks over Q of linearize(f) at the grid model of (Z/n)^k for every
+    grid modulus n in ``moduli`` and every f in ``matrices`` (over Z^k),
+    each certified by the agreement rule over primes p = 1 (mod L), L the
+    lcm of the moduli, without linearizing.
 
-    One call serves a whole stage: it builds the character orbits and the
-    exponents a.s mod n of every monomial s of the matrices once, and for
-    each batch of primes one root, one power table and one table of
-    character values, built a slice of orbits at a time, which every matrix
-    still open reads slice by slice.  Returns one
-    RankResult per matrix, with method ``fourier_mod_p``, each the one the
-    rule would give that matrix alone; it is uncertified when the policy's
-    window holds too few such primes.  The caller must know that the model
-    is that grid: a model that grid_quotient built records n.
+    One call serves a whole grid sequence.  A character of order m has the
+    same rank over Q(zeta_m) at every stage whose modulus m divides, so each
+    orbit of an order dividing some modulus is built and ranked once per
+    prime, taken from the first stage whose modulus its order divides, and
+    a stage's value at a prime is the sum over the orbits of the orders
+    dividing its modulus.  The orbits are grouped by the set of stages
+    whose moduli their order divides and sliced within each group.  Per
+    batch of primes there is one root w of order L, a power table of
+    w^(L/n) for each modulus n, of length n, and one table of character
+    values per slice, which every matrix still open at a stage of the
+    group reads.  Nothing is sized by L.  The rule runs over the (stage s,
+    matrix i) pairs, as its matrices s * len(matrices) + i, and each pair
+    closes on its own values, so every pair gets the RankResult the rule
+    would give it alone at modulus L: for one modulus n, the one at n.
+    Returns
+    one list of RankResults per stage, one per matrix, with method
+    ``fourier_mod_p``; a result is uncertified when the policy's window
+    holds too few primes p = 1 (mod L).  The caller must know that each
+    model is that grid: a model that grid_quotient built records n.
     """
     policy = policy or DEFAULT_POLICY
-    orbits = character_orbits(matrices[0].family.rank, n)
-    # every monomial of the stage once, in order of first use
+    L, count = lcm(*moduli), len(matrices)
+    # for each order m dividing some modulus, the stages whose moduli m divides
+    divided = {m: tuple(j for j, n_j in enumerate(moduli) if n_j % m == 0)
+               for n in moduli for m in range(1, n + 1) if n % m == 0}
+    # each orbit of such an order once, from the first of its stages, and
+    # grouped under them; an orbit at n has order n / gcd(n, a)
+    groups = {}
+    for i, n in enumerate(moduli):
+        for a, size in character_orbits(matrices[0].family.rank, n):
+            if (stages := divided[n // gcd(n, *a)])[0] == i:
+                groups.setdefault(stages, []).append((a, size))
+    # every monomial of the matrices once, in order of first use
     monomials = dict.fromkeys(
         g.payload for f in matrices for row in f.entries for x in row for g in x.terms)
     column = {s: i for i, s in enumerate(monomials)}
     entries = [[[[(c, column[g.payload]) for g, c in x.terms.items()] for x in row]
                 for row in f.entries] for f in matrices]
-    # one list over the orbits per monomial
-    exponents = [[sum(map(mul, a, s)) % n for a, _ in orbits] for s in monomials]
-    sizes = [size for _, size in orbits]
+    # per group: its stages, one list of the exponents a.s mod the first
+    # stage's modulus over its orbits per monomial, and the orbit sizes
+    groups = [(stages, [[sum(map(mul, a, s)) % moduli[stages[0]] for a, _ in orbits]
+                        for s in monomials], [size for _, size in orbits])
+              for stages, orbits in groups.items()]
 
     def rank_at(primes, todo):
         N = prod(primes)
-        w = sum(_root_of_unity(n, p) * (N // p) * pow(N // p, -1, p) for p in primes) % N
-        powers = [1]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * w % N)
-        totals = [[0] * len(primes) for _ in todo]
-        for lo in range(0, len(orbits), _SLICE):
-            chars = [[powers[e] for e in col[lo:lo + _SLICE]] for col in exponents]
-            for t, i in zip(totals, todo):
-                values = _split_values(entries[i], sizes[lo:lo + _SLICE], chars, primes)
-                t[:] = map(add, t, values)
-        return totals
+        w = sum(_root_of_unity(L, p, moduli) * (N // p) * pow(N // p, -1, p) for p in primes) % N
+        # per stage, the powers of w^(L/n), a primitive n-th root of unity
+        powers = [list(accumulate(repeat(pow(w, L // n, N), n - 1), lambda x, y: x * y % N,
+                                  initial=1)) for n in moduli]
+        totals = {divmod(t, count): [0] * len(primes) for t in todo}
+        for stages, exponents, sizes in groups:
+            # each matrix open at a stage of the group, and those stages' totals
+            open_ = [(entries[i], ts) for i in range(count)
+                     if (ts := [totals[s, i] for s in stages if (s, i) in totals])]
+            for lo in range(0, len(sizes), _SLICE):
+                chars = [[powers[stages[0]][e] for e in col[lo:lo + _SLICE]] for col in exponents]
+                for f, ts in open_:
+                    values = _split_values(f, sizes[lo:lo + _SLICE], chars, primes)
+                    for t in ts:
+                        t[:] = map(add, t, values)
+        return [totals[divmod(t, count)] for t in todo]
 
-    return multimodular_rank(rank_at, len(matrices), policy, "fourier_mod_p", modulus=n)
+    results = multimodular_rank(rank_at, len(moduli) * count, policy, "fourier_mod_p", modulus=L)
+    return [results[i:i + count] for i in range(0, len(results), count)]

@@ -18,23 +18,25 @@ the same _point.  No rank outlives the call that computed it.  Heuristic
 (non-genuine) models are rejected, because the image need not sit inside
 the kernel there.
 
-Ranks come from _stage_ranks.  At the translation model of (Z/n)^k that
-grid_quotient built, which records n, it splits each rank over characters
+Ranks come from _rank_table.  At the translation models of (Z/n)^k that
+grid_quotient built, which record n, it splits each rank over characters
 without linearizing; no model is recognized from its images.  Characters
 in one orbit of a -> u.a, u a unit mod n, are Galois conjugates and have
 equal rank over Q(zeta_n); evaluating one representative per orbit at a
 root of unity mod a prime p = 1 (mod n) can only lower that rank, so each
 prime's weighted sum is a lower bound on rank_Q L(f) = sum_chi rank
 f(chi), certified by the same agreement rule as a sparse mod-p rank.
-Every other model, and any uncertified split, takes linearize and the
-sparse engine, with its Bareiss fallback.  Once every matrix of a grid
-stage has passed the size cap, one fourier.fourier_ranks call ranks them
-all: it builds the stage's character orbits once, by formula from the
-prime powers dividing n (no search over the n^k characters), draws one
-batch of primes per round for the whole stage, and makes one root of unity
-and one table of character values per batch, which every matrix still open
-reads.
-Nothing is cached across stages or calls.
+Once every matrix has passed the size cap at every grid stage of the
+sequence, one fourier.fourier_ranks call ranks them all at all of those
+stages: a character of order m has the same rank at every stage whose
+modulus m divides, so each orbit of an order dividing some modulus is
+built (by formula, with no search over the n^k characters) and ranked
+once per prime, at primes p = 1 (mod L), L the lcm of the moduli, one
+batch of primes per round and one root of unity per prime for the whole
+sequence.  Each stage still closes on its own values.  _stage_ranks then
+assembles each stage: every other model, and any uncertified split,
+takes linearize and the sparse engine, with its Bareiss fallback.
+Nothing is cached across calls.
 
 A literal mean rank is built on one path for every family: module elements
 are truncated to a finite window of group elements, and a finite family is
@@ -174,33 +176,21 @@ def _check_generators(M, *gens):
 
 
 # ---------------------------------------------------------------------------
-# one rank table per stage
+# one rank table per sequence
 
-def _stage_ranks(q, matrices, policy, size_cap):
+def _stage_ranks(q, matrices, split, policy, size_cap):
     """The RankResult over Q of linearize(f, q) for each f in ``matrices``,
-    None the zero map.
+    None the zero map, given ``split``, the Fourier results of the nonzero
+    matrices at q in order (empty off the grid path).
 
-    At a model that grid_quotient built, which records its modulus n, the
-    stage's nonzero matrices, once each is within the size cap, go to one
-    fourier.fourier_ranks call, which splits every rank over the characters
-    of (Z/n)^k without linearizing and without building the model's
-    permutations: one batch of primes per round, and one root and one
-    table of character values per batch, for all of them.  Any other
-    model, or an uncertified split, takes the sparse engine.
+    A certified Fourier result is kept.  Every other nonzero matrix (all of
+    them at a model that is not a grid, and any uncertified split) is
+    linearized and takes the sparse engine.
     """
-    n = q._grid
-    nonzero = [f for f in matrices if f is not None]
-    split = iter(())
-    if n is not None and nonzero:
-        for f in nonzero:
-            check_size_cap(f, q, size_cap)
-        split = iter(fourier_ranks(nonzero, n, policy))
+    split = iter(split)
     results = []
     for f in matrices:
-        if f is None:
-            results.append(_ZERO_MAP)
-            continue
-        result = next(split, None)
+        result = _ZERO_MAP if f is None else next(split, None)
         if result is None or not result.certified:
             result = rank_over_rationals(linearize(f, q, size_cap), policy)
         results.append(result)
@@ -210,7 +200,14 @@ def _stage_ranks(q, matrices, policy, size_cap):
 def _rank_table(family, Q, matrices, policy, size_cap):
     """Q as a QuotientSequence of genuine models over ``family``, and for
     each of its stages the degree d and the RankResult of every matrix in
-    ``matrices`` at that stage (None the zero map), each ranked once."""
+    ``matrices`` at that stage (None the zero map), each ranked once.
+
+    The stages that grid_quotient built, which record their modulus n, are
+    ranked together: once every nonzero matrix has passed the size cap at
+    every such stage, one fourier.fourier_ranks call splits all of their
+    ranks over characters, without linearizing and without building the
+    models' permutations.  _stage_ranks then assembles each stage.
+    """
     if not isinstance(Q, QuotientSequence):
         Q = QuotientSequence(tuple(Q))
     for q in Q:
@@ -222,7 +219,14 @@ def _rank_table(family, Q, matrices, policy, size_cap):
     if family != Q.family:
         raise ValueError("pipeline and quotient families differ")
     policy = policy or DEFAULT_POLICY
-    table = [(q.degree, _stage_ranks(q, matrices, policy, size_cap)) for q in Q]
+    nonzero = [f for f in matrices if f is not None]
+    grids = [q for q in Q if q._grid is not None] if nonzero else []
+    for q in grids:
+        for f in nonzero:
+            check_size_cap(f, q, size_cap)
+    split = iter(fourier_ranks(nonzero, [q._grid for q in grids], policy) if grids else ())
+    table = [(q.degree, _stage_ranks(q, matrices, next(split, ()) if q._grid is not None else (),
+                                     policy, size_cap)) for q in Q]
     return Q, table
 
 
@@ -305,8 +309,8 @@ def relative_vrk_approximants(M2, gens, Q, policy=None, size_cap=DEFAULT_SIZE_CA
     stage by stage, where M2/M1 appends those rows as extra relation rows.
     That is the difference of two degree-0 Betti values, in which the n*d
     terms cancel: (rank L(relations of M2/M1) - rank L(relations of M2)) / d.
-    Both relation matrices are ranked together, in one rank table call per
-    stage, and a point is certified when both of its ranks are.
+    Both relation matrices are ranked together, in one rank table, and a
+    point is certified when both of its ranks are.
     """
     _check_generators(M2, gens)
     quotient = gens if M2.relations is None else M2.relations.vstack(gens)
@@ -332,7 +336,7 @@ def euler_characteristic(C):
 
 def euler_approximants(C, Q, policy=None, size_cap=DEFAULT_SIZE_CAP):
     """Betti series of every degree of C, then the per-stage residual of
-    their alternating sum against chi, from one rank table per stage.
+    their alternating sum against chi, from one rank table.
 
     Telescoping of rank-nullity makes the residual exactly 0 at every
     finite stage for every valid bounded complex.  Each Betti value is

@@ -1,6 +1,8 @@
 """Shared fixtures: group families and an S3 multiplication table built from
 an independent permutation-composition oracle."""
 
+from math import lcm
+
 import pytest
 
 from soficrank import FiniteTable, Free, FreeAbelian
@@ -82,13 +84,14 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
-def grid_stages(monkeypatch):
-    """Records every stage call of the Fourier path for the test and returns
-    the list of them, one (n, matrices ranked, results, _draw_primes calls,
-    primes given to _root_of_unity) tuple per call, in call order."""
+def grid_sweeps(monkeypatch):
+    """Records every call of the Fourier path for the test and returns the
+    list of them, one (moduli, matrices ranked, results per stage,
+    _draw_primes calls, primes given to _root_of_unity) tuple per call, in
+    call order."""
     from soficrank import fourier, invariants, rank
 
-    stages, draws, roots = [], [], []
+    sweeps, draws, roots = [], [], []
     fourier_ranks = invariants.fourier_ranks
     draw_primes = rank._draw_primes
     root_of_unity = fourier._root_of_unity
@@ -97,29 +100,34 @@ def grid_stages(monkeypatch):
         draws.append(args)
         return draw_primes(*args)
 
-    def root(n, p):
+    def root(n, p, *args):
         roots.append(p)
-        return root_of_unity(n, p)
+        return root_of_unity(n, p, *args)
 
-    def stage(matrices, n, policy=None):
+    def sweep(matrices, moduli, policy=None):
         draws.clear()
         roots.clear()
-        results = fourier_ranks(matrices, n, policy)
-        stages.append((n, len(matrices), results, len(draws), list(roots)))
+        results = fourier_ranks(matrices, moduli, policy)
+        sweeps.append((tuple(moduli), len(matrices), results, len(draws), list(roots)))
         return results
 
     monkeypatch.setattr(rank, "_draw_primes", draw)
     monkeypatch.setattr(fourier, "_root_of_unity", root)
-    monkeypatch.setattr(invariants, "fourier_ranks", stage)
-    return stages
+    monkeypatch.setattr(invariants, "fourier_ranks", sweep)
+    return sweeps
 
 
-def check_shared_batches(stages):
-    """Under the default policy, of three primes a batch, each stage drew
-    one batch per round, not one per round per matrix, and found one root
-    of unity per prime it used."""
-    for _, _, results, draws, roots in stages:
+def check_shared_batches(sweeps):
+    """Under the default policy, of three primes a batch, each call ranked
+    every stage of its sequence at one batch per round, not one per round
+    per stage or per matrix, all primes p = 1 (mod the lcm of the moduli),
+    and found one root of unity per prime it used, not one per stage."""
+    for moduli, count, results, draws, roots in sweeps:
+        assert len(results) == len(moduli)
+        assert all(len(stage) == count for stage in results)
+        results = [r for stage in results for r in stage]
         used = max((r.primes_used for r in results), key=len)
         assert all(used[:len(r.primes_used)] == r.primes_used for r in results)
+        assert all((p - 1) % lcm(*moduli) == 0 for p in used)
         assert draws == len(used) // 3
         assert roots == list(used)

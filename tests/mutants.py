@@ -1,6 +1,7 @@
 """Mutation check of the proofs behind every certified rank, of the
 literal mean-rank matrix, of the grid models that build their images only
-when read, of the character orbits of the grid models, of the reading and
+when read, of the character orbits of the grid models and the one sweep
+over a grid sequence that ranks each of them once, of the reading and
 validation of finite group tables, of the Sanov models' points and
 generation check, and of the edge rows of linearize.
 
@@ -127,9 +128,14 @@ MUTANTS = [
      "an undetected non-unit pivot in the Fourier slice elimination",
      "tests/test_fourier.py::test_fourier_matches_sparse_engine"),
     ("fourier.py",
-     "ok = [gcd(u, N) == 1 for u in units]",
-     "ok = [u != 0 for u in units]",
+     "ok = [k and u % p for k, u in zip(ok, units)]",
+     "ok = [k and u for k, u in zip(ok, units)]",
      "the Fourier unit test replaced by a nonzero test",
+     "tests/test_fourier.py::test_fourier_falls_back_prime_by_prime"),
+    ("fourier.py",
+     "    for p in primes:  # a unit mod N exactly when nonzero mod each prime",
+     "    for p in primes[:1]:",
+     "the Fourier unit test read modulo the batch's first prime only",
      "tests/test_fourier.py::test_fourier_falls_back_prime_by_prime"),
     ("fourier.py",
      "    for row in A[rank:]:\n"
@@ -169,10 +175,20 @@ MUTANTS = [
      "a normal form of order p^j not scaled by n / p^j",
      "tests/test_fourier.py::test_character_orbits_partition_the_group"),
     ("fourier.py",
-     '"fourier_mod_p", modulus=n',
+     '"fourier_mod_p", modulus=L',
      '"fourier_mod_p"',
      "Fourier primes that are not 1 (mod n)",
      "tests/test_fourier.py::test_fourier_matches_sparse_engine"),
+    ("fourier.py",
+     '"fourier_mod_p", modulus=L',
+     '"fourier_mod_p", modulus=max(moduli)',
+     "a sweep's primes drawn mod the largest modulus instead of mod the lcm",
+     "tests/test_fourier.py::test_sweep_values_equal_one_stage_values_at_every_prime[4-6]"),
+    ("fourier.py",
+     "if n_j % m == 0)",
+     "if m <= n_j)",
+     "a stage summing over the orders m <= n instead of m | n",
+     "tests/test_fourier.py::test_sweep_values_equal_one_stage_values_at_every_prime[4-6]"),
     ("invariants.py",
      "all(r.certified for r in ranks)",
      "any(r.certified for r in ranks)",
@@ -225,8 +241,8 @@ MUTANTS = [
      "translation relation placed at v, not sigma(s) v",
      "tests/test_invariants.py::test_literal_point_carries_both_rank_flags"),
     ("invariants.py",
-     "    n = q._grid\n",
-     "    n = q._grid\n    q.gen_images\n",
+     "    for q in grids:\n",
+     "    for q in grids:\n        q.gen_images\n",
      "the grid path reads the images",
      "tests/test_fourier.py::test_grid_path_never_builds_the_images"),
     ("groups.py",

@@ -104,15 +104,15 @@ def test_euler_pipeline(tmp_path):
     assert all(r.split(",")[2] == "0" for r in residuals)
 
 
-def test_euler_ranks_each_differential_once_per_stage(tmp_path, grid_stages):
+def test_euler_ranks_each_differential_once_per_stage(tmp_path, grid_sweeps):
     cfg = write(tmp_path, "job.cfg", KOSZUL_EULER_CONFIG)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    # one stage call per grid, ranking d_1 and d_2 together
-    assert [(n, count) for n, count, *_ in grid_stages] == [(2, 2), (3, 2), (5, 2)]
-    assert all(r.certified for _, _, results, *_ in grid_stages for r in results)
-    check_shared_batches(grid_stages)
-    # every rank closes in the first round: one draw and three roots a stage
-    assert [(draws, len(roots)) for *_, draws, roots in grid_stages] == [(1, 3)] * 3
+    # one call for the whole grid sequence, ranking d_1 and d_2 together
+    assert [(moduli, count) for moduli, count, *_ in grid_sweeps] == [((2, 3, 5), 2)]
+    assert all(r.certified for _, _, results, *_ in grid_sweeps for s in results for r in s)
+    check_shared_batches(grid_sweeps)
+    # every rank closes in the first round: one draw and three roots in all
+    assert [(draws, len(roots)) for *_, draws, roots in grid_sweeps] == [(1, 3)]
 
 
 def test_euler_residual_inherits_uncertified_betti(tmp_path):

@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +32,7 @@ from soficrank.fourier import _root_of_unity, character_orbits, fourier_ranks
 from soficrank.groups import _grid_images, perm_compose, perm_inverse
 from soficrank.linearize import linearize
 from soficrank.primes import isprime, prime_factors
-from conftest import build_s3_table
+from conftest import build_s3_table, check_shared_batches
 
 # largest grid modulus per rank, so that the sparse reference stays small
 MAX_MODULUS = {1: 15, 2: 8, 3: 4}
@@ -38,6 +40,12 @@ MAX_MODULUS = {1: 15, 2: 8, 3: 4}
 
 def laurent(fam, terms):
     return RingElement(fam, [(fam._wrap(tuple(s)), c) for s, c in terms])
+
+
+def one_stage(matrices, n, policy=None):
+    """fourier_ranks of one grid stage, modulus n: its one list of results."""
+    (results,) = fourier_ranks(matrices, (n,), policy)
+    return results
 
 
 @st.composite
@@ -72,7 +80,7 @@ def grid_cases(draw, k=None, n=None):
 @given(grid_cases())
 def test_fourier_matches_sparse_engine(case):
     f, n = case
-    (split,) = fourier_ranks([f], n)
+    (split,) = one_stage([f], n)
     sparse = rank_over_rationals(linearize(f, grid_quotient(f.family.rank, n, f.family)))
     assert (split.rank, split.certified) == (sparse.rank, sparse.certified)
     assert split.method == "fourier_mod_p"
@@ -82,7 +90,7 @@ def test_fourier_matches_sparse_engine(case):
 def test_fourier_known_rank_deficiency(z1):
     # 1 - t^3 at Z/6 vanishes exactly at the characters a with 3a = 0 mod 6
     f = parse_ring_matrix("1 - t^3", z1)
-    assert fourier_ranks([f], 6)[0].rank == 6 - 3
+    assert one_stage([f], 6)[0].rank == 6 - 3
 
 
 def test_fourier_falls_back_prime_by_prime(z1):
@@ -92,9 +100,9 @@ def test_fourier_falls_back_prime_by_prime(z1):
     # is a bad reduction
     f = parse_ring_matrix("2*t + 1", z1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
-    assert fourier_ranks([f], 2, policy) == [RankResult(2, "fourier_mod_p", (5, 3, 7), True)]
+    assert one_stage([f], 2, policy) == [RankResult(2, "fourier_mod_p", (5, 3, 7), True)]
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=1, seed=1)
-    assert fourier_ranks([f], 2, policy) == [RankResult(2, "fourier_mod_p", (3, 7), False)]
+    assert one_stage([f], 2, policy) == [RankResult(2, "fourier_mod_p", (3, 7), False)]
 
 
 KOSZUL = {
@@ -114,11 +122,11 @@ def test_stage_call_matches_each_differential_alone(k, moduli):
     ds = [parse_ring_matrix(text, fam) for text in KOSZUL[k]]
     narrow = RankPolicy(primes_count=2, prime_bits=(1, 3))
     for n in moduli:
-        stage = fourier_ranks(ds, n)
-        assert stage == [fourier_ranks([d], n)[0] for d in ds]
+        stage = one_stage(ds, n)
+        assert stage == [one_stage([d], n)[0] for d in ds]
         assert all(r.certified for r in stage)
-        stage = fourier_ranks(ds, n, narrow)
-        assert stage == [fourier_ranks([d], n, narrow)[0] for d in ds]
+        stage = one_stage(ds, n, narrow)
+        assert stage == [one_stage([d], n, narrow)[0] for d in ds]
         assert [r.certified for r in stage] == [n == 2] * len(ds)
 
 
@@ -133,12 +141,12 @@ def test_stage_call_closes_each_differential_in_its_own_round(z1):
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
     first = RankResult(2, "fourier_mod_p", (5, 3), True)
     later = RankResult(2, "fourier_mod_p", (5, 3, 7), True)
-    assert fourier_ranks([f, g], 2, policy) == [later, first]
-    assert fourier_ranks([g, f], 2, policy) == [first, later]
-    assert [fourier_ranks([h], 2, policy)[0] for h in (f, g)] == [later, first]
+    assert one_stage([f, g], 2, policy) == [later, first]
+    assert one_stage([g, f], 2, policy) == [first, later]
+    assert [one_stage([h], 2, policy)[0] for h in (f, g)] == [later, first]
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=1, seed=0)
     short = RankResult(2, "fourier_mod_p", (5, 3), False)
-    assert fourier_ranks([f, g], 2, policy) == [short, first]
+    assert one_stage([f, g], 2, policy) == [short, first]
 
 
 @st.composite
@@ -154,8 +162,8 @@ def grid_stages(draw):
 @given(grid_stages(), st.sampled_from([None, RankPolicy(primes_count=2, prime_bits=(1, 7))]))
 def test_stage_call_matches_random_matrices_alone(case, policy):
     matrices, n = case
-    stage = fourier_ranks(matrices, n, policy)
-    assert stage == [fourier_ranks([f], n, policy)[0] for f in matrices]
+    stage = one_stage(matrices, n, policy)
+    assert stage == [one_stage([f], n, policy)[0] for f in matrices]
 
 
 def plain_rank_mod(rows, p):
@@ -177,11 +185,12 @@ def plain_rank_mod(rows, p):
     return rank
 
 
-def reference_split(f, n, p):
-    """sum_O |O| rank_p f(chi_O): each orbit's matrix evaluated at the root
-    of unity mod p that the split reduces to, and ranked by plain
+def reference_split(f, n, p, w=None):
+    """sum_O |O| rank_p f(chi_O) over the orbits of (Z/n)^k: each orbit's
+    matrix evaluated at the primitive n-th root of unity w mod p (by
+    default the one a call at n alone reduces to), and ranked by plain
     elimination."""
-    w = _root_of_unity(n, p)
+    w = w or _root_of_unity(n, p)
     total = 0
     for a, size in character_orbits(f.family.rank, n):
         rows = [[sum(c * pow(w, sum(x * y for x, y in zip(a, g.payload)) % n, p)
@@ -191,9 +200,16 @@ def reference_split(f, n, p):
     return total
 
 
-def check_split_values(matrices, n, policy=None):
-    """fourier_ranks(matrices, n, policy), after checking the value of every
-    matrix at every prime of every batch against reference_split."""
+def sweep_root(moduli, n, p):
+    """The primitive n-th root of unity mod p that a sweep over ``moduli``
+    reduces to at the stage n: w^(L/n), w its root of order L = lcm."""
+    L = lcm(*moduli)
+    return pow(_root_of_unity(L, p), L // n, p)
+
+
+def recorded_sweep(matrices, moduli, policy=None):
+    """fourier_ranks(matrices, moduli, policy), and the (batch, todo,
+    values) of each round of its rule."""
     batches = []
     rule = fourier.multimodular_rank
 
@@ -207,11 +223,23 @@ def check_split_values(matrices, n, policy=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fourier, "multimodular_rank", recorded)
-        results = fourier_ranks(matrices, n, policy)
+        results = fourier_ranks(matrices, moduli, policy)
     assert batches
+    return results, batches
+
+
+def check_split_values(matrices, moduli, policy=None):
+    """fourier_ranks(matrices, moduli, policy), after checking the value of
+    every matrix at every stage and every prime of every batch against
+    reference_split at the sweep's root.  The rule ranks the pairs
+    (stage s, matrix i) as the matrices s * len(matrices) + i."""
+    results, batches = recorded_sweep(matrices, moduli, policy)
     for batch, todo, values in batches:
-        for i, at in zip(todo, values, strict=True):
-            assert at == [reference_split(matrices[i], n, p) for p in batch]
+        for t, at in zip(todo, values, strict=True):
+            s, i = divmod(t, len(matrices))
+            n = moduli[s]
+            assert at == [reference_split(matrices[i], n, p, sweep_root(moduli, n, p))
+                          for p in batch]
     return results
 
 
@@ -219,33 +247,173 @@ def check_split_values(matrices, n, policy=None):
 @given(grid_cases())
 def test_split_values_match_plain_elimination_at_each_prime(case):
     f, n = case
-    check_split_values([f], n)
+    check_split_values([f], (n,))
 
 
 def test_split_values_match_plain_elimination_on_fixed_cases(z1):
-    check_split_values([parse_ring_matrix("1 - t^3", z1)], 6)
+    check_split_values([parse_ring_matrix("1 - t^3", z1)], (6,))
+    check_split_values([parse_ring_matrix("1 - t^3", z1)], (4, 6, 9))
     fam = FreeAbelian(3)
     koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[3]]
     for n in (2, 3, 4, 6):  # (Z/6)^3 has 112 orbits, more than one slice
-        check_split_values(koszul, n)
+        check_split_values(koszul, (n,))
+    check_split_values(koszul, (2, 3, 4, 6))
     # the value 3 at the trivial orbit is the only pivot that is not a unit
     # mod 15 or 21; the other orbit takes -1
     f = parse_ring_matrix("2*t + 1", z1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
-    check_split_values([f], 2, policy)
+    check_split_values([f], (2,), policy)
+
+
+def stage_engine(matrices, n):
+    """The rank_at that a call at the one stage n hands to its rule,
+    captured without running the rule."""
+    engines = []
+
+    def capture(rank_at, count, policy, method, modulus):
+        engines.append(rank_at)
+        return [None] * count
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "multimodular_rank", capture)
+        fourier_ranks(matrices, (n,))
+    return engines[0]
+
+
+# moduli that are not a chain: every stage has an order that another lacks
+SWEEPS = [
+    (2, KOSZUL[2], (4, 6)),
+    (2, KOSZUL[2], (3, 5)),
+    (1, ("1 - t^7, t^2 - 1", "t^13 - 1 ; t^11 + t - 2", "t^3 - t"), (7, 11, 13)),
+]
+
+
+@pytest.mark.parametrize("k, texts, moduli", SWEEPS, ids=["4-6", "3-5", "7-11-13"])
+def test_sweep_values_equal_one_stage_values_at_every_prime(k, texts, moduli):
+    fam = FreeAbelian(k)
+    matrices = [parse_ring_matrix(text, fam) for text in texts]
+    results, batches = recorded_sweep(matrices, moduli)
+    engines = [stage_engine(matrices, n) for n in moduli]
+    for batch, todo, values in batches:
+        assert all((p - 1) % lcm(*moduli) == 0 for p in batch)
+        for t, at in zip(todo, values, strict=True):
+            s, i = divmod(t, len(matrices))
+            assert at == engines[s](batch, [i])[0]
+    assert [[(r.rank, r.certified) for r in stage] for stage in results] == [
+        [(r.rank, r.certified) for r in one_stage(matrices, n)] for n in moduli]
+    assert all(r.certified and r.method == "fourier_mod_p" for st in results for r in st)
+
+
+def characters_of_order(k, m):
+    """The points of exact order m of (Z/m)^k, by search."""
+    return sum(1 for a in product(range(m), repeat=k) if gcd(m, *a) == 1)
+
+
+def test_sweep_ranks_each_order_dividing_a_modulus_once(monkeypatch):
+    # at 4 and 6 the orders are 1, 2, 3, 4 and 6: 48 characters of Z^2,
+    # against 16 + 36 for the stages ranked apart and 144 for (Z/12)^2
+    fam = FreeAbelian(2)
+    f = parse_ring_matrix(KOSZUL[2][1], fam)
+    built, ranked = [], []
+    orbits, split = fourier.character_orbits, fourier._split_values
+
+    def build(k, n):
+        built.append(n)
+        return orbits(k, n)
+
+    def rank(entries, sizes, chars, primes):
+        ranked.extend(sizes)
+        return split(entries, sizes, chars, primes)
+
+    monkeypatch.setattr(fourier, "character_orbits", build)
+    monkeypatch.setattr(fourier, "_split_values", rank)
+    results = fourier_ranks([f], (4, 6))
+    assert built == [4, 6]
+    assert [len(r.primes_used) for (r,) in results] == [3, 3]  # one batch
+    orders = (1, 2, 3, 4, 6)
+    assert sum(ranked) == sum(characters_of_order(2, m) for m in orders) == 48
+    assert sorted(ranked) == sorted(size for m in orders for a, size in orbits(2, m)
+                                    if gcd(m, *a) == 1)
+
+
+def test_sweep_at_coprime_moduli_near_1e5_builds_nothing_of_size_lcm(z1, grid_sweeps):
+    # L = 99999 * 100000, about 10^10: a power table, an orbit set or a
+    # character table of length L would not fit in memory
+    moduli = (99999, 100000)
+    M = ModulePresentation(z1, 1, parse_ring_matrix("t - 1", z1))
+    tracemalloc.start()
+    try:
+        series = vrk_approximants(M, grid_sequence(1, moduli, z1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(p.value, p.certified) for p in series] == [(Fraction(1, n), True) for n in moduli]
+    assert [m for m, *_ in grid_sweeps] == [moduli]
+    check_shared_batches(grid_sweeps)
+    assert peak < 32 * 2**20  # two power tables of 10^5 products mod N take about 11 MB
+
+
+def test_window_short_of_primes_one_mod_the_lcm_falls_back_to_the_sparse_engine(
+    z2grid, count_calls, grid_sweeps
+):
+    # [2, 32) holds four primes = 1 (mod 3), 7 13 19 31, and four = 1
+    # (mod 4), 5 13 17 29, but only 13 = 1 (mod 12): the sweep at 3 and 4
+    # certifies nothing, and every rank is linearized
+    linearized = count_calls(invariants, "linearize")
+    d2, d1 = (parse_ring_matrix(text, z2grid) for text in KOSZUL[2])
+    C = build_complex(z2grid, (1, 2, 1), [d2, d1])
+    policy = RankPolicy(prime_bits=(1, 5))
+    series = invariants.euler_approximants(C, grid_sequence(2, [3, 4], z2grid), policy)
+    assert [[(p.value, p.certified) for p in s] for s in series[:3]] == [
+        [(Fraction(b, n * n), True) for n in (3, 4)] for b in (1, 2, 1)]
+    ((moduli, _, results, _, _),) = grid_sweeps
+    assert moduli == (3, 4)
+    assert [[(r.primes_used, r.certified) for r in stage] for stage in results] == [
+        [((13,), False)] * 2] * 2
+    assert len(linearized) == 4
+
+
+def test_grid_sequence_checks_every_size_cap_before_ranking(z2grid, count_calls):
+    calls = count_calls(invariants, "fourier_ranks")
+    M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1", z2grid))
+    with pytest.raises(SizeCapExceeded, match="^linearized total dimension 200 exceeds cap 199$"):
+        vrk_approximants(M, grid_sequence(2, [5, 10]), size_cap=199)
+    assert calls == []
+
+
+@st.composite
+def grid_sequences(draw):
+    """(matrices, moduli): one to three random small Laurent matrices over
+    one Z^k, at two or three distinct grid moduli."""
+    matrices, n = draw(grid_stages())
+    k = matrices[0].family.rank
+    moduli = draw(st.lists(st.integers(1, MAX_MODULUS[k]), min_size=1, max_size=2,
+                           unique=True).filter(lambda ms: n not in ms))
+    return matrices, (n, *moduli)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_sequences())
+def test_sweep_matches_one_stage_calls_on_random_matrices(case):
+    matrices, moduli = case
+    results = check_split_values(matrices, moduli)
+    assert [[(r.rank, r.certified) for r in stage] for stage in results] == [
+        [(r.rank, r.certified) for r in one_stage(matrices, n)] for n in moduli]
 
 
 def split_cases(z1):
-    """(matrices, n, policy) for stages whose orbits meet every path of the
-    split: slices led by a rank-deficient orbit, orbits ranked again alone,
-    and orbits ranked one prime at a time."""
+    """(matrices, moduli, policy) for stages and sweeps whose orbits meet
+    every path of the split: slices led by a rank-deficient orbit, orbits
+    ranked again alone, and orbits ranked one prime at a time."""
     fam = FreeAbelian(3)
     koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[3]]
     narrow = RankPolicy(primes_count=2, prime_bits=(1, 3), max_rounds=2, seed=0)
-    return [(koszul, n, None) for n in (2, 3, 4, 6)] + [
-        (koszul, 2, narrow),
-        ([parse_ring_matrix("1 - t^3", z1)], 6, None),
-        ([parse_ring_matrix("2*t + 1", z1), parse_ring_matrix("t^3 + t", z1)], 2, narrow),
+    return [(koszul, (n,), None) for n in (2, 3, 4, 6)] + [
+        (koszul, (2, 3, 4, 6), None),
+        (koszul, (2,), narrow),
+        ([parse_ring_matrix("1 - t^3", z1)], (6,), None),
+        ([parse_ring_matrix("1 - t^3", z1)], (4, 6, 9), None),
+        ([parse_ring_matrix("2*t + 1", z1), parse_ring_matrix("t^3 + t", z1)], (2,), narrow),
     ]
 
 
@@ -261,10 +429,10 @@ def test_slice_size_leaves_every_result(z1, monkeypatch, size):
 @given(grid_stages(), st.sampled_from([1, 2, 3]))
 def test_slice_size_leaves_random_results(case, size):
     matrices, n = case
-    default = fourier_ranks(matrices, n)
+    default = one_stage(matrices, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fourier, "_SLICE", size)
-        assert fourier_ranks(matrices, n) == default
+        assert one_stage(matrices, n) == default
 
 
 def reference_orbits(k, n):
@@ -329,7 +497,8 @@ def test_orbit_order_leaves_every_result(z1, monkeypatch):
     # nor their order, which decides the slices, may change a result
     fam = FreeAbelian(2)
     koszul = [parse_ring_matrix(text, fam) for text in KOSZUL[2]]
-    cases = [(koszul, n, None) for n in (40, 80)] + split_cases(z1)
+    cases = [(koszul, (n,), None) for n in (40, 80)] + [(koszul, (40, 80), None)]
+    cases += split_cases(z1)
     default = [fourier_ranks(*case) for case in cases]
     monkeypatch.setattr(fourier, "character_orbits", reference_orbits)
     assert [fourier_ranks(*case) for case in cases] == default
@@ -373,7 +542,7 @@ def test_noncanonical_free_abelian_model_takes_sparse_path(z2grid, count_calls):
     (sparse_given,) = vrk_approximants(M, [given]).points
     assert calls == []
     (split,) = vrk_approximants(M, [canonical]).points
-    assert [n for _, n, _ in calls] == [4]  # one stage call, at n = 4
+    assert [list(moduli) for _, moduli, _ in calls] == [[4]]  # one call, at n = 4
     # the cokernel is Z[(Z/4)^2] / (x - 1, y^2 - 1) = Z[Z/2], of rank 2
     assert sparse == split == sparse_given
     assert sparse.value == Fraction(2, 16) and sparse.certified
@@ -426,7 +595,7 @@ def test_uncertified_split_builds_the_images_for_the_sparse_engine(z1):
     q = grid_quotient(1, 3, z1)
     policy = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
     assert "gen_images" not in q.__dict__
-    (result,) = invariants._stage_ranks(q, [f], policy, 10**6)
+    _, [(_, (result,))] = invariants._rank_table(z1, [q], [f], policy, 10**6)
     assert result == RankResult(2, "sparse_mod_p", (3, 2), False)
     assert q.__dict__["gen_images"] == translations(1, 3) == ((1, 2, 0),)
 
@@ -445,6 +614,17 @@ def test_root_of_unity_has_exact_order():
         for p in primes:
             w = _root_of_unity(n, p)
             assert [k for k in range(1, n + 1) if pow(w, k, p) == 1] == [n]
+
+
+def test_root_of_unity_reads_the_primes_from_the_moduli():
+    for moduli in ((4, 6), (3, 5), (7, 11, 13), (40, 80), (1,)):
+        L = lcm(*moduli)
+        primes = [p for p in range(L + 1, 100 * L, L) if isprime(p)][:2]
+        assert len(primes) == 2
+        for p in primes:
+            w = _root_of_unity(L, p, moduli)
+            assert w == _root_of_unity(L, p)
+            assert [k for k in range(1, L + 1) if pow(w, k, p) == 1] == [L]
 
 
 def test_root_of_unity_needs_p_one_mod_n():

@@ -168,17 +168,18 @@ def test_relative_of_full_module_equals_vrk(f2):
 
 
 def test_relative_over_a_grid_ranks_both_relation_matrices_in_one_call(
-    z2grid, count_calls, grid_stages
+    z2grid, count_calls, grid_sweeps
 ):
     M = ModulePresentation(z2grid, 1, parse_ring_matrix("x - 1", z2grid))
     gens = parse_ring_matrix("y - 1", z2grid)
     Q = grid_sequence(2, [2, 3], z2grid)
     stages = count_calls(invariants, "_stage_ranks")
     rel = relative_vrk_approximants(M, gens, Q)
-    # one stage call per grid, holding the outer and the quotient relations
+    # one Fourier call for both grids, holding the outer and the quotient
+    # relations, and one assembly per stage
     assert len(stages) == 2
-    assert [(n, count) for n, count, *_ in grid_stages] == [(2, 2), (3, 2)]
-    check_shared_batches(grid_stages)
+    assert [(moduli, count) for moduli, count, *_ in grid_sweeps] == [((2, 3), 2)]
+    check_shared_batches(grid_sweeps)
     quotient = parse_ring_matrix("x - 1 ; y - 1", z2grid)
     for n, q, point in zip((2, 3), Q, rel.points):
         outer, inner = (rank_over_rationals(linearize(f, q)) for f in (M.relations, quotient))
@@ -220,15 +221,15 @@ def test_mrk_equals_betti_pointwise(f2, f2_complex, koszul, z2grid):
 
 
 def test_mrk_ranks_each_differential_once_per_stage(
-    f2, f2_complex, koszul, z2grid, count_calls, grid_stages
+    f2, f2_complex, koszul, z2grid, count_calls, grid_sweeps
 ):
     linearized = count_calls(invariants, "linearize")
     mrk_j_approximants(f2_complex, sanov_sequence([3, 5], f2), 1)
     assert len(linearized) == 2  # d_1 at both stages; d_2 is zero
     mrk_j_approximants(koszul, grid_sequence(2, [2, 3], z2grid), 1)
-    # one stage call per grid, ranking d_1 and d_2 together
-    assert [(n, count) for n, count, *_ in grid_stages] == [(2, 2), (3, 2)]
-    check_shared_batches(grid_stages)
+    # one call for both grids, ranking d_1 and d_2 together
+    assert [(moduli, count) for moduli, count, *_ in grid_sweeps] == [((2, 3), 2)]
+    check_shared_batches(grid_sweeps)
 
 
 def test_mrk_zero_complex(f2):
