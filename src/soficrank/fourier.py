@@ -24,22 +24,22 @@ rank.multimodular_rank certifies it by the same rule.
 
 A character of order m is a character of every stage whose modulus m
 divides, with the same rank over Q(zeta_m) there, and its orbit has the
-same size at each.  So fourier_ranks ranks all the grid stages of a
+same size phi(m) at each.  So fourier_ranks ranks all the grid stages of a
 sequence in one call, under that one rule: each round draws one batch of
 primes p = 1 (mod L), L the lcm of the moduli, for every stage and matrix.
-Each orbit of an order m dividing some modulus is built once (by formula
-from the prime powers dividing that modulus, with no search over
-(Z/n)^k) and ranked once per prime, at w^(L/n), w one root of order L per
-prime (the batch's roots joined by CRT) and n the modulus it was built
-at; a stage's value at a prime is the sum over the orbits of the orders
-dividing its modulus.  Nothing is sized by L: there is one power table per
-modulus n, of length n, per batch.  The orbits are grouped by the set of
-stages whose moduli their order divides and taken a slice of _SLICE at a
-time within a group: each slice gets one table of character values
-zeta^(a.s), which every matrix still open at a stage of the group reads,
-and _split_values ranks a matrix's orbits of that slice together, in one
-fraction-free elimination modulo the product of the batch's primes along
-the pivot sequence of one lead orbit.
+The orbits of each order m dividing some modulus are built once, in
+(Z/m)^k (by formula from the prime powers dividing m, with no search), and
+ranked once per prime, at w^(L/m), w one root of order L per prime (the
+batch's roots joined by CRT); a stage's value at a prime is the sum over
+the orbits of the orders dividing its modulus.  Each orbit stores its
+exponents (L/m)(a.s mod m), one per monomial s, and a batch raises w to
+each distinct exponent once, so nothing is sized by L or by a modulus.
+The orbits are grouped by the set of stages whose moduli their order
+divides and taken a slice of _SLICE at a time within a group: each slice
+gets one table of character values zeta^(a.s), which every matrix still
+open at a stage of the group reads, and _split_values ranks a matrix's
+orbits of that slice together, in one fraction-free elimination modulo the
+product of the batch's primes along the pivot sequence of one lead orbit.
 An orbit that this does not rank at every prime of the batch, because one
 of its pivots is not a unit (it is zero modulo some prime of the batch) or
 its remainder is not zero, is eliminated again alone, and at a pivot that
@@ -50,8 +50,8 @@ orbits are sliced or grouped.
 
 from __future__ import annotations
 
-from itertools import accumulate, product, repeat
-from math import gcd, lcm, prod
+from itertools import product
+from math import lcm, prod
 from operator import add, mul
 
 from .primes import prime_factors
@@ -64,35 +64,35 @@ __all__ = ["character_orbits", "fourier_ranks"]
 _SLICE = 64
 
 
-def character_orbits(k, n):
-    """One (representative, orbit size) pair per orbit of (Z/n)^k under
-    a -> u.a for the units u of Z/n; the sizes add up to n^k.
+def character_orbits(k, m):
+    """One (representative, orbit size) pair per orbit of the points of
+    exact order m in (Z/m)^k under a -> u.a for the units u of Z/m; every
+    orbit has phi(m) points.
 
-    The units of Z/n = prod Z/p^e act on (Z/n)^k = prod (Z/p^e)^k one
-    factor p^e || n at a time, so an orbit is a product of one orbit per
-    factor, and its size is the product of theirs.  Over Z/p^e a point of
-    order p^j is p^(e-j) b, with b in (Z/p^j)^k not zero mod p, on which
-    the units act freely through their residues mod p^j: its orbit has
-    phi(p^j) points and holds one normal form b, whose first coordinate
-    that is a unit mod p is 1 and whose coordinates before it are multiples
-    of p.  Scaled by n / p^j rather than p^(e-j), that form is moved by the
-    unit n / p^e at p and is zero at every other prime, so the
-    representative of a product of orbits is the sum of its factors' scaled
-    forms mod n.  Nothing of size n^k is built and nothing is searched.
-    Not memoized: fourier_ranks builds them once per call and modulus.
+    The units of Z/m = prod Z/p^e act on (Z/m)^k = prod (Z/p^e)^k one
+    factor p^e || m at a time, so an orbit is a product of one orbit per
+    factor.  A point of order p^e of (Z/p^e)^k is one that is not zero
+    mod p, on which the units act freely: its orbit has phi(p^e) points and
+    holds one normal form b, whose first coordinate that is a unit mod p is
+    1 and whose coordinates before it are multiples of p.  Scaled by
+    m / p^e, that form is moved by a unit at p and is zero at every other
+    prime, so the representative of a product of orbits is the sum of its
+    factors' scaled forms mod m.  Nothing of size m^k is built and nothing
+    is searched.  Not memoized: fourier_ranks builds each order once per
+    call.
     """
     orbits = [((0,) * k, 1)]
-    for p in prime_factors(n):
-        forms = [((0,) * k, 1)]
+    for p in prime_factors(m):
         q = p
-        while n % q == 0:
-            forms += [(tuple(n // q * x for x in (*head, 1, *tail)), q - q // p)
-                      for i in range(k)
-                      for head in product(range(0, q, p), repeat=i)
-                      for tail in product(range(q), repeat=k - 1 - i)]
+        while m % (q * p) == 0:
             q *= p
-        orbits = [(tuple((x + y) % n for x, y in zip(a, b)), s * t)
-                  for a, s in orbits for b, t in forms]
+        forms = [tuple(m // q * x for x in (*head, 1, *tail))
+                 for i in range(k)
+                 for head in product(range(0, q, p), repeat=i)
+                 for tail in product(range(q), repeat=k - 1 - i)]
+        phi = q - q // p
+        orbits = [(tuple((x + y) % m for x, y in zip(a, b)), s * phi)
+                  for a, s in orbits for b in forms]
     return tuple(orbits)
 
 
@@ -198,62 +198,58 @@ def fourier_ranks(matrices, moduli, policy=None):
     lcm of the moduli, without linearizing.
 
     One call serves a whole grid sequence.  A character of order m has the
-    same rank over Q(zeta_m) at every stage whose modulus m divides, so each
-    orbit of an order dividing some modulus is built and ranked once per
-    prime, taken from the first stage whose modulus its order divides, and
-    a stage's value at a prime is the sum over the orbits of the orders
-    dividing its modulus.  The orbits are grouped by the set of stages
-    whose moduli their order divides and sliced within each group.  Per
-    batch of primes there is one root w of order L, a power table of
-    w^(L/n) for each modulus n, of length n, and one table of character
-    values per slice, which every matrix still open at a stage of the
-    group reads.  Nothing is sized by L.  The rule runs over the (stage s,
-    matrix i) pairs, as its matrices s * len(matrices) + i, and each pair
-    closes on its own values, so every pair gets the RankResult the rule
-    would give it alone at modulus L: for one modulus n, the one at n.
-    Returns
-    one list of RankResults per stage, one per matrix, with method
-    ``fourier_mod_p``; a result is uncertified when the policy's window
-    holds too few primes p = 1 (mod L).  The caller must know that each
-    model is that grid: a model that grid_quotient built records n.
+    same rank over Q(zeta_m) at every stage whose modulus m divides, so the
+    orbits of each order m dividing some modulus are built once, by
+    character_orbits(k, m), and ranked once per prime, and a stage's value
+    at a prime is the sum over the orbits of the orders dividing its
+    modulus.  The orbits are grouped by the set of stages whose moduli
+    their order divides and sliced within each group.  Each orbit a of
+    order m stores its exponents (L/m)(a.s mod m), one per monomial s.  Per
+    batch of primes there is one root w of order L, its power at each
+    distinct exponent, and one table of character values per slice, which
+    every matrix still open at a stage of the group reads.  Nothing is
+    sized by L.  The rule runs over the (stage s, matrix i) pairs, as its
+    matrices s * len(matrices) + i, and each pair closes on its own values,
+    so every pair gets the RankResult the rule would give it alone at
+    modulus L: for one modulus n, the one at n.  Returns one list of
+    RankResults per stage, one per matrix, with method ``fourier_mod_p``; a
+    result is uncertified when the policy's window holds too few primes
+    p = 1 (mod L).  The caller must know that each model is that grid: a
+    model that grid_quotient built records n.
     """
     policy = policy or DEFAULT_POLICY
     L, count = lcm(*moduli), len(matrices)
-    # for each order m dividing some modulus, the stages whose moduli m divides
-    divided = {m: tuple(j for j, n_j in enumerate(moduli) if n_j % m == 0)
-               for n in moduli for m in range(1, n + 1) if n % m == 0}
-    # each orbit of such an order once, from the first of its stages, and
-    # grouped under them; an orbit at n has order n / gcd(n, a)
-    groups = {}
-    for i, n in enumerate(moduli):
-        for a, size in character_orbits(matrices[0].family.rank, n):
-            if (stages := divided[n // gcd(n, *a)])[0] == i:
-                groups.setdefault(stages, []).append((a, size))
     # every monomial of the matrices once, in order of first use
     monomials = dict.fromkeys(
         g.payload for f in matrices for row in f.entries for x in row for g in x.terms)
     column = {s: i for i, s in enumerate(monomials)}
     entries = [[[[(c, column[g.payload]) for g, c in x.terms.items()] for x in row]
                 for row in f.entries] for f in matrices]
-    # per group: its stages, one list of the exponents a.s mod the first
-    # stage's modulus over its orbits per monomial, and the orbit sizes
-    groups = [(stages, [[sum(map(mul, a, s)) % moduli[stages[0]] for a, _ in orbits]
-                        for s in monomials], [size for _, size in orbits])
+    # the orbits of each order m dividing some modulus once, grouped under
+    # the stages whose moduli m divides
+    groups = {}
+    for m in sorted({m for n in moduli for m in range(1, n + 1) if n % m == 0}):
+        stages = tuple(j for j, n in enumerate(moduli) if n % m == 0)
+        groups.setdefault(stages, []).extend(
+            (m, a, size) for a, size in character_orbits(matrices[0].family.rank, m))
+    # per group: its stages, one list of the exponents (L/m)(a.s mod m) over
+    # its orbits per monomial, and the orbit sizes
+    groups = [(stages, [[L // m * (sum(map(mul, a, s)) % m) for m, a, _ in orbits]
+                        for s in monomials], [size for *_, size in orbits])
               for stages, orbits in groups.items()]
+    used = {e for _, exponents, _ in groups for col in exponents for e in col}
 
     def rank_at(primes, todo):
         N = prod(primes)
         w = sum(_root_of_unity(L, p, moduli) * (N // p) * pow(N // p, -1, p) for p in primes) % N
-        # per stage, the powers of w^(L/n), a primitive n-th root of unity
-        powers = [list(accumulate(repeat(pow(w, L // n, N), n - 1), lambda x, y: x * y % N,
-                                  initial=1)) for n in moduli]
+        power = {e: pow(w, e, N) for e in used}
         totals = {divmod(t, count): [0] * len(primes) for t in todo}
         for stages, exponents, sizes in groups:
             # each matrix open at a stage of the group, and those stages' totals
             open_ = [(entries[i], ts) for i in range(count)
                      if (ts := [totals[s, i] for s in stages if (s, i) in totals])]
             for lo in range(0, len(sizes), _SLICE):
-                chars = [[powers[stages[0]][e] for e in col[lo:lo + _SLICE]] for col in exponents]
+                chars = [[power[e] for e in col[lo:lo + _SLICE]] for col in exponents]
                 for f, ts in open_:
                     values = _split_values(f, sizes[lo:lo + _SLICE], chars, primes)
                     for t in ts:

@@ -20,20 +20,10 @@ the kernel there.
 
 Ranks come from _rank_table.  At the translation models of (Z/n)^k that
 grid_quotient built, which record n, it splits each rank over characters
-without linearizing; no model is recognized from its images.  Characters
-in one orbit of a -> u.a, u a unit mod n, are Galois conjugates and have
-equal rank over Q(zeta_n); evaluating one representative per orbit at a
-root of unity mod a prime p = 1 (mod n) can only lower that rank, so each
-prime's weighted sum is a lower bound on rank_Q L(f) = sum_chi rank
-f(chi), certified by the same agreement rule as a sparse mod-p rank.
-Once every matrix has passed the size cap at every grid stage of the
-sequence, one fourier.fourier_ranks call ranks them all at all of those
-stages: a character of order m has the same rank at every stage whose
-modulus m divides, so each orbit of an order dividing some modulus is
-built (by formula, with no search over the n^k characters) and ranked
-once per prime, at primes p = 1 (mod L), L the lcm of the moduli, one
-batch of primes per round and one root of unity per prime for the whole
-sequence.  Each stage still closes on its own values.  _stage_ranks then
+without linearizing; no model is recognized from its images.  Once every
+matrix has passed the size cap at every grid stage of the sequence, one
+fourier.fourier_ranks call ranks them all at all of those stages (that
+module gives the split and its certificate).  _stage_ranks then
 assembles each stage: every other model, and any uncertified split,
 takes linearize and the sparse engine, with its Bareiss fallback.
 Nothing is cached across calls.

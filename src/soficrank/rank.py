@@ -76,14 +76,8 @@ never on the values, so each matrix gets what the rule would give it
 alone.  rank_over_rationals runs the rule on one matrix, with one
 rank_mod_p pass per prime, and falls back to exact fraction-free (Bareiss)
 elimination when the matrix is small enough.  fourier.fourier_ranks runs
-it on every (stage, matrix) pair of a grid sequence at once, with primes
-p = 1 (mod L), L the lcm of the sequence's moduli n, and the character
-split of the grid models of (Z/n)^k: one batch per round, and one root of
-unity of order L per prime, for the whole sequence, with each character
-orbit ranked once however many stages it belongs to.  That engine alone
-eliminates modulo the product of a batch's primes, a slice of character
-orbits at a time, and ranks an orbit prime by prime only where a pivot of
-that orbit is not a unit modulo the product (see that module).
+it on every (stage, matrix) pair of a grid sequence at once, with the
+character split of the grid models (see that module).
 
 rank_dense_bareiss is the exact engine, behind that fallback and behind
 invariants.finite_group_exact_betti, the finite-group oracle.  It keeps

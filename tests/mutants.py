@@ -155,9 +155,14 @@ MUTANTS = [
      "every matrix of a stage read through the first one's monomials",
      "tests/test_fourier.py::test_stage_call_closes_each_differential_in_its_own_round"),
     ("fourier.py",
-     "for x in (*head, 1, *tail)), q - q // p)",
-     "for x in (*head, 1, *tail)), 1)",
-     "wrong orbit sizes: phi(p^j) dropped from a factor's orbits",
+     "phi = q - q // p",
+     "phi = 1",
+     "wrong orbit sizes: phi(p^e) dropped from a factor's orbits",
+     "tests/test_fourier.py::test_character_orbits_partition_the_group"),
+    ("fourier.py",
+     "phi = q - q // p",
+     "phi = q",
+     "wrong orbit sizes: a factor's orbits sized p^e instead of phi(p^e)",
      "tests/test_fourier.py::test_character_orbits_partition_the_group"),
     ("fourier.py",
      "for head in product(range(0, q, p), repeat=i)",
@@ -165,14 +170,14 @@ MUTANTS = [
      "a normal form that allows a unit before the leading 1",
      "tests/test_fourier.py::test_character_orbits_partition_the_group"),
     ("fourier.py",
-     "for x, y in zip(a, b)), s * t)",
-     "for x, y in zip(a, b)), t)",
+     "for x, y in zip(a, b)), s * phi)",
+     "for x, y in zip(a, b)), phi)",
      "a CRT factor of the wrong size: a product of orbits sized by its last factor",
      "tests/test_fourier.py::test_character_orbits_partition_the_group"),
     ("fourier.py",
-     "tuple(n // q * x for x in",
+     "tuple(m // q * x for x in",
      "tuple(x for x in",
-     "a normal form of order p^j not scaled by n / p^j",
+     "a normal form of order p^e not scaled by m / p^e",
      "tests/test_fourier.py::test_character_orbits_partition_the_group"),
     ("fourier.py",
      '"fourier_mod_p", modulus=L',
@@ -185,10 +190,15 @@ MUTANTS = [
      "a sweep's primes drawn mod the largest modulus instead of mod the lcm",
      "tests/test_fourier.py::test_sweep_values_equal_one_stage_values_at_every_prime[4-6]"),
     ("fourier.py",
-     "if n_j % m == 0)",
-     "if m <= n_j)",
+     "enumerate(moduli) if n % m == 0)",
+     "enumerate(moduli) if m <= n)",
      "a stage summing over the orders m <= n instead of m | n",
      "tests/test_fourier.py::test_sweep_values_equal_one_stage_values_at_every_prime[4-6]"),
+    ("fourier.py",
+     "L // m * (sum(map(mul, a, s)) % m)",
+     "sum(map(mul, a, s)) % m",
+     "an orbit of order m evaluated at w^(a.s), w of order L, without its L // m scale",
+     "tests/test_fourier.py::test_fourier_known_rank_deficiency"),
     ("invariants.py",
      "all(r.certified for r in ranks)",
      "any(r.certified for r in ranks)",

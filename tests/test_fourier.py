@@ -91,6 +91,12 @@ def test_fourier_known_rank_deficiency(z1):
     # 1 - t^3 at Z/6 vanishes exactly at the characters a with 3a = 0 mod 6
     f = parse_ring_matrix("1 - t^3", z1)
     assert one_stage([f], 6)[0].rank == 6 - 3
+    # 1 + t + t^2 vanishes exactly at the two characters of order 3, at
+    # every stage whose modulus 3 divides: a root of order L rather than 3
+    # at those characters takes no zero
+    f = parse_ring_matrix("1 + t + t^2", z1)
+    assert one_stage([f], 6)[0].rank == 6 - 2
+    assert [r.rank for (r,) in fourier_ranks([f], (4, 6, 9))] == [4, 6 - 2, 9 - 2]
 
 
 def test_fourier_falls_back_prime_by_prime(z1):
@@ -186,13 +192,13 @@ def plain_rank_mod(rows, p):
 
 
 def reference_split(f, n, p, w=None):
-    """sum_O |O| rank_p f(chi_O) over the orbits of (Z/n)^k: each orbit's
-    matrix evaluated at the primitive n-th root of unity w mod p (by
-    default the one a call at n alone reduces to), and ranked by plain
-    elimination."""
+    """sum_O |O| rank_p f(chi_O) over the orbits of (Z/n)^k, found by
+    search: each orbit's matrix evaluated at the primitive n-th root of
+    unity w mod p (by default the one a call at n alone reduces to), and
+    ranked by plain elimination."""
     w = w or _root_of_unity(n, p)
     total = 0
-    for a, size in character_orbits(f.family.rank, n):
+    for a, size in reference_orbits(f.family.rank, n):
         rows = [[sum(c * pow(w, sum(x * y for x, y in zip(a, g.payload)) % n, p)
                      for g, c in entry.terms.items()) for entry in row]
                 for row in f.entries]
@@ -309,6 +315,11 @@ def characters_of_order(k, m):
     return sum(1 for a in product(range(m), repeat=k) if gcd(m, *a) == 1)
 
 
+def exact_orbits(k, m):
+    """reference_orbits(k, m) of the points of exact order m only."""
+    return tuple((a, size) for a, size in reference_orbits(k, m) if gcd(m, *a) == 1)
+
+
 def test_sweep_ranks_each_order_dividing_a_modulus_once(monkeypatch):
     # at 4 and 6 the orders are 1, 2, 3, 4 and 6: 48 characters of Z^2,
     # against 16 + 36 for the stages ranked apart and 144 for (Z/12)^2
@@ -328,12 +339,11 @@ def test_sweep_ranks_each_order_dividing_a_modulus_once(monkeypatch):
     monkeypatch.setattr(fourier, "character_orbits", build)
     monkeypatch.setattr(fourier, "_split_values", rank)
     results = fourier_ranks([f], (4, 6))
-    assert built == [4, 6]
+    orders = [1, 2, 3, 4, 6]
+    assert built == orders
     assert [len(r.primes_used) for (r,) in results] == [3, 3]  # one batch
-    orders = (1, 2, 3, 4, 6)
     assert sum(ranked) == sum(characters_of_order(2, m) for m in orders) == 48
-    assert sorted(ranked) == sorted(size for m in orders for a, size in orbits(2, m)
-                                    if gcd(m, *a) == 1)
+    assert sorted(ranked) == sorted(size for m in orders for _, size in exact_orbits(2, m))
 
 
 def test_sweep_at_coprime_moduli_near_1e5_builds_nothing_of_size_lcm(z1, grid_sweeps):
@@ -350,7 +360,7 @@ def test_sweep_at_coprime_moduli_near_1e5_builds_nothing_of_size_lcm(z1, grid_sw
     assert [(p.value, p.certified) for p in series] == [(Fraction(1, n), True) for n in moduli]
     assert [m for m, *_ in grid_sweeps] == [moduli]
     check_shared_batches(grid_sweeps)
-    assert peak < 32 * 2**20  # two power tables of 10^5 products mod N take about 11 MB
+    assert peak < 2**20  # a power table of length 10^5 mod N alone takes over 5 MB
 
 
 def test_window_short_of_primes_one_mod_the_lcm_falls_back_to_the_sparse_engine(
@@ -436,9 +446,10 @@ def test_slice_size_leaves_random_results(case, size):
 
 
 def reference_orbits(k, n):
-    """character_orbits by search: every point of (Z/n)^k, indexed as
-    sum_i a_i n^i, is marked in a bytearray, and each point not yet marked
-    is the representative of a new orbit, in increasing index order."""
+    """The orbits of (Z/n)^k under a -> u.a, u a unit, by search: every
+    point, indexed as sum_i a_i n^i, is marked in a bytearray, and each
+    point not yet marked is the representative of a new orbit, in
+    increasing index order."""
     weights = [n ** i for i in range(k)]
     units = {}
     seen = bytearray(n ** k)
@@ -476,16 +487,21 @@ ORBIT_CASES = [(k, n) for k in (1, 2, 3) for n in range(1, 31)] + [
 
 
 def test_character_orbits_partition_the_group():
-    for k, n in ((1, 1), (1, 12), (2, 6), (2, 9), (3, 4), *ORBIT_CASES):
+    # the orbits of the orders m | n, scaled by n / m, are those of (Z/n)^k
+    for k, n in ORBIT_CASES:
         units = [u for u in range(n) if gcd(u, n) == 1]
         seen = set()
         orbits = {}
-        for a, size in character_orbits(k, n):
-            orbit = {tuple(u * x % n for x in a) for u in units}
-            assert len(orbit) == size
-            assert not orbit & seen
-            seen |= orbit
-            orbits[frozenset(orbit)] = size
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            phi = sum(1 for u in range(m) if gcd(u, m) == 1)
+            for a, size in character_orbits(k, m):
+                assert all(0 <= x < m for x in a) and gcd(m, *a) == 1
+                assert size == phi
+                orbit = {tuple(u * (n // m) * x % n for x in a) for u in units}
+                assert len(orbit) == size
+                assert not orbit & seen
+                seen |= orbit
+                orbits[frozenset(orbit)] = size
         assert len(seen) == n ** k
         assert len(orbits) == orbit_count(k, n)
         assert orbits == {frozenset(tuple(u * x % n for x in a) for u in units): size
@@ -500,9 +516,9 @@ def test_orbit_order_leaves_every_result(z1, monkeypatch):
     cases = [(koszul, (n,), None) for n in (40, 80)] + [(koszul, (40, 80), None)]
     cases += split_cases(z1)
     default = [fourier_ranks(*case) for case in cases]
-    monkeypatch.setattr(fourier, "character_orbits", reference_orbits)
+    monkeypatch.setattr(fourier, "character_orbits", exact_orbits)
     assert [fourier_ranks(*case) for case in cases] == default
-    monkeypatch.setattr(fourier, "character_orbits", lambda k, n: reference_orbits(k, n)[::-1])
+    monkeypatch.setattr(fourier, "character_orbits", lambda k, m: exact_orbits(k, m)[::-1])
     assert [fourier_ranks(*case) for case in cases] == default
 
 
