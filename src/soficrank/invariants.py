@@ -375,19 +375,60 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
     fraction-free ranks over Z (rank_dense_bareiss: exact repeated columns
     dropped, no primes); a single exact stage, no limit involved.  Serves
     as the brute-force oracle for the approximant pipelines, and shares no
-    step with their modular engine.  ``size_cap`` bounds the total
-    dimension (m + n) * g of each linearized differential, and so the dense
-    copy and the memory; it does not bound the Bareiss time, which grows
-    with the cube of that dimension and with the length of the integers.
+    step with their modular engine.
+
+    Each linearization L(f) is split before it is ranked.  H is an
+    elementary abelian 2-subgroup, built by walking the elements in index
+    order and adding each involution x outside H that commutes with all of
+    it (H <- H u H*x), so that H[b] is indexed by a bitmask b over those
+    involutions.  Right multiplication by H commutes with the left regular
+    action, so L(f) splits over the characters chi_c(H[b]) = (-1)^|b & c|
+    of H, all +-1, and rank L(f) is the sum of the ranks of the integer
+    blocks B_c (the +-1 character transform is invertible over Q).  With
+    u and t running over the representatives of the cosets w*H, a term
+    coeff*x of f_jk, with x*u = t*H[b], adds coeff*chi_c(H[b]) at row
+    (t, j), column (u, k) of B_c, so the blocks come straight from f and
+    nothing is linearized.  At H = {e}, for a group of odd order, the one
+    block is the dense L(f).
+
+    ``size_cap`` bounds the total dimension (m + n) * g of each
+    linearized differential; its blocks hold m*n*g^2/|H| entries in all,
+    so the cap bounds the memory.  It does not bound the Bareiss time,
+    which grows with the cube of the block dimension and with the length
+    of the integers.
     """
     fam = C.family
     if not isinstance(fam, FiniteTable):
         raise ValueError("finite_group_exact_betti needs a FiniteTable family")
     q = regular_quotient(fam)
-    g = fam.order
+    g, table, e = fam.order, fam.table, fam.identity_index
+    H = [e]
+    for x in range(g):
+        if x not in H and table[x][x] == e and all(table[x][h] == table[h][x] for h in H):
+            H += [table[h][x] for h in H]
+    # the coset representatives u, and for each element w = u*H[b] its
+    # coset ordinal and b
+    reps, where = [], [None] * g
+    for w in range(g):
+        if where[w] is None:
+            for b, h in enumerate(H):
+                where[table[w][h]] = (len(reps), b)
+            reps.append(w)
+    chi = [[-1 if (b & c).bit_count() & 1 else 1 for c in range(len(H))] for b in range(len(H))]
     ranks = {}
     for j in range(1, C.top_degree + 1):
-        ranks[j] = rank_dense_bareiss(linearize(C.differential(j), q, size_cap).to_dense())
+        f = C.differential(j)
+        check_size_cap(f, q, size_cap)
+        m, n = f.rows, f.cols
+        blocks = [[[0] * (n * len(reps)) for _ in range(m * len(reps))] for _ in H]
+        for r, row in enumerate(f.entries):
+            for k, entry in enumerate(row):
+                for x, coeff in entry.terms.items():
+                    for i, u in enumerate(reps):
+                        t, b = where[table[x.payload][u]]
+                        for block, sign in zip(blocks, chi[b]):
+                            block[t * m + r][i * n + k] += sign * coeff
+        ranks[j] = sum(map(rank_dense_bareiss, blocks))
     out = []
     for j in range(C.top_degree + 1):
         r_low = ranks.get(j, 0)

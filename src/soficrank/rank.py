@@ -80,7 +80,9 @@ it on every (stage, matrix) pair of a grid sequence at once, with the
 character split of the grid models (see that module).
 
 rank_dense_bareiss is the exact engine, behind that fallback and behind
-invariants.finite_group_exact_betti, the finite-group oracle.  It keeps
+invariants.finite_group_exact_betti, the finite-group oracle, which calls
+it once per integer character block of an elementary abelian 2-subgroup
+(see there) and sums the ranks.  It keeps
 each column that is not an exact repeat over Z of an earlier one (a
 repeated column adds nothing to the column space, so the rank over Q is
 unchanged) and runs fraction-free elimination on those, with no prime

@@ -3,7 +3,8 @@ literal mean-rank matrix, of the grid models that build their images only
 when read, of the character orbits of the grid models and the one sweep
 over a grid sequence that ranks each of them once, of the reading and
 validation of finite group tables, of the Sanov models' points and
-generation check, and of the edge rows of linearize.
+generation check, of the edge rows of linearize, and of the split of
+the finite-group oracle over an elementary abelian 2-subgroup.
 
 Each mutant in MUTANTS is one textual edit of a file under src/soficrank,
 made on a copy of src/ in a temporary directory, never in place, and names
@@ -255,6 +256,21 @@ MUTANTS = [
      "    for q in grids:\n        q.gen_images\n",
      "the grid path reads the images",
      "tests/test_fourier.py::test_grid_path_never_builds_the_images"),
+    ("invariants.py",
+     "-1 if (b & c).bit_count() & 1 else 1",
+     "-1 if b & c else 1",
+     "the oracle's character sign read as b & c nonzero, not its parity",
+     "tests/test_invariants.py::test_oracle_matches_plain_elimination_on_small_groups"),
+    ("invariants.py",
+     "table[x][x] == e and all(table[x][h] == table[h][x] for h in H)",
+     "table[x][x] == e",
+     "the oracle's subgroup admitting involutions that do not commute with it",
+     "tests/test_invariants.py::test_oracle_matches_plain_elimination_on_small_groups"),
+    ("invariants.py",
+     "where[table[w][h]] = (len(reps), b)",
+     "where[table[h][w]] = (len(reps), b)",
+     "the oracle's cosets taken as h*w instead of w*h",
+     "tests/test_invariants.py::test_oracle_matches_plain_elimination_on_small_groups"),
     ("groups.py",
      '        self.__dict__["gen_images"] = images\n',
      "",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from soficrank import (
     RingElement,
     RingMatrix,
     SizeCapExceeded,
+    SparseIntMatrix,
     betti_approximants,
     build_complex,
     euler_approximants,
@@ -458,6 +460,138 @@ def test_oracle_is_exact_over_z_without_primes(s3, count_calls):
             Fraction(C.rank_of(j) * fam.order - ranks.get(j, 0) - ranks.get(j + 1, 0), fam.order)
             for j in (0, 1)
         ]
+
+
+def permutation_group(*gens):
+    """The table of the group the permutation tuples ``gens`` generate,
+    elements in the order a breadth-first closure from the identity meets
+    them, element i times j being 'apply j, then i'."""
+    elems = [tuple(range(len(gens[0])))]
+    seen = set(elems)
+    for p in elems:  # grows while it is read
+        for s in gens:
+            sp = tuple(s[x] for x in p)
+            if sp not in seen:
+                seen.add(sp)
+                elems.append(sp)
+    at = {p: i for i, p in enumerate(elems)}
+    return FiniteTable([[at[tuple(p[x] for x in q)] for q in elems] for p in elems])
+
+
+def direct_product(*factors):
+    """The table of the direct product of the FiniteTables ``factors``,
+    (a, b) at index a*|B| + b."""
+    table = [[0]]
+    for fam in factors:
+        g, t = fam.order, fam.table
+        table = [[x * g + y for x in row_a for y in t[i]] for row_a in table for i in range(g)]
+    return FiniteTable(table)
+
+
+def dihedral(n):
+    return permutation_group(tuple((x + 1) % n for x in range(n)),
+                             tuple(-x % n for x in range(n)))
+
+
+def small_table_groups():
+    """Table groups of order at most 24, by name: every cyclic group, and
+    the others the oracle splits over (Z/2)^r for r up to 4."""
+    c2, c4 = FiniteTable.cyclic(2), FiniteTable.cyclic(4)
+    s3 = permutation_group((1, 0, 2), (1, 2, 0))
+    groups = {"Z/%d" % n: FiniteTable.cyclic(n) for n in range(1, 25)}
+    groups.update({
+        "(Z/2)^2": direct_product(c2, c2),
+        "(Z/2)^3": direct_product(c2, c2, c2),
+        "(Z/2)^4": direct_product(c2, c2, c2, c2),
+        "Z/2xZ/4": direct_product(c2, c4),
+        "Z/2xZ/6": direct_product(c2, FiniteTable.cyclic(6)),
+        "Q_8": permutation_group((1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)),
+        "D_4": dihedral(4),
+        "D_5": dihedral(5),
+        "D_6": dihedral(6),
+        "A_4": permutation_group((1, 2, 0, 3), (1, 0, 3, 2)),
+        "S_4": permutation_group((1, 0, 2, 3), (1, 2, 3, 0)),
+        "S_3": s3,
+        "S_3xZ/2": direct_product(s3, c2),
+        "D_4xZ/2": direct_product(dihedral(4), c2),
+    })
+    return groups
+
+
+def regular_dense(f):
+    """L(f) at the regular model, built from the multiplication table by
+    hand: the term coeff*x of f_jk adds coeff at row table[x][w]*m + j,
+    column w*n + k, for every w."""
+    fam = f.family
+    m, n, g = f.rows, f.cols, fam.order
+    dense = [[0] * (n * g) for _ in range(m * g)]
+    for j in range(m):
+        for k in range(n):
+            for x, coeff in f.entries[j][k].terms.items():
+                for w in range(g):
+                    dense[fam.table[x.payload][w] * m + j][w * n + k] += coeff
+    return dense
+
+
+def random_element(rng, fam):
+    return RingElement(fam, [(fam.element(rng.randrange(fam.order)), rng.randint(-3, 3))
+                             for _ in range(rng.randint(1, 3))])
+
+
+def test_oracle_matches_plain_elimination_on_small_groups(count_calls):
+    """The split oracle against plain Bareiss on the unsplit L(f), built by
+    hand, on every group of small_table_groups: five random 1-3 x 1-3 d1s
+    each, and one complex (1, 2, 1) of d2 = (a*y, -a) and d1 = (p; y*p).
+    The value of degree j is (n_j*g - r_j - r_{j+1}) / g.  The oracle makes
+    |H| Bareiss calls on a one-differential complex, and every |H| from 1
+    to 16 occurs.  (rational_rank, Fraction elimination, would take some
+    40 times longer here; test_oracle_splits_without_linearizing uses it.)"""
+    rng = random.Random(39)
+    bareiss = count_calls(invariants, "rank_dense_bareiss")
+    sizes = set()
+    for name, fam in small_table_groups().items():
+        g = fam.order
+        complexes = []
+        for _ in range(5):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            complexes.append(build_complex(fam, (m, n), [RingMatrix(
+                fam, [[random_element(rng, fam) for _ in range(n)] for _ in range(m)])]))
+        a, y, p = (random_element(rng, fam) for _ in range(3))
+        complexes.append(build_complex(fam, (1, 2, 1), [RingMatrix(fam, [[a * y, -a]]),
+                                                        RingMatrix(fam, [[p], [y * p]])]))
+        for C in complexes:
+            bareiss.clear()
+            oracle = finite_group_exact_betti(C)
+            if C.top_degree == 1:
+                sizes.add(len(bareiss))
+            ranks = {j: rank_dense_bareiss(regular_dense(C.differential(j)))
+                     for j in range(1, C.top_degree + 1)}
+            assert oracle == [
+                Fraction(C.rank_of(j) * g - ranks.get(j, 0) - ranks.get(j + 1, 0), g)
+                for j in range(C.top_degree + 1)
+            ], (name, C)
+    assert sizes == {1, 2, 4, 8, 16}
+
+
+def test_oracle_splits_without_linearizing(count_calls):
+    """Over (Z/2)^3 the oracle ranks each of the two differentials of a
+    complex (1, 2, 1) as the 8 blocks of its characters, each of size
+    (m*g/8) x (n*g/8), and calls neither linearize nor to_dense."""
+    c2 = FiniteTable.cyclic(2)
+    fam = direct_product(c2, c2, c2)
+    x = [RingElement.monomial(fam.element(i)) for i in range(fam.order)]
+    d2 = RingMatrix(fam, [[x[3] - 2 * x[5], x[0] + x[6]]])
+    d1 = RingMatrix(fam, [[x[0] + x[6]], [2 * x[5] - x[3]]])
+    C = build_complex(fam, (1, 2, 1), [d2, d1])
+    linearized = count_calls(invariants, "linearize")
+    densified = count_calls(SparseIntMatrix, "to_dense")
+    bareiss = count_calls(invariants, "rank_dense_bareiss")
+    oracle = finite_group_exact_betti(C)
+    assert (linearized, densified) == ([], [])
+    assert [(len(rows), len(rows[0])) for (rows,) in bareiss] == [(2, 1)] * 8 + [(1, 2)] * 8
+    ranks = [rational_rank(regular_dense(f)) for f in (d2, d1)]
+    assert oracle == [Fraction(8 - ranks[1], 8), Fraction(16 - sum(ranks), 8),
+                      Fraction(8 - ranks[0], 8)]
 
 
 # ---------------------------------------------------------------------------
