@@ -537,7 +537,10 @@ class FiniteQuotient:
       on every builder's models).  Only grid_quotient's models record their
       modulus n as ``_grid``, which sends them to the Fourier path in
       invariants; every other model has None, even one built by the
-      constructor from a grid's own images.  A grid model is adopted
+      constructor from a grid's own images.  Likewise only
+      regular_quotient's models record ``_regular`` True, which sends them
+      to the character split of invariants; every other model has False,
+      even one built from a table's own rows.  A grid model is adopted
       without images: the first read of ``gen_images`` builds the
       translations and stores them on the model, so the Fourier path,
       which never reads them, never builds them.
@@ -552,14 +555,16 @@ class FiniteQuotient:
     label: str = ""
 
     _grid = None
+    _regular = False
 
     @classmethod
-    def _adopt(cls, family, degree, gen_images, genuine, label, grid=None):
+    def _adopt(cls, family, degree, gen_images, genuine, label, grid=None, regular=False):
         """A model with ``gen_images`` as built, or built on first read
         when they are None and ``grid`` is set (see the class doc)."""
         q = cls.__new__(cls)
         q.__dict__.update(
             family=family, degree=degree, genuine=genuine, label=label, _grid=grid,
+            _regular=regular,
         )
         if gen_images is not None:
             q.__dict__["gen_images"] = gen_images
@@ -845,11 +850,16 @@ def _check_sanov_blocks(img_a, m, home):
 
 
 def regular_quotient(family):
-    """Left regular action of a finite-table group on itself; genuine, degree g."""
+    """Left regular action of a finite-table group on itself; genuine, degree g.
+
+    The model records ``_regular`` True: it is the regular model of its
+    family's table, which invariants splits over characters.
+    """
     if not isinstance(family, FiniteTable):
         raise ValueError("regular quotient needs a FiniteTable family")
     return FiniteQuotient._adopt(
-        family, family.order, family.table, True, "regular |G|=%d" % family.order
+        family, family.order, family.table, True, "regular |G|=%d" % family.order,
+        regular=True,
     )
 
 

@@ -23,10 +23,17 @@ grid_quotient built, which record n, it splits each rank over characters
 without linearizing; no model is recognized from its images.  Once every
 matrix has passed the size cap at every grid stage of the sequence, one
 fourier.fourier_ranks call ranks them all at all of those stages (that
-module gives the split and its certificate).  _stage_ranks then
-assembles each stage: every other model, and any uncertified split,
-takes linearize and the sparse engine, with its Bareiss fallback.
-Nothing is cached across calls.
+module gives the split and its certificate).  At the regular model that
+regular_quotient built, which records ``_regular``, _stage_ranks splits
+each rank over the +-1 characters of an elementary abelian 2-subgroup,
+again without linearizing, and ranks each integer block with the sparse
+engine; a matrix of edge rows alone is not split, since the edge phase
+contracts it whole.  The finite-group oracle builds its blocks with the
+same builder (_character_blocks) but ranks them by Bareiss, so the two
+share no elimination step.  _stage_ranks then assembles each stage:
+every other model, and any uncertified split, takes linearize and the
+sparse engine, with its Bareiss fallback.  Nothing is cached across
+calls.
 
 A literal mean rank is built on one path for every family: module elements
 are truncated to a finite window of group elements, and a finite family is
@@ -51,9 +58,12 @@ from .groups import (
     regular_quotient,
 )
 from .linearize import (
-    DEFAULT_SIZE_CAP, SizeCapExceeded, SparseIntMatrix, check_size_cap, linearize,
+    DEFAULT_SIZE_CAP, SizeCapExceeded, SparseIntMatrix, _edge_rows_only, _file_edges,
+    check_size_cap, linearize,
 )
-from .rank import _ZERO_MAP, DEFAULT_POLICY, rank_dense_bareiss, rank_over_rationals
+from .rank import (
+    _ZERO_MAP, DEFAULT_POLICY, RankResult, rank_dense_bareiss, rank_over_rationals,
+)
 from .ring import ChainComplex, RingElement, RingMatrix
 
 __all__ = [
@@ -168,19 +178,111 @@ def _check_generators(M, *gens):
 # ---------------------------------------------------------------------------
 # one rank table per sequence
 
+def _character_blocks(f):
+    """The integer blocks of L(f) at the regular model of f's finite
+    table, one per character of an elementary abelian 2-subgroup H, each
+    as (rows, cols, {row: {col: value}}) with no zero entry and no empty
+    row, so rank L(f) is the sum of their ranks over Q.
+
+    H is built by walking the elements in index order and adding each
+    involution x outside H that commutes with all of it (H <- H u H*x), so
+    that H[b] is indexed by a bitmask b over those involutions.  Right
+    multiplication by H commutes with the left regular action, so L(f)
+    splits over the characters chi_c(H[b]) = (-1)^|b & c| of H, all +-1,
+    into integer blocks B_c of size (m*g/|H|) x (n*g/|H|) (the +-1
+    character transform is invertible over Q).  With u and t running over
+    the representatives of the cosets w*H, a term coeff*x of f_jk, with
+    x*u = t*H[b], adds coeff*chi_c(H[b]) at row (t, j), column (u, k) of
+    B_c, so the blocks come straight from f and nothing is linearized.  At
+    H = {e}, for a group of odd order, the one block is L(f).  The blocks
+    hold m*n*g^2/|H| entries in all, one block at a time.
+    """
+    fam = f.family
+    g, table, e = fam.order, fam.table, fam.identity_index
+    H = [e]
+    for x in range(g):
+        if x not in H and table[x][x] == e and all(table[x][h] == table[h][x] for h in H):
+            H += [table[h][x] for h in H]
+    # the coset representatives u, and for each element w = u*H[b] its
+    # coset ordinal and b
+    reps, where = [], [None] * g
+    for w in range(g):
+        if where[w] is None:
+            for b, h in enumerate(H):
+                where[table[w][h]] = (len(reps), b)
+            reps.append(w)
+    chi = [[-1 if (b & c).bit_count() & 1 else 1 for c in range(len(H))] for b in range(len(H))]
+    m, n = f.rows, f.cols
+    # each term's place in every block, and its b: (row, col, b, coeff)
+    terms = []
+    for r, row in enumerate(f.entries):
+        for k, entry in enumerate(row):
+            for x, coeff in entry.terms.items():
+                for i, u in enumerate(reps):
+                    t, b = where[table[x.payload][u]]
+                    terms.append((t * m + r, i * n + k, b, coeff))
+    for c in range(len(H)):
+        block = {}
+        for r, col, b, coeff in terms:
+            row = block.setdefault(r, {})
+            row[col] = row.get(col, 0) + chi[b][c] * coeff
+        # drop the entries, and then the rows, that cancel
+        block = {r: {col: v for col, v in row.items() if v} for r, row in block.items()}
+        yield m * len(reps), n * len(reps), {r: row for r, row in block.items() if row}
+
+
+def _split_rank(f, policy):
+    """The RankResult of L(f) at the regular model of f's table from its
+    character blocks (_character_blocks): each nonempty block has its
+    edge rows filed, is adopted as a SparseIntMatrix and takes
+    rank_over_rationals.  The rank is the sum of the block ranks, certified
+    when every block is; the method is bound_mod_p when every block was
+    proved, and otherwise the first other method a block used; the primes
+    are the union of the blocks', in order.  A zero L(f) is the zero map.
+    """
+    results = []
+    for rows, cols, row_map in _character_blocks(f):
+        if row_map:
+            edges = ([], [], [])
+            _file_edges(row_map, edges)
+            results.append(rank_over_rationals(
+                SparseIntMatrix._adopt(rows, cols, row_map, edges), policy))
+    if not results:
+        return _ZERO_MAP
+    other = [r.method for r in results if r.method != "bound_mod_p"]
+    return RankResult(
+        sum(r.rank for r in results),
+        other[0] if other else "bound_mod_p",
+        tuple(dict.fromkeys(p for r in results for p in r.primes_used)),
+        all(r.certified for r in results),
+    )
+
+
 def _stage_ranks(q, matrices, split, policy, size_cap):
     """The RankResult over Q of linearize(f, q) for each f in ``matrices``,
     None the zero map, given ``split``, the Fourier results of the nonzero
     matrices at q in order (empty off the grid path).
 
-    A certified Fourier result is kept.  Every other nonzero matrix (all of
-    them at a model that is not a grid, and any uncertified split) is
-    linearized and takes the sparse engine.
+    A certified Fourier result is kept.  At a model that regular_quotient
+    built, which records ``_regular``, a matrix that is not all edge rows
+    passes the size cap and is split over the characters of a (Z/2)^r
+    subgroup (_split_rank), with the block builder that the finite-group
+    oracle uses but with the sparse engine in place of its Bareiss; a
+    matrix of edge rows alone contracts whole in the edge phase, which a
+    split would only break up.  Every other nonzero matrix (all of them at
+    a model that is neither a grid nor regular, and any uncertified split)
+    is linearized and takes the sparse engine.
     """
     split = iter(split)
     results = []
     for f in matrices:
-        result = _ZERO_MAP if f is None else next(split, None)
+        if f is None:
+            result = _ZERO_MAP
+        elif q._regular and not _edge_rows_only(f):
+            check_size_cap(f, q, size_cap)
+            result = _split_rank(f, policy)
+        else:
+            result = next(split, None)
         if result is None or not result.certified:
             result = rank_over_rationals(linearize(f, q, size_cap), policy)
         results.append(result)
@@ -372,24 +474,18 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
     """Exact homology-rank densities over a finite-table group.
 
     Uses the regular model of degree g = |G| and unconditional dense
-    fraction-free ranks over Z (rank_dense_bareiss: exact repeated columns
-    dropped, no primes); a single exact stage, no limit involved.  Serves
-    as the brute-force oracle for the approximant pipelines, and shares no
-    step with their modular engine.
+    fraction-free ranks over Z (rank_dense_bareiss: columns repeated up to
+    sign dropped, no primes); a single exact stage, no limit involved.
+    Serves as the brute-force oracle for the approximant pipelines, and
+    shares no elimination step with their modular engine.
 
-    Each linearization L(f) is split before it is ranked.  H is an
-    elementary abelian 2-subgroup, built by walking the elements in index
-    order and adding each involution x outside H that commutes with all of
-    it (H <- H u H*x), so that H[b] is indexed by a bitmask b over those
-    involutions.  Right multiplication by H commutes with the left regular
-    action, so L(f) splits over the characters chi_c(H[b]) = (-1)^|b & c|
-    of H, all +-1, and rank L(f) is the sum of the ranks of the integer
-    blocks B_c (the +-1 character transform is invertible over Q).  With
-    u and t running over the representatives of the cosets w*H, a term
-    coeff*x of f_jk, with x*u = t*H[b], adds coeff*chi_c(H[b]) at row
-    (t, j), column (u, k) of B_c, so the blocks come straight from f and
-    nothing is linearized.  At H = {e}, for a group of odd order, the one
-    block is the dense L(f).
+    Each linearization L(f) is split before it is ranked: the blocks of
+    _character_blocks, one per character of an elementary abelian
+    2-subgroup H, are written into dense rows, and rank L(f) is the sum
+    of their Bareiss ranks.  The pipelines at a regular model share that
+    block builder, but not the elimination: they rank the same blocks with
+    the sparse engine.  At H = {e}, for a group of odd order, the one block
+    is the dense L(f).
 
     ``size_cap`` bounds the total dimension (m + n) * g of each
     linearized differential; its blocks hold m*n*g^2/|H| entries in all,
@@ -401,34 +497,19 @@ def finite_group_exact_betti(C, size_cap=DEFAULT_SIZE_CAP):
     if not isinstance(fam, FiniteTable):
         raise ValueError("finite_group_exact_betti needs a FiniteTable family")
     q = regular_quotient(fam)
-    g, table, e = fam.order, fam.table, fam.identity_index
-    H = [e]
-    for x in range(g):
-        if x not in H and table[x][x] == e and all(table[x][h] == table[h][x] for h in H):
-            H += [table[h][x] for h in H]
-    # the coset representatives u, and for each element w = u*H[b] its
-    # coset ordinal and b
-    reps, where = [], [None] * g
-    for w in range(g):
-        if where[w] is None:
-            for b, h in enumerate(H):
-                where[table[w][h]] = (len(reps), b)
-            reps.append(w)
-    chi = [[-1 if (b & c).bit_count() & 1 else 1 for c in range(len(H))] for b in range(len(H))]
+    g = fam.order
     ranks = {}
     for j in range(1, C.top_degree + 1):
         f = C.differential(j)
         check_size_cap(f, q, size_cap)
-        m, n = f.rows, f.cols
-        blocks = [[[0] * (n * len(reps)) for _ in range(m * len(reps))] for _ in H]
-        for r, row in enumerate(f.entries):
-            for k, entry in enumerate(row):
-                for x, coeff in entry.terms.items():
-                    for i, u in enumerate(reps):
-                        t, b = where[table[x.payload][u]]
-                        for block, sign in zip(blocks, chi[b]):
-                            block[t * m + r][i * n + k] += sign * coeff
-        ranks[j] = sum(map(rank_dense_bareiss, blocks))
+        ranks[j] = 0
+        for rows, cols, block in _character_blocks(f):
+            dense = [[0] * cols for _ in range(rows)]
+            for r, row in block.items():
+                dense_row = dense[r]
+                for c, v in row.items():
+                    dense_row[c] = v
+            ranks[j] += rank_dense_bareiss(dense)
     out = []
     for j in range(C.top_degree + 1):
         r_low = ranks.get(j, 0)

@@ -49,6 +49,28 @@ def _file_edges(row_map, edges):
         del row_map[r]
 
 
+def _row_terms(f, j):
+    """The terms (k, g, coeff) of row j of the ring matrix f, over its
+    entries in column order."""
+    return [(k, g, coeff) for k in range(f.cols) for g, coeff in f.entries[j][k].terms.items()]
+
+
+def _is_edge_row(terms):
+    """Whether the terms of a row of a ring matrix are exactly +g and -h,
+    in either order, so that it linearizes to edge rows only."""
+    return len(terms) == 2 and terms[0][2] in (1, -1) and terms[0][2] + terms[1][2] == 0
+
+
+def _edge_rows_only(f):
+    """Whether every nonzero row of the ring matrix f is +g - h, so that
+    its linearization at every model is held in the edge store alone."""
+    for j in range(f.rows):
+        terms = _row_terms(f, j)
+        if terms and not _is_edge_row(terms):
+            return False
+    return True
+
+
 class SparseIntMatrix:
     """Sparse matrix of arbitrary-precision integers in two stores.
 
@@ -69,7 +91,9 @@ class SparseIntMatrix:
     The constructor is the one place that checks triplets and puts them in
     this normal form.  ``_adopt`` is the private path of ``linearize``,
     which builds both stores itself in the order the constructor would
-    give them: it takes them as given, unchecked, so the row map must hold
+    give them, and of the character split of a regular stage in
+    invariants, which files each block's edge rows as the constructor
+    would: it takes them as given, unchecked, so the row map must hold
     only non-empty rows of nonzero ints and no edge row, every index must
     be an int in range, and no row index may appear twice in the two
     stores.  Nothing may change the stores afterwards.
@@ -225,10 +249,8 @@ def linearize(f, q, size_cap=DEFAULT_SIZE_CAP):
     row_map = {}
     edges = er, eh, et = [], [], []
     for j in range(m):
-        terms = [(k, g, coeff) for k in range(n)
-                 for g, coeff in f.entries[j][k].terms.items()]
-        if (len(terms) == 2 and terms[0][2] in (1, -1)
-                and terms[0][2] + terms[1][2] == 0):
+        terms = _row_terms(f, j)
+        if _is_edge_row(terms):
             # edge rows, in the order the first term makes them: row
             # p1[w]*m + j meets the first term at column w*n + k1 and the
             # second at pair[w]*n + k2, where p2[pair[w]] = p1[w]

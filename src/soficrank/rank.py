@@ -32,12 +32,14 @@ rows is the kernel of the map summing coordinates over each component, over
 any ring, so rank_p(M) = unions + rank_p(residual) for every prime p, p = 2
 included.
 
-The same step then drops every residual column that exactly repeats an
-earlier one over Z: a repeated column adds nothing to the column space,
-so the rank is unchanged.  At a regular model a differential that is a
-right multiple of a norm element N_H has columns constant on H-orbits,
-and all but one of each orbit's copies would otherwise be carried through
-every row operation.  Columns equal over Z are equal modulo every prime,
+The same step then drops every residual column that repeats an earlier
+one up to sign over Z, that is, equals it or its negative: such a column
+adds nothing to the column space, so the rank is unchanged.  At a regular
+model a differential that is a right multiple of a norm element N_H has
+columns constant on H-orbits, and all but one of each orbit's copies
+would otherwise be carried through every row operation; after the +-1
+character split of invariants, some of those copies come back negated.
+Columns equal up to sign over Z are equal up to sign modulo every prime,
 so the drop is exact at each.  Columns that agree only modulo the prime in
 use are kept.  rank_mod_p reduces the kept entries modulo p as it reads
 them.
@@ -52,8 +54,9 @@ shared rows; each reduces a copy modulo its prime.
 rank_over_rationals first tries a proof.  Every rank mod p is a lower bound
 on the rank over Q, and the rank over Q is at most the bound B = unions +
 min(distinct nonzero residual rows, distinct nonzero residual columns),
-where the residual is the one above, taken over Z, and rows and columns
-are keyed on their exact integers, never on residues.  The contraction is
+where the residual is the one above, taken over Z, rows are keyed on
+their exact integers and columns on their exact integers up to sign, never
+on residues.  The contraction is
 unimodular, so rank_p(M) <= rank_Q(M) <= B, and one rank_mod_p pass that
 reaches B proves the rank (method bound_mod_p).  B costs O(nnz), once per
 matrix.  With an empty row map the residual is empty, and B is the unions.
@@ -83,11 +86,11 @@ rank_dense_bareiss is the exact engine, behind that fallback and behind
 invariants.finite_group_exact_betti, the finite-group oracle, which calls
 it once per integer character block of an elementary abelian 2-subgroup
 (see there) and sums the ranks.  It keeps
-each column that is not an exact repeat over Z of an earlier one (a
-repeated column adds nothing to the column space, so the rank over Q is
-unchanged) and runs fraction-free elimination on those, with no prime
-and no step shared with rank_mod_p.  It keys the columns on their exact
-integers as _residual does, but by its own code, so a wrong drop in the
+each column that does not repeat an earlier one up to sign over Z (such a
+repeat adds nothing to the column space, so the rank over Q is unchanged)
+and runs fraction-free elimination on those, with no prime and no step
+shared with rank_mod_p.  It keys the columns on their exact integers up to
+sign as _residual does, but by its own code, so a wrong drop in the
 modular engine cannot be masked by the oracle.  It takes the rows in
 their given order, reduces each by the pivot rows stored so far over the
 columns that hold no pivot yet, and stores what is left as the next pivot
@@ -140,8 +143,8 @@ def _residual(M):
     counts the edges that join two components.  ``rows`` is the row map
     with every column read as the root of its component and the merged
     entries summed over Z, less the rows that cancel and less every column
-    that exactly repeats an earlier one, as a list in increasing row index.
-    ``count`` maps each kept column to its entries in ``rows``, and
+    that repeats an earlier one up to sign, as a list in increasing row
+    index.  ``count`` maps each kept column to its entries in ``rows``, and
     ``bound`` is unions + min(distinct rows, kept columns), rows keyed on
     exact integers.  The rows may be M's own row dicts, and every pass
     shares them: nothing may change them.  Two kept columns may still agree
@@ -189,9 +192,12 @@ def _residual(M):
                 entries[c] = [r, v]
             else:
                 col += r, v
-    # a column that repeats an earlier one adds nothing to the column space
+    # a column that repeats an earlier one up to sign adds nothing to the
+    # column space: key each on its values, negated when the first is < 0
     first = {}
     for c, col in entries.items():
+        if col[1] < 0:
+            col[1::2] = [-v for v in col[1::2]]
         first.setdefault(tuple(col), c)
     if len(first) < len(entries):
         kept = set(first.values())
@@ -208,7 +214,7 @@ def rank_mod_p(M, p, stats=None):
 
     _residual contracts the edge store (rows +-(e_i - e_j)), each union one
     pivot, merges the rows of the row map through the roots, drops every
-    column that exactly repeats an earlier one and takes the bound B, all
+    column that repeats an earlier one up to sign and takes the bound B, all
     over Z and once per matrix.  The pass only eliminates mod p: the
     residual rows are read in increasing row index, each reduced mod p by
     the pivot rows stored so far, in the order they were made; a nonempty
@@ -270,9 +276,10 @@ def rank_mod_p(M, p, stats=None):
 def rank_dense_bareiss(dense_rows):
     """Exact rank over Q of an integer matrix given as dense rows.
 
-    The working copy holds each distinct column once, in the order of its
-    first occurrence: a column that exactly repeats an earlier one over Z
-    adds nothing to the column space, so the rank is unchanged.
+    The working copy holds each column once up to sign, in the order of its
+    first occurrence, negated when its first nonzero entry is negative: a
+    column that equals an earlier one or its negative over Z adds nothing
+    to the column space, so the rank is unchanged.
     Fraction-free (Bareiss) elimination then takes the rows in order: each
     is reduced by the pivot rows stored so far, over the columns that hold
     no pivot yet, and becomes the next pivot row if anything is left; the
@@ -285,7 +292,12 @@ def rank_dense_bareiss(dense_rows):
     n = len(dense_rows[0]) if dense_rows else 0
     if any(len(r) != n for r in dense_rows):
         raise ValueError("rank_dense_bareiss needs rows of equal length")
-    cols = dict.fromkeys(tuple(map(index, c)) for c in zip(*dense_rows))
+    cols = {}
+    for c in zip(*dense_rows):
+        c = tuple(map(index, c))
+        if next(filter(None, c), 0) < 0:
+            c = tuple(-x for x in c)
+        cols[c] = None
     # each pivot: its position among the columns free before it, its value,
     # and the rest of its row over the columns still free after it
     pivots = []

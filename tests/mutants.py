@@ -3,8 +3,10 @@ literal mean-rank matrix, of the grid models that build their images only
 when read, of the character orbits of the grid models and the one sweep
 over a grid sequence that ranks each of them once, of the reading and
 validation of finite group tables, of the Sanov models' points and
-generation check, of the edge rows of linearize, and of the split of
-the finite-group oracle over an elementary abelian 2-subgroup.
+generation check, of the edge rows of linearize, of the drop of columns
+repeated up to sign in both rank engines, and of the split of the
+finite-group oracle and of the pipelines' regular stages over an
+elementary abelian 2-subgroup.
 
 Each mutant in MUTANTS is one textual edit of a file under src/soficrank,
 made on a copy of src/ in a temporary directory, never in place, and names
@@ -72,6 +74,18 @@ MUTANTS = [
      "first.setdefault(tuple(col[::2]), c)",
      "the repeated-column drop keyed on rows alone",
      "tests/test_rank.py::test_mod_p_matches_oracle_on_randoms"),
+    ("rank.py",
+     "        if col[1] < 0:\n            col[1::2] = [-v for v in col[1::2]]\n",
+     "        col[1::2] = [abs(v) for v in col[1::2]]\n",
+     "the modular engine's columns deduplicated on entrywise absolute value",
+     "tests/test_rank.py::"
+     "test_negated_columns_are_dropped_and_columns_equal_in_absolute_value_kept"),
+    ("rank.py",
+     "        if next(filter(None, c), 0) < 0:\n            c = tuple(-x for x in c)\n",
+     "        c = tuple(map(abs, c))\n",
+     "Bareiss's columns deduplicated on entrywise absolute value",
+     "tests/test_rank.py::"
+     "test_negated_columns_are_dropped_and_columns_equal_in_absolute_value_kept"),
     ("rank.py",
      "    if rank == _residual(M)[3]:",
      "    if rank >= _residual(M)[3] - 1:",
@@ -271,6 +285,32 @@ MUTANTS = [
      "where[table[h][w]] = (len(reps), b)",
      "the oracle's cosets taken as h*w instead of w*h",
      "tests/test_invariants.py::test_oracle_matches_plain_elimination_on_small_groups"),
+    ("invariants.py",
+     "        all(r.certified for r in results),",
+     "        any(r.certified for r in results),",
+     "a regular stage certified when any one of its blocks is",
+     "tests/test_invariants.py::test_regular_stage_sums_its_blocks"),
+    ("invariants.py",
+     'other[0] if other else "bound_mod_p",',
+     '"bound_mod_p" if len(other) < len(results) else other[0],',
+     "a regular stage reported bound_mod_p when one block used the rule",
+     "tests/test_invariants.py::test_regular_stage_sums_its_blocks"),
+    ("invariants.py",
+     "        elif q._regular and not _edge_rows_only(f):",
+     "        elif q._regular:",
+     "a matrix of edge rows alone split at a regular model",
+     "tests/test_invariants.py::test_edge_rows_alone_still_linearize_at_a_regular_model"),
+    ("invariants.py",
+     "            check_size_cap(f, q, size_cap)\n            result = _split_rank(f, policy)",
+     "            result = _split_rank(f, policy)",
+     "a regular stage split with no size cap",
+     "tests/test_invariants.py::test_edge_rows_alone_still_linearize_at_a_regular_model"),
+    ("groups.py",
+     "        regular=True,\n",
+     "",
+     "a regular model that does not record it, so no pipeline splits it",
+     "tests/test_invariants.py::"
+     "test_pipelines_split_regular_models_as_unsplit_ranks_on_small_groups"),
     ("groups.py",
      '        self.__dict__["gen_images"] = images\n',
      "",

@@ -7,8 +7,10 @@ from soficrank import (
     FiniteTable,
     ModulePresentation,
     RankPolicy,
+    RankResult,
     RingElement,
     RingMatrix,
+    SeriesPoint,
     SizeCapExceeded,
     SparseIntMatrix,
     betti_approximants,
@@ -594,6 +596,102 @@ def test_oracle_splits_without_linearizing(count_calls):
                       Fraction(8 - ranks[0], 8)]
 
 
+def edges_only(f):
+    """Whether every nonzero row of f has exactly the terms +g and -h, read
+    off its entries by hand."""
+    return all(sorted(c for entry in row for c in entry.terms.values()) in ([], [-1, 1])
+               for row in f.entries)
+
+
+def test_pipelines_split_regular_models_as_unsplit_ranks_on_small_groups(count_calls):
+    """At the regular model of every group of small_table_groups, the Betti
+    values that euler_approximants reads from the character split equal
+    those from rank_over_rationals of each whole linearized differential,
+    all certified: three random 1-3 x 1-3 d1s and one complex (1, 2, 1)
+    with d2 = (a*y, -a), d1 = (p; y*p) per group.  Only a differential of
+    edge rows alone is linearized, and at an odd order each of the others
+    is ranked as one block."""
+    rng = random.Random(40)
+    linearized = count_calls(invariants, "linearize")
+    ranked = count_calls(invariants, "rank_over_rationals")
+    for name, fam in small_table_groups().items():
+        g, q = fam.order, regular_quotient(fam)
+        complexes = []
+        for _ in range(3):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            complexes.append(build_complex(fam, (m, n), [RingMatrix(
+                fam, [[random_element(rng, fam) for _ in range(n)] for _ in range(m)])]))
+        a, y, p = (random_element(rng, fam) for _ in range(3))
+        complexes.append(build_complex(fam, (1, 2, 1), [RingMatrix(fam, [[a * y, -a]]),
+                                                        RingMatrix(fam, [[p], [y * p]])]))
+        for C in complexes:
+            linearized.clear()
+            ranked.clear()
+            series = euler_approximants(C, regular_sequence(fam))
+            fs = [C.differential(j) for j in range(1, C.top_degree + 1)]
+            assert len(linearized) == sum(map(edges_only, fs)), (name, C)
+            if g % 2:
+                assert len(ranked) == len(fs), (name, C)
+            ranks = {j: rank_over_rationals(linearize(f, q)).rank for j, f in enumerate(fs, 1)}
+            assert [s.points[0] for s in series[:-1]] == [
+                SeriesPoint(g, Fraction(C.rank_of(j) * g - ranks.get(j, 0)
+                                        - ranks.get(j + 1, 0), g), True)
+                for j in range(C.top_degree + 1)
+            ], (name, C)
+
+
+def test_edge_rows_alone_still_linearize_at_a_regular_model(s3, count_calls):
+    """At the regular model, d1 = (s12 - e ; r123 - e), of edge rows alone,
+    is linearized whole and contracts in the edge phase, with no block
+    built; one more row 2*s13 sends it to the character split, and it is
+    not linearized.  The size cap is checked before any block is built."""
+    linearized = count_calls(invariants, "linearize")
+    blocks = count_calls(invariants, "_character_blocks")
+    Q = regular_sequence(s3)
+    d1 = parse_ring_matrix("s12 - e ; r123 - e", s3)
+    (point,) = betti_approximants(build_complex(s3, (2, 1), [d1]), Q, 1)
+    assert (len(linearized), blocks) == (1, [])
+    assert point == SeriesPoint(6, Fraction(2 * 6 - 5, 6), True)
+    linearized.clear()
+    d1 = parse_ring_matrix("s12 - e ; r123 - e ; 2*s13", s3)
+    C = build_complex(s3, (3, 1), [d1])
+    (point,) = betti_approximants(C, Q, 1)
+    assert (linearized, len(blocks)) == ([], 1)
+    assert point == SeriesPoint(6, Fraction(3 * 6 - 6, 6), True)
+    blocks.clear()
+    with pytest.raises(SizeCapExceeded):
+        betti_approximants(C, Q, 1, size_cap=4 * 6 - 1)
+    assert blocks == []
+
+
+def test_regular_stage_sums_its_blocks(count_calls):
+    """Over Z/2, f = (e, 0, e ; 0, e, e ; e, e, e - t) splits into f(1),
+    of rank 3 at its bound, and f(-1), of rank 2 below its bound 3.  The
+    stage's rank is 5, by the method of the block that used another than
+    bound_mod_p, at the union of the blocks' primes in order.  Under a
+    policy whose window holds two primes, never the three that certify,
+    the second block goes to Bareiss; with no Bareiss it stays
+    uncertified, so the stage is linearized and stays uncertified."""
+    z2 = FiniteTable.cyclic(2)
+    q = regular_quotient(z2)
+    f = parse_ring_matrix("e, 0, e ; 0, e, e ; e, e, e - t", z2)
+    trivial = SparseIntMatrix.from_dense([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    sign = SparseIntMatrix.from_dense([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+    two_primes = RankPolicy(primes_count=3, prime_bits=(2, 3))
+    linearized = count_calls(invariants, "linearize")
+    for policy, method in ((None, "sparse_mod_p"), (two_primes, "dense_fraction_free")):
+        high, low = rank_over_rationals(trivial, policy), rank_over_rationals(sign, policy)
+        assert (high.rank, high.method, low.rank, low.method) == (3, "bound_mod_p", 2, method)
+        assert invariants._stage_ranks(q, [f], (), policy, None) == [
+            RankResult(5, method, high.primes_used + low.primes_used, True)]
+        assert linearized == []
+    no_bareiss = RankPolicy(primes_count=3, prime_bits=(2, 3), dense_threshold=0)
+    assert not rank_over_rationals(sign, no_bareiss).certified
+    (result,) = invariants._stage_ranks(q, [f], (), no_bareiss, None)
+    assert len(linearized) == 1
+    assert (result.rank, result.certified) == (5, False)
+
+
 # ---------------------------------------------------------------------------
 # literal mean rank
 
@@ -687,15 +785,15 @@ def test_literal_window_over_infinite_family(z1):
 def test_literal_point_carries_both_rank_flags():
     z2 = FiniteTable.cyclic(2)
     q = regular_quotient(z2)
-    M = ModulePresentation(z2, 1, parse_ring_matrix("2*e - 2*t", z2))
-    A = one_vector(z2)
+    M = ModulePresentation(z2, 2, parse_ring_matrix("2*e - 2*t, 2*e - 2*t", z2))
+    A = one_vector(z2, 2)
     point = literal_mean_rank_point(M, A, A, z2.elements(), q)
     assert point.certified and point.degree == 2
     assert point.value == literal_mean_rank_point(M, A, A, z2.elements(), q).value
-    # the relation rows 2*(e - t), beside the translation edges, have rank
-    # 3 over Q, below their bound 4; they have rank 2 mod 2 and 3 mod 3,
-    # and the window holds no other prime: the relation rank stays
-    # uncertified
+    # the relation rows 2*(e - t) in both coordinates, beside the
+    # translation edges, have rank 4 over Q, below their bound 5 (columns
+    # keyed up to sign); they have rank 2 mod 2 and 4 mod 3, and the window
+    # holds no other prime: the relation rank stays uncertified
     tiny = RankPolicy(primes_count=2, prime_bits=(1, 2), dense_threshold=0)
     assert not literal_mean_rank_point(M, A, A, z2.elements(), q, policy=tiny).certified
 

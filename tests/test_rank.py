@@ -312,7 +312,8 @@ def test_contracted_rows_count_in_stats(f2):
 
 
 # ---------------------------------------------------------------------------
-# repeated columns: a column equal over Z to an earlier one is dropped
+# repeated columns: a column equal over Z to an earlier one, or to its
+# negative, is dropped
 
 @st.composite
 def repeated_column_matrices(draw):
@@ -387,6 +388,23 @@ def test_columns_equal_only_mod_p_are_kept(p, edge):
     assert (unions, len(count)) == (int(edge), 2)
     assert rank_mod_p(M, p) == dense_rank_mod(dense, p) == 1 + int(edge)
     assert rank_dense_bareiss(dense) == 2 + int(edge)
+
+
+def test_negated_columns_are_dropped_and_columns_equal_in_absolute_value_kept():
+    # the third column is minus the first, whichever sign the first entry
+    # has: it leaves the rank of the first two, and the bound falls from 3
+    # to 2, which the proof pass meets; (2, 3) and (2, -3) are equal only
+    # entry by entry in absolute value, and both are kept
+    for dense in ([[1, 2, -1], [-3, 1, 3], [2, 5, -2]], [[-2, 1, 2], [1, 1, -1], [3, 0, -3]]):
+        M = SparseIntMatrix.from_dense(dense)
+        first_two = [row[:2] for row in dense]
+        assert len(_residual(M)[2]) == 2 and _residual(M)[3] == 2
+        assert rank_over_rationals(M) == RankResult(2, "bound_mod_p", (_PROOF_PRIME,), True)
+        assert rank_dense_bareiss(dense) == rank_dense_bareiss(first_two) == 2
+    dense = [[2, 2], [3, -3]]
+    M = SparseIntMatrix.from_dense(dense)
+    assert _residual(M)[3] == 2
+    assert rank_over_rationals(M).rank == rank_dense_bareiss(dense) == 2
 
 
 def test_dropped_columns_count_in_stats(f2):
